@@ -9,19 +9,16 @@ __version__ = "0.1.0"
 
 from .data import (  # noqa: F401
     Dataset,
-    FeatureVector,
     Scaler,
     SplitPlan,
-    TargetRecord,
-    fit_scaler,
     generate_synthetic,
     load_csv,
     split,
     van_krevelen,
     write_csv,
 )
-from .cart import RegressionTree, TreeParams, fit_tree, predict_tree  # noqa: F401
-from .svr import Kernel, SvrModel, SvrParams, check_kkt, fit_svr, kernel_eval, predict_svr  # noqa: F401
+from .cart import RegressionTree, TreeParams, fit_tree  # noqa: F401
+from .svr import Kernel, SvrModel, SvrParams, check_kkt, fit_svr, kernel_matrix  # noqa: F401
 from .stats import (  # noqa: F401
     CorrelationMatrix,
     FactorResult,
@@ -37,4 +34,4 @@ from .stats import (  # noqa: F401
 )
 from .pipeline import HyperGrid, TrainedTarget, evaluate, grid_search, train_all  # noqa: F401
 from .shapley import ShapExplanation, emit_plot_data, explain, global_importance  # noqa: F401
-from .genetic import GaConfig, GaResult, ObjectiveProfile, fitness, optimize, run_ga  # noqa: F401
+from .genetic import GaConfig, GaResult, ObjectiveProfile, optimize, run_ga, surrogate_objective  # noqa: F401

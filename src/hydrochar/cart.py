@@ -86,15 +86,6 @@ class RegressionTree:
                 best = max(best, int(depths[i]))
         return best
 
-    def predict(self, x) -> float:
-        x = np.asarray(x, dtype=float).ravel()
-        if len(x) != self.n_features:
-            raise DimensionMismatch(f"expected {self.n_features} features, got {len(x)}")
-        i = 0
-        while not self.is_leaf[i]:
-            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return float(self.value[i])
-
     def predict_batch(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.n_features:
@@ -226,8 +217,3 @@ def fit_tree(x, y, params: TreeParams) -> RegressionTree:
         stack.append((right_id, sorted_idx[n_left:], depth + 1))
         stack.append((left_id, sorted_idx[:n_left], depth + 1))
     return RegressionTree(n_features=x.shape[1], params=params, nodes=nodes)
-
-
-def predict_tree(tree: RegressionTree, x) -> float:
-    """Route one feature vector to its leaf (``<=`` goes left)."""
-    return tree.predict(x)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,20 +108,20 @@ def cmd_stats(args) -> int:
 
 def _write_van_krevelen(ds: data.Dataset, path: Path, comment: str) -> None:
     lines = [comment, "row,biomass_h_over_c,biomass_o_over_c,hydrochar_h_over_c,hydrochar_o_over_c"]
-    for i, (fv, tr) in enumerate(ds.rows):
-        cells = [str(i)]
-        try:
-            hc, oc = data.van_krevelen(fv.biomass_c, fv.biomass_h, fv.biomass_o)
-            cells += [repr(hc), repr(oc)]
-        except data.ZeroCarbon:
-            cells += ["", ""]
-        if tr.hc_c is not None and tr.hc_h is not None and tr.hc_o is not None and tr.hc_c > 0:
-            hc, oc = data.van_krevelen(tr.hc_c, tr.hc_h, tr.hc_o)
-            cells += [repr(hc), repr(oc)]
-        else:
-            cells += ["", ""]
-        lines.append(",".join(cells))
+    # tolist() yields Python floats, whose repr is the shortest round-trip form
+    biomass = ds.feature_matrix()[:, [data.FEATURE_COLUMNS.index(c) for c in ("biomass_c", "biomass_h", "biomass_o")]]
+    hydrochar = ds.target_matrix()[:, [data.TARGET_COLUMNS.index(c) for c in ("hc_c", "hc_h", "hc_o")]]
+    for i, (b, h) in enumerate(zip(biomass.tolist(), hydrochar.tolist())):
+        lines.append(",".join([str(i)] + _ratio_cells(*b) + _ratio_cells(*h)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ratio_cells(c_wt: float, h_wt: float, o_wt: float) -> list[str]:
+    """Atomic H/C and O/C, or two blanks when a mass fraction is unreported
+    or carbon is not positive."""
+    if not c_wt > 0.0 or math.isnan(h_wt) or math.isnan(o_wt):
+        return ["", ""]
+    return [repr(r) for r in data.van_krevelen(c_wt, h_wt, o_wt)]
 
 
 def _load_grid(cfg: RunConfig) -> pipeline.HyperGrid:

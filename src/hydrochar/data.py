@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ConstantColumn,
     ConstraintViolation,
+    DimensionMismatch,
     EmptyDataset,
     MissingColumn,
     TooFewRows,
@@ -64,141 +65,42 @@ _MASS_C = 12.011
 _MASS_H = 1.008
 _MASS_O = 15.999
 
-_WT_FEATURE_FIELDS = (
-    "biomass_c",
-    "biomass_h",
-    "biomass_n",
-    "biomass_s",
-    "biomass_o",
-    "biomass_vm",
-    "biomass_fc",
-    "biomass_ash",
-    "water_content",
-)
+# Feature columns that are a weight percentage, checked against [0, 100].
+_WT_FEATURES = (0, 1, 2, 3, 4, 5, 6, 7, 10)
 
-# CSV column -> TargetRecord attribute.
-TARGET_FIELD_BY_COLUMN = {
-    "hc_yield": "yield_pct",
-    "hc_hhv": "hhv",
-    "hc_vm": "hc_vm",
-    "hc_fc": "hc_fc",
-    "hc_ash": "hc_ash",
-    "hc_c": "hc_c",
-    "hc_h": "hc_h",
-    "hc_n": "hc_n",
-    "hc_s": "hc_s",
-    "hc_o": "hc_o",
-}
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One experiment's independent variables (wt% fields on a dry basis)."""
-
-    biomass_c: float
-    biomass_h: float
-    biomass_n: float
-    biomass_s: float
-    biomass_o: float
-    biomass_vm: float
-    biomass_fc: float
-    biomass_ash: float
-    temperature: float
-    time: float
-    water_content: float
-
-    def validate(self, row: int | None = None) -> None:
-        for name in _WT_FEATURE_FIELDS:
-            v = getattr(self, name)
-            if not (0.0 <= v <= 100.0):
-                raise ConstraintViolation(f"{name}={v} outside [0, 100] wt%", row=row)
-        if not self.temperature > 0.0:
-            raise ConstraintViolation(f"temperature_c={self.temperature} must be > 0", row=row)
-        if not self.time > 0.0:
-            raise ConstraintViolation(f"time_min={self.time} must be > 0", row=row)
-        ultimate = self.biomass_c + self.biomass_h + self.biomass_n + self.biomass_s + self.biomass_o
-        if ultimate > 100.0 + SUM_TOLERANCE:
-            raise ConstraintViolation(
-                f"biomass C+H+N+S+O = {ultimate:.4g} exceeds {100.0 + SUM_TOLERANCE} wt%", row=row
-            )
-        proximate = self.biomass_vm + self.biomass_fc + self.biomass_ash
-        if proximate > 100.0 + SUM_TOLERANCE:
-            raise ConstraintViolation(
-                f"biomass VM+FC+ash = {proximate:.4g} exceeds {100.0 + SUM_TOLERANCE} wt%", row=row
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.biomass_c,
-                self.biomass_h,
-                self.biomass_n,
-                self.biomass_s,
-                self.biomass_o,
-                self.biomass_vm,
-                self.biomass_fc,
-                self.biomass_ash,
-                self.temperature,
-                self.time,
-                self.water_content,
-            ],
-            dtype=float,
-        )
-
-
-@dataclass(frozen=True)
-class TargetRecord:
-    """Hydrochar responses for one experiment; None marks an unreported value."""
-
-    yield_pct: float | None = None
-    hhv: float | None = None
-    hc_vm: float | None = None
-    hc_fc: float | None = None
-    hc_ash: float | None = None
-    hc_c: float | None = None
-    hc_h: float | None = None
-    hc_n: float | None = None
-    hc_s: float | None = None
-    hc_o: float | None = None
-
-    def validate(self, row: int | None = None) -> None:
-        if self.yield_pct is not None and not (0.0 < self.yield_pct <= 100.0):
-            raise ConstraintViolation(f"hc_yield={self.yield_pct} outside (0, 100]", row=row)
-        if self.hhv is not None and not (0.0 < self.hhv <= 50.0):
-            raise ConstraintViolation(f"hc_hhv={self.hhv} outside (0, 50] MJ/kg", row=row)
-        for col in ("hc_vm", "hc_fc", "hc_ash", "hc_c", "hc_h", "hc_n", "hc_s", "hc_o"):
-            v = getattr(self, col)
-            if v is not None and not (0.0 <= v <= 100.0):
-                raise ConstraintViolation(f"{col}={v} outside [0, 100] wt%", row=row)
-
-    def as_array(self) -> np.ndarray:
-        vals = [getattr(self, TARGET_FIELD_BY_COLUMN[col]) for col in TARGET_COLUMNS]
-        return np.array([np.nan if v is None else v for v in vals], dtype=float)
+# Responses whose range excludes 0: name -> (upper bound, range text). The
+# other responses are wt% in [0, 100].
+_POSITIVE_TARGETS = {"hc_yield": (100.0, "(0, 100]"), "hc_hhv": (50.0, "(0, 50] MJ/kg")}
 
 
 class Dataset:
-    """Immutable table of (FeatureVector, TargetRecord) rows.
+    """Immutable table: an (n, 11) feature matrix and an (n, 10) target
+    matrix in which NaN marks an unreported response.
 
-    Matrices are cached at construction and exposed read-only, so a Dataset
-    can be shared freely across threads.
+    Both matrices are read-only, so a Dataset can be shared freely across
+    threads. Construction does not validate; ``load_csv`` and
+    ``generate_synthetic`` check every row before building one.
     """
 
-    def __init__(self, rows, warnings=None):
-        rows = list(rows)
-        if not rows:
+    feature_names = FEATURE_COLUMNS
+    target_names = TARGET_COLUMNS
+
+    def __init__(self, features, targets, warnings=None):
+        x = np.array(features, dtype=float)
+        y = np.array(targets, dtype=float)
+        if len(x) == 0:
             raise EmptyDataset("dataset has no rows")
-        self.rows = rows
-        self.feature_names = FEATURE_COLUMNS
-        self.target_names = TARGET_COLUMNS
+        if x.shape != (len(x), len(FEATURE_COLUMNS)) or y.shape != (len(x), len(TARGET_COLUMNS)):
+            raise DimensionMismatch(f"expected (n, 11) features and (n, 10) targets, got {x.shape} and {y.shape}")
+        x.setflags(write=False)
+        y.setflags(write=False)
+        self._x = x
+        self._y = y
         self.warnings = list(warnings or [])
-        self._x = np.array([fv.as_array() for fv, _ in rows])
-        self._y = np.array([tr.as_array() for _, tr in rows])
-        self._x.setflags(write=False)
-        self._y.setflags(write=False)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self._x)
 
     def feature_matrix(self) -> np.ndarray:
         """All feature rows as an (n, 11) read-only array."""
@@ -235,6 +137,51 @@ def _format_cell(v: float) -> str:
     return format(float(v), ".12g")
 
 
+def check_rows(x: np.ndarray, y: np.ndarray, lines=None, reported=None) -> list[str]:
+    """Check every row against the hard invariants; return envelope warnings.
+
+    ``x`` and ``y`` are the (n, 11) and (n, 10) matrices. ``reported`` marks
+    the target cells that hold a value (default: the non-NaN ones); every
+    feature and reported target must be finite. ``lines`` gives each row's
+    CSV line number for messages. The earliest failing row raises
+    ConstraintViolation, naming the first rule it breaks in the order below.
+    """
+    if reported is None:
+        reported = ~np.isnan(y)
+    line = (lambda i: None) if lines is None else (lambda i: int(lines[i]))
+    rules = []  # (bad-row mask, label, values, what is wrong), in reporting order
+    for j, name in enumerate(FEATURE_COLUMNS):
+        v = x[:, j]
+        rules.append((~np.isfinite(v), name, v, "is not finite"))
+        if j in _WT_FEATURES:
+            rules.append((~((0.0 <= v) & (v <= 100.0)), name, v, "outside [0, 100] wt%"))
+    for j in (8, 9):
+        rules.append((~(x[:, j] > 0.0), FEATURE_COLUMNS[j], x[:, j], "must be > 0"))
+    limit = 100.0 + SUM_TOLERANCE
+    for label, cols in (("biomass C+H+N+S+O", slice(0, 5)), ("biomass VM+FC+ash", slice(5, 8))):
+        total = x[:, cols].sum(axis=1)
+        rules.append((total > limit, label, total, f"exceeds {limit:g} wt%"))
+    for j, name in enumerate(TARGET_COLUMNS):
+        v, present = y[:, j], reported[:, j]
+        hi, text = _POSITIVE_TARGETS.get(name, (100.0, "[0, 100] wt%"))
+        low_ok = v > 0.0 if name in _POSITIVE_TARGETS else v >= 0.0
+        rules.append((present & ~np.isfinite(v), name, v, "is not finite"))
+        rules.append((present & ~(low_ok & (v <= hi)), name, v, f"outside {text}"))
+    first = [(int(np.argmax(bad)), k) for k, (bad, *_) in enumerate(rules) if bad.any()]
+    if first:
+        i, k = min(first)
+        _, label, v, what = rules[k]
+        raise ConstraintViolation(f"{label}={v[i]:.12g} {what}", row=line(i))
+    envelopes = ((8, TEMPERATURE_ENVELOPE), (9, TIME_ENVELOPE))
+    outside = {j: (x[:, j] < lo) | (x[:, j] > hi) for j, (lo, hi) in envelopes}
+    warnings = []
+    for i in np.flatnonzero(outside[8] | outside[9]):
+        for j, (lo, hi) in envelopes:
+            if outside[j][i]:
+                warnings.append(f"row {line(i)}: {FEATURE_COLUMNS[j]}={x[i, j]:g} outside observed envelope [{lo:g}, {hi:g}]")
+    return warnings
+
+
 def load_csv(path) -> Dataset:
     """Load and validate a dataset from the canonical 21-column CSV schema.
 
@@ -254,44 +201,52 @@ def load_csv(path) -> Dataset:
             if missing:
                 raise MissingColumn(f"{path}: missing column(s) {missing}")
             raise MissingColumn(f"{path}: header does not match the canonical column order")
-        rows = []
-        warnings: list[str] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec or all(cell.strip() == "" for cell in rec):
-                continue
-            if len(rec) != len(CSV_HEADER):
-                raise UnparseableCell(lineno, "(row)", f"expected {len(CSV_HEADER)} cells, got {len(rec)}")
-            feats = [_parse_cell(rec[j], lineno, CSV_HEADER[j], required=True) for j in range(11)]
-            targs = {
-                TARGET_FIELD_BY_COLUMN[CSV_HEADER[j]]: _parse_cell(rec[j], lineno, CSV_HEADER[j], required=False)
-                for j in range(11, 21)
-            }
-            fv = FeatureVector(*feats)
-            tr = TargetRecord(**targs)
-            fv.validate(row=lineno)
-            tr.validate(row=lineno)
-            lo, hi = TEMPERATURE_ENVELOPE
-            if not (lo <= fv.temperature <= hi):
-                warnings.append(f"row {lineno}: temperature_c={fv.temperature:g} outside observed envelope [{lo:g}, {hi:g}]")
-            lo, hi = TIME_ENVELOPE
-            if not (lo <= fv.time <= hi):
-                warnings.append(f"row {lineno}: time_min={fv.time:g} outside observed envelope [{lo:g}, {hi:g}]")
-            rows.append((fv, tr))
-    if not rows:
+        values, lines, blanks = _parse_records(reader)
+    if not values:
         raise EmptyDataset(f"{path}: header only, no data rows")
-    return Dataset(rows, warnings)
+    m = np.array(values, dtype=float)
+    reported = np.ones((len(m), len(TARGET_COLUMNS)), dtype=bool)
+    rows, cols = np.array(blanks, dtype=int).reshape(-1, 2).T
+    reported[rows, cols - len(FEATURE_COLUMNS)] = False
+    x, y = m[:, : len(FEATURE_COLUMNS)], m[:, len(FEATURE_COLUMNS) :]
+    warnings = check_rows(x, y, lines=lines, reported=reported)
+    return Dataset(x, y, warnings)
 
 
-def _parse_cell(text: str, row: int, col: str, required: bool):
-    text = text.strip()
-    if text == "":
-        if required:
-            raise UnparseableCell(row, col, text)
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise UnparseableCell(row, col, text) from None
+def _parse_records(reader):
+    """Parse data records into float rows.
+
+    Returns (rows, CSV line numbers, (row, column) of every blank target
+    cell, which parses as NaN). Blank lines are skipped; a wrong cell count,
+    a blank feature cell or text that is not a float raises UnparseableCell.
+    """
+    values, lines, blanks = [], [], []
+    for lineno, rec in enumerate(reader, start=2):
+        if len(rec) == len(CSV_HEADER):
+            try:
+                values.append([float(cell) for cell in rec])
+                lines.append(lineno)
+                continue
+            except ValueError:
+                pass
+        if all(cell.strip() == "" for cell in rec):
+            continue
+        if len(rec) != len(CSV_HEADER):
+            raise UnparseableCell(lineno, "(row)", f"expected {len(CSV_HEADER)} cells, got {len(rec)}")
+        row = []
+        for j, cell in enumerate(rec):
+            text = cell.strip()
+            if text == "" and j >= len(FEATURE_COLUMNS):
+                blanks.append((len(values), j))
+                row.append(np.nan)
+                continue
+            try:
+                row.append(float(text))
+            except ValueError:
+                raise UnparseableCell(lineno, CSV_HEADER[j], text) from None
+        values.append(row)
+        lines.append(lineno)
+    return values, lines, blanks
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -343,20 +298,6 @@ class Scaler:
         stds.setflags(write=False)
         cols = d.get("columns")
         return cls(means=means, stds=stds, columns=tuple(cols) if cols is not None else None)
-
-
-def fit_scaler(dataset: Dataset, columns=None, rows=None) -> Scaler:
-    """Fit a Scaler on named dataset columns.
-
-    ``rows`` restricts the fit to an index subset (pass the training split to
-    avoid leaking test statistics). Absent target cells are ignored at fit
-    time; a column with fewer than two distinct present values is rejected.
-    """
-    cols = tuple(columns) if columns is not None else FEATURE_COLUMNS
-    mat = np.column_stack([dataset.column(c)[0] for c in cols])
-    if rows is not None:
-        mat = mat[np.asarray(rows, dtype=int)]
-    return Scaler.fit(mat, columns=cols)
 
 
 @dataclass(frozen=True)
@@ -510,11 +451,5 @@ def generate_synthetic(n: int, seed: int, noise_sd: float = 0.0) -> Dataset:
     for j, t in enumerate(TARGET_COLUMNS):
         lo, hi = _TARGET_CLIP[t]
         np.clip(y[:, j], lo, hi, out=y[:, j])
-    rows = []
-    for i in range(n):
-        fv = FeatureVector(*x[i])
-        tr = TargetRecord(**{TARGET_FIELD_BY_COLUMN[col]: float(y[i, j]) for j, col in enumerate(TARGET_COLUMNS)})
-        fv.validate()
-        tr.validate()
-        rows.append((fv, tr))
-    return Dataset(rows)
+    check_rows(x, y)
+    return Dataset(x, y)

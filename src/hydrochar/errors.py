@@ -89,5 +89,9 @@ class MissingModelFile(HydrocharError):
     """A trained-model JSON file required by this command does not exist."""
 
 
+class DualConstraintDrift(HydrocharError):
+    """The SVR solver's duals no longer satisfy sum(alpha - alpha*) = 0."""
+
+
 class ConvergenceWarning(UserWarning):
     """Solver hit its iteration budget; the returned model is best-effort."""

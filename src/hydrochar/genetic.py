@@ -164,24 +164,14 @@ class GaResult:
     generations_run: int
 
 
-def fitness(models: dict, profile: ObjectiveProfile, x, target_stats: dict) -> float:
-    """Signed standardized-prediction sum for one candidate input.
+def surrogate_objective(models: dict, profile: ObjectiveProfile, target_stats: dict):
+    """Batch fitness: maps an (m, 11) array of raw inputs to m values.
 
-    ``models`` maps target name to an object with ``predict(rows)``;
-    ``target_stats`` maps target name to (mean, std) of its training data.
+    Each value is the signed standardized-prediction sum over the profile's
+    active targets. ``models`` maps target name to an object with a batch
+    ``predict(rows)``; ``target_stats`` maps target name to (mean, std) of
+    its training data. A missing model raises MissingModel up front.
     """
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    total = 0.0
-    for target, sign in profile.active():
-        model = models.get(target)
-        if model is None:
-            raise MissingModel(target)
-        mean, std = target_stats[target]
-        total += sign * (float(model.predict(x)[0]) - mean) / std
-    return total
-
-
-def _surrogate_objective(models: dict, profile: ObjectiveProfile, target_stats: dict):
     active = profile.active()
     for target, _ in active:
         if target not in models:
@@ -295,7 +285,7 @@ def optimize(models: dict, profile: ObjectiveProfile, config: GaConfig, target_s
         target_stats = {
             t: (m.target_mean, m.target_std) for t, m in models.items()
         }
-    objective = _surrogate_objective(models, profile, target_stats)
+    objective = surrogate_objective(models, profile, target_stats)
     best_x, best_f, history, gens = run_ga(objective, config, feasible=mass_balance_ok)
     outputs = {t: float(models[t].predict(best_x.reshape(1, -1))[0]) for t in models}
     return GaResult(

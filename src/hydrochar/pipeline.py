@@ -143,26 +143,26 @@ class GridSearchResult:
     candidates: list[tuple[TreeParams | SvrParams, float]]
 
 
-def _fit_candidate(x_train, y_train, params, seed: int):
+def _fit_candidate(x_train, y_train, params):
     """Fit one candidate on already-standardized inputs; returns a callable."""
     if isinstance(params, TreeParams):
         model = fit_tree(x_train, y_train, params)
     else:
-        model = fit_svr(x_train, y_train, params, seed=seed)
+        model = fit_svr(x_train, y_train, params)
     return model.predict_batch
 
 
-def _cv_fold_rmse(x, y, params, trn, val, seed: int) -> float:
+def _cv_fold_rmse(x, y, params, trn, val) -> float:
     scaler = Scaler.fit(x[trn])
     x_trn = scaler.transform(x[trn])
     x_val = scaler.transform(x[val])
     if isinstance(params, SvrParams):
         y_scaler = Scaler.fit(y[trn][:, None])
         y_trn = y_scaler.transform(y[trn][:, None])[:, 0]
-        predict = _fit_candidate(x_trn, y_trn, params, seed)
+        predict = _fit_candidate(x_trn, y_trn, params)
         pred = y_scaler.inverse_transform(predict(x_val)[:, None])[:, 0]
     else:
-        predict = _fit_candidate(x_trn, y[trn], params, seed)
+        predict = _fit_candidate(x_trn, y[trn], params)
         pred = predict(x_val)
     return rmse(y[val], pred)
 
@@ -206,7 +206,7 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None) -> G
                 trn = np.setdiff1d(np.arange(n), val)
                 if len(trn) < 2:
                     raise TooFewRows("fold training part too small")
-                fold_scores.append(_cv_fold_rmse(x, y, params, trn, val, seed))
+                fold_scores.append(_cv_fold_rmse(x, y, params, trn, val))
             score = float(np.mean(fold_scores))
         except HydrocharError:
             score = np.inf
@@ -235,7 +235,7 @@ def _fit_final(x, y, trn, tst, params, target, kind, cv, seed) -> TrainedTarget:
     if isinstance(params, SvrParams):
         scaler_out = Scaler.fit(y[trn][:, None])
         y_fit = scaler_out.transform(y[trn][:, None])[:, 0]
-        model = fit_svr(x_trn, y_fit, params, seed=seed)
+        model = fit_svr(x_trn, y_fit, params)
     else:
         model = fit_tree(x_trn, y[trn], params)
     trained = TrainedTarget(

@@ -169,7 +169,7 @@ def _write_plot_files(plot: PlotData, out_dir: Path, provenance: str = "") -> No
     lines = pre + ["row,fx," + ",".join(plot.feature_names)]
     for i in range(len(plot.fx)):
         cells = ",".join(repr(float(v)) for v in plot.heatmap[i])
-        lines.append(f"{i},{plot.fx[i]!r},{cells}")
+        lines.append(f"{i},{float(plot.fx[i])!r},{cells}")
     (out_dir / "heatmap.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     svg = importance_svg(plot)

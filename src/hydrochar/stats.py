@@ -55,15 +55,10 @@ def rmse(actual, predicted) -> float:
     return math.sqrt(float(np.mean((p - a) ** 2)))
 
 
-def mae(actual, predicted, scale_100: bool = False) -> float:
-    """Mean absolute error.
-
-    ``scale_100`` multiplies the result by 100; reported error magnitudes are
-    only self-consistent without it, so it defaults off.
-    """
+def mae(actual, predicted) -> float:
+    """Mean absolute error."""
     a, p = _paired(actual, predicted, 1)
-    v = float(np.mean(np.abs(a - p)))
-    return v * 100.0 if scale_100 else v
+    return float(np.mean(np.abs(a - p)))
 
 
 def metrics_report(actual, predicted) -> MetricsReport:

@@ -11,14 +11,11 @@ samples every step; an epoch is n steps and ``max_passes`` counts epochs.
 from __future__ import annotations
 
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DimensionMismatch, EmptyInput
-
-FULL_GRAM_LIMIT = 2048
+from .errors import ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput
 
 
 @dataclass(frozen=True)
@@ -120,39 +117,6 @@ def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:
     return np.exp(-kernel.gamma * sq)
 
 
-def kernel_eval(kernel: Kernel, a, b) -> float:
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    return float(kernel_matrix(kernel, a[None, :], b[None, :])[0, 0])
-
-
-class _GramCache:
-    """Kernel rows for the training set: dense when small, row LRU beyond."""
-
-    def __init__(self, kernel: Kernel, x: np.ndarray, full_limit: int = FULL_GRAM_LIMIT, lru_rows: int = 512):
-        self.kernel = kernel
-        self.x = x
-        self.full = kernel_matrix(kernel, x, x) if len(x) <= full_limit else None
-        self._lru: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._lru_rows = lru_rows
-
-    def row(self, i: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[i]
-        got = self._lru.get(i)
-        if got is not None:
-            self._lru.move_to_end(i)
-            return got
-        r = kernel_matrix(self.kernel, self.x[i : i + 1], self.x)[0]
-        self._lru[i] = r
-        if len(self._lru) > self._lru_rows:
-            self._lru.popitem(last=False)
-        return r
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.row(i)[j])
-
-
 class SvrModel:
     """Fitted epsilon-SVR: decision function sum(beta_i k(sv_i, x)) + bias."""
 
@@ -167,9 +131,6 @@ class SvrModel:
         self.converged = bool(converged)
         for arr in (self.support_vectors, self.dual_coeffs, self.sv_indices):
             arr.setflags(write=False)
-
-    def predict(self, x) -> float:
-        return float(self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def predict_batch(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -222,16 +183,15 @@ def _bias_interval(u: np.ndarray, f: np.ndarray, y: np.ndarray, c: float, eps: f
     return vals_a, vals_s, u_a < c - slack, u_s > slack, u_a > slack, u_s < c - slack
 
 
-def fit_svr(x, y, params: SvrParams, seed: int = 0) -> SvrModel:
+def fit_svr(x, y, params: SvrParams) -> SvrModel:
     """Solve the epsilon-SVR dual by sequential minimal optimization.
 
     On return every KKT condition holds within ``params.tolerance`` unless
     the update budget (``max_passes`` epochs of n steps each) ran out, in
     which case the best-effort model is returned with ``converged=False``
-    and a ConvergenceWarning is emitted. ``seed`` is accepted for interface
-    stability; the solver is deterministic and consumes no randomness.
+    and a ConvergenceWarning is emitted. The solver is deterministic and
+    holds the dense n x n Gram matrix (8n^2 bytes) for the whole solve.
     """
-    del seed
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n = len(y)
@@ -240,18 +200,15 @@ def fit_svr(x, y, params: SvrParams, seed: int = 0) -> SvrModel:
     if x.shape[0] != n:
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {n} values")
     c, eps, tol = params.c, params.epsilon, params.tolerance
-    gram = _GramCache(params.kernel, x)
+    gram = kernel_matrix(params.kernel, x, x)
+    diag = gram.diagonal().copy()
     u = np.zeros(2 * n)
     f = np.zeros(n)
-    if gram.full is not None:
-        diag = gram.full.diagonal().copy()
-    else:
-        diag = np.array([gram.entry(i, i) for i in range(n)])
     converged = False
     budget = params.max_passes * max(n, 1)
     for step in range(budget):
-        if step and gram.full is not None and step % (8 * n) == 0:
-            f = gram.full @ (u[:n] - u[n:])  # periodic refresh against drift
+        if step and step % (8 * n) == 0:
+            f = gram @ (u[:n] - u[n:])  # periodic refresh against drift
         vals_a, vals_s, low_a, low_s, up_a, up_s = _bias_interval(u, f, y, c, eps)
         lv_a = np.where(low_a, vals_a, -np.inf)
         lv_s = np.where(low_s, vals_s, -np.inf)
@@ -268,7 +225,7 @@ def fit_svr(x, y, params: SvrParams, seed: int = 0) -> SvrModel:
             converged = True
             break
         i = p % n
-        k_i = gram.row(i)
+        k_i = gram[i]
         # partner choice: largest guaranteed decrease viol^2 / eta
         eta_all = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
         eta_all[i] = 1e-12
@@ -281,7 +238,7 @@ def fit_svr(x, y, params: SvrParams, seed: int = 0) -> SvrModel:
         else:
             q, s_q = n + qs, -1.0
         j = q % n
-        k_j = gram.row(j) if j != i else k_i
+        k_j = gram[j] if j != i else k_i
         g = (f[i] - y[i] + s_p * eps) - (f[j] - y[j] + s_q * eps)
         eta = k_i[i] + k_j[j] - 2.0 * k_i[j] if i != j else 0.0
         t_lo_p, t_hi_p = (-u[p], c - u[p]) if s_p > 0 else (u[p] - c, u[p])
@@ -310,7 +267,9 @@ def fit_svr(x, y, params: SvrParams, seed: int = 0) -> SvrModel:
     beta = u[:n] - u[n:]
     np.clip(beta, -c, c, out=beta)
     # dual feasibility is maintained exactly by the paired updates
-    assert abs(float(beta.sum())) <= max(tol, 1e-9 * c * n), "dual equality constraint drifted"
+    drift = abs(float(beta.sum()))
+    if drift > max(tol, 1e-9 * c * n):
+        raise DualConstraintDrift(f"dual coefficients sum to {drift:.3g}; the equality constraint drifted")
     free = (np.abs(beta) > 1e-8 * c) & (np.abs(beta) < c * (1.0 - 1e-8))
     if free.any():
         idx = np.flatnonzero(free)
@@ -382,8 +341,3 @@ def check_kkt(model: SvrModel, x, y, tolerance: float | None = None) -> KktAudit
             elif eps > 2.0 * tol and np.sign(r) == np.sign(b):
                 violations.append(f"sample {i}: free coefficient with residual on the wrong side")
     return KktAudit(ok=not violations, n_checked=len(y), violations=tuple(violations), max_dual_sum=dual_sum)
-
-
-def predict_svr(model: SvrModel, x) -> float:
-    """Decision-function value at one feature vector."""
-    return model.predict(x)

@@ -57,6 +57,18 @@ def valid_row(**overrides):
     return [base[c] for c in data.CSV_HEADER]
 
 
+def make_dataset(n, **columns):
+    """n rows of valid_row()'s features with every target unreported; each
+    keyword sets a feature or target column to a scalar or n values, where
+    None (NaN) marks an unreported target."""
+    x = np.tile(np.array(valid_row()[:11], dtype=float), (n, 1))
+    y = np.full((n, 10), np.nan)
+    for name, values in columns.items():
+        matrix, names = (x, data.FEATURE_COLUMNS) if name in data.FEATURE_COLUMNS else (y, data.TARGET_COLUMNS)
+        matrix[:, names.index(name)] = np.array(values, dtype=float)
+    return data.Dataset(x, y)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)

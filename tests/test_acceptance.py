@@ -21,6 +21,7 @@ from hydrochar.pipeline import HyperGrid, grid_search, train_all
 from hydrochar.shapley import explain, global_importance
 from hydrochar.svr import Kernel, SvrParams, check_kkt, fit_svr
 
+from conftest import make_dataset
 from test_shapley import mc_shapley
 
 
@@ -100,7 +101,7 @@ def test_criterion_3_svr_kkt_audit():
     t0 = time.perf_counter()
     for seed in range(50):
         x, y, params = _svr_problem(seed)
-        model = fit_svr(x, y, params, seed=seed)
+        model = fit_svr(x, y, params)
         assert model.converged, f"problem {seed} did not converge"
         audit = check_kkt(model, x, y, tolerance=1e-3)
         assert audit.ok, f"problem {seed}: {audit.violations[:3]}"
@@ -129,7 +130,7 @@ def test_criterion_4_shapley_axioms():
         row = rng.uniform(0, 1, d)
         bg = x[: int(rng.integers(4, 17))]
         e = explain(tree.predict_batch, row, bg)
-        assert abs(e.base_value + e.phi.sum() - tree.predict(row)) <= 1e-9
+        assert abs(e.base_value + e.phi.sum() - tree.predict_batch([row])[0]) <= 1e-9
     # dummy feature is exactly zero
     x = rng.uniform(0, 1, (60, 4))
     y = np.where(x[:, 0] <= 0.5, 0.0, 3.0) + np.where(x[:, 2] <= 0.5, 0.0, 1.0)
@@ -220,15 +221,10 @@ def test_criterion_7_factor_analysis():
     n = 64
     i = np.arange(n)
     waves = [np.cos(2 * np.pi * (k + 1) * i / n) for k in range(5)]
-    rows = []
-    for r in range(n):
-        fv = data.FeatureVector(
-            45.0, 6.0, 1.5 + 0.5 * waves[3][r], 0.5 + 0.2 * waves[4][r], 40.0,
-            70.0, 15.0, 8.0, 220.0 + 30.0 * waves[0][r], 100.0 + 40.0 * waves[1][r],
-            60.0 + 15.0 * waves[2][r],
-        )
-        rows.append((fv, data.TargetRecord()))
-    ortho = data.Dataset(rows)
+    ortho = make_dataset(
+        n, biomass_n=1.5 + 0.5 * waves[3], biomass_s=0.5 + 0.2 * waves[4], temperature_c=220.0 + 30.0 * waves[0],
+        time_min=100.0 + 40.0 * waves[1], water_wt=60.0 + 15.0 * waves[2],
+    )
     res2 = stats.factor_analysis(
         ortho, ["temperature_c", "time_min", "water_wt", "biomass_n", "biomass_s"]
     )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrochar.cart import RegressionTree, TreeParams, fit_tree, predict_tree
+from hydrochar.cart import RegressionTree, TreeParams, fit_tree
 from hydrochar.errors import DimensionMismatch, EmptyInput
 from hydrochar.stats import r_squared
 
@@ -26,17 +26,15 @@ def test_params_validation():
 def test_constant_target_single_leaf():
     tree = fit_tree([[0.0], [1.0], [2.0]], [4.0, 4.0, 4.0], TreeParams())
     assert tree.n_nodes == 1
-    assert tree.predict([99.0]) == 4.0
+    assert tree.predict_batch([[99.0]])[0] == 4.0
 
 
 def test_single_candidate_split():
     tree = fit_tree([[0.0], [1.0]], [0.0, 10.0], TreeParams(min_samples_leaf=1))
     assert tree.n_nodes == 3
     assert tree.threshold[0] == 0.5
-    assert tree.predict([0.2]) == 0.0
-    assert tree.predict([0.7]) == 10.0
-    # boundary routes left (<= convention)
-    assert predict_tree(tree, [0.5]) == 0.0
+    # the boundary row 0.5 routes left (<= convention)
+    assert tree.predict_batch([[0.2], [0.7], [0.5]]).tolist() == [0.0, 10.0, 0.0]
 
 
 def test_memorization_with_distinct_rows(rng):
@@ -121,7 +119,7 @@ def test_prediction_piecewise_constant(rng):
     thresholds = sorted(set(tree.threshold[~tree.is_leaf]))
     for _ in range(20):
         q = rng.uniform(0, 1, 3)
-        base = tree.predict(q)
+        base = tree.predict_batch([q])[0]
         for j in range(3):
             cuts = sorted({t for f, t in zip(tree.feature[~tree.is_leaf], tree.threshold[~tree.is_leaf]) if f == j})
             lo = max([c for c in cuts if c < q[j]], default=0.0)
@@ -130,7 +128,7 @@ def test_prediction_piecewise_constant(rng):
                 continue
             q2 = q.copy()
             q2[j] = rng.uniform(lo + 1e-12, hi)
-            assert tree.predict(q2) == base
+            assert tree.predict_batch([q2])[0] == base
 
 
 def test_errors():
@@ -140,7 +138,7 @@ def test_errors():
         fit_tree([[1.0], [2.0]], [1.0], TreeParams())
     tree = fit_tree([[0.0], [1.0]], [0.0, 1.0], TreeParams())
     with pytest.raises(DimensionMismatch):
-        tree.predict([1.0, 2.0])
+        tree.predict_batch([1.0, 2.0])  # one row with two features
     with pytest.raises(DimensionMismatch):
         tree.predict_batch(np.ones((3, 2)))
 
@@ -156,13 +154,21 @@ def test_serialization_roundtrip_bit_exact(rng):
     assert back.params == tree.params
 
 
+def _route_one(tree, x):
+    """Reference walk of one row from the root to its leaf."""
+    i = 0
+    while not tree.is_leaf[i]:
+        i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return tree.value[i]
+
+
 def test_predict_batch_matches_scalar(rng):
     x = rng.uniform(0, 1, (50, 3))
     y = rng.normal(0, 1, 50)
     tree = fit_tree(x, y, TreeParams(max_depth=4))
     q = rng.uniform(0, 1, (25, 3))
     batch = tree.predict_batch(q)
-    assert all(batch[i] == tree.predict(q[i]) for i in range(len(q)))
+    assert all(batch[i] == _route_one(tree, q[i]) for i in range(len(q)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 
 from hydrochar import data
 from hydrochar.cli import main
+from hydrochar.pipeline import TrainedTarget
 
 from conftest import valid_row
 
@@ -137,14 +138,10 @@ def test_stats_artifacts(workdir):
 
 def test_stats_without_hydrochar_ultimate_columns(workdir):
     ds = data.generate_synthetic(40, seed=6)
-    rows = []
-    for fv, tr in ds.rows:
-        rows.append((fv, data.TargetRecord(
-            yield_pct=tr.yield_pct, hhv=tr.hhv, hc_vm=tr.hc_vm, hc_fc=tr.hc_fc,
-            hc_ash=tr.hc_ash, hc_c=None, hc_h=None, hc_n=tr.hc_n, hc_s=tr.hc_s, hc_o=None,
-        )))
+    y = ds.target_matrix().copy()
+    y[:, [data.TARGET_COLUMNS.index(t) for t in ("hc_c", "hc_h", "hc_o")]] = np.nan
     path = workdir / "partial.csv"
-    data.write_csv(data.Dataset(rows), path)
+    data.write_csv(data.Dataset(ds.feature_matrix(), y), path)
     out = workdir / "stats"
     assert run("stats", "--data", path, "--out", out, "--seed", 1) == 0
     vk_rows = (out / "van_krevelen.csv").read_text().splitlines()[2:]
@@ -184,6 +181,18 @@ def test_explain_writes_artifacts_with_expected_shape(workdir):
     assert (shap_dir / "importance.svg").exists()
     heatmap = (shap_dir / "heatmap.csv").read_text().splitlines()
     assert len(heatmap) == 2 + 60
+    assert heatmap[1] == "row,fx," + ",".join(data.FEATURE_COLUMNS)
+    # every number is a plain float, and fx = base + sum(phi) with one base
+    for line in beeswarm[2:]:
+        row, name, phi, value = line.split(",")
+        int(row), float(phi), float(value)
+    cells = np.array([[float(c) for c in line.split(",")] for line in heatmap[2:]])
+    assert np.array_equal(cells[:, 0], np.arange(60))
+    fx, phi = cells[:, 1], cells[:, 2:]
+    base = fx - phi.sum(axis=1)
+    assert np.abs(base - base[0]).max() <= 1e-9
+    model = TrainedTarget.from_json_obj(json.loads((out / "model_dtr_hc_s.json").read_text()))
+    assert np.abs(fx - model.predict(data.load_csv(csv).feature_matrix())).max() <= 1e-9
 
 
 def test_explain_requires_model_file(workdir, capsys):

@@ -9,6 +9,7 @@ from hydrochar import data
 from hydrochar.errors import (
     ConstantColumn,
     ConstraintViolation,
+    DimensionMismatch,
     EmptyDataset,
     MissingColumn,
     TooFewRows,
@@ -80,10 +81,113 @@ def test_missing_feature_cell_rejected(csv_factory):
 
 def test_empty_target_cells_become_absent(csv_factory):
     ds = data.load_csv(csv_factory([valid_row(hc_yield="", hc_s="")]))
-    tr = ds.rows[0][1]
-    assert tr.yield_pct is None and tr.hc_s is None and tr.hhv == 24.0
+    y = dict(zip(data.TARGET_COLUMNS, ds.target_matrix()[0]))
+    assert np.isnan(y["hc_yield"]) and np.isnan(y["hc_s"]) and y["hc_hhv"] == 24.0
     vals, mask = ds.column("hc_yield")
     assert not mask[0] and np.isnan(vals[0])
+
+
+# One bad row among good ones: (cell overrides, error type, named column).
+BAD_ROWS = [
+    ({"biomass_c": 105.0}, ConstraintViolation, "biomass_c"),
+    ({"water_wt": -1.0}, ConstraintViolation, "water_wt"),
+    ({"temperature_c": 0.0}, ConstraintViolation, "temperature_c"),
+    ({"time_min": -5.0}, ConstraintViolation, "time_min"),
+    ({"biomass_c": 60.0, "biomass_o": 45.0}, ConstraintViolation, "C+H+N+S+O"),
+    ({"biomass_vm": 80.0, "biomass_fc": 20.0}, ConstraintViolation, "VM+FC+ash"),
+    ({"hc_yield": 0.0}, ConstraintViolation, "hc_yield"),
+    ({"hc_hhv": 60.0}, ConstraintViolation, "hc_hhv"),
+    ({"hc_o": 100.5}, ConstraintViolation, "hc_o"),
+    ({"hc_hhv": "abc"}, UnparseableCell, "hc_hhv"),
+    ({"water_wt": ""}, UnparseableCell, "water_wt"),
+]
+
+
+@pytest.mark.parametrize("overrides,error,column", BAD_ROWS, ids=[c for _, _, c in BAD_ROWS])
+def test_single_bad_row_names_column_and_line(csv_factory, overrides, error, column):
+    path = csv_factory([valid_row(), valid_row(), valid_row(**overrides), valid_row()])
+    with pytest.raises(error) as err:
+        data.load_csv(path)
+    assert err.value.row == 4  # header is line 1
+    assert column in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", ["temperature_c", "time_min", "hc_hhv"])
+def test_non_finite_cell_rejected(csv_factory, text, column):
+    path = csv_factory([valid_row(), valid_row(**{column: text})])
+    with pytest.raises(ConstraintViolation) as err:
+        data.load_csv(path)
+    assert err.value.row == 3
+    assert f"{column}=" in str(err.value) and "not finite" in str(err.value)
+
+
+def _row_ok(f, t):
+    """Per-row reference for the hard invariants; a NaN target is unreported."""
+    return (
+        all(math.isfinite(v) for v in f)
+        and all(0.0 <= f[j] <= 100.0 for j in (0, 1, 2, 3, 4, 5, 6, 7, 10))
+        and f[8] > 0.0 and f[9] > 0.0
+        and f[0] + f[1] + f[2] + f[3] + f[4] <= 101.0 and f[5] + f[6] + f[7] <= 101.0
+        and (math.isnan(t[0]) or 0.0 < t[0] <= 100.0)
+        and (math.isnan(t[1]) or 0.0 < t[1] <= 50.0)
+        and all(math.isnan(v) or 0.0 <= v <= 100.0 for v in t[2:])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 20), st.sampled_from([-1.0, 0.0, 50.0, 100.5, np.inf, -np.inf, np.nan])),
+             max_size=4),
+    st.integers(0, 1000),
+)
+def test_check_rows_matches_row_loop(cells, seed):
+    ds = data.generate_synthetic(12, seed=seed)
+    m = np.column_stack([ds.feature_matrix(), ds.target_matrix()])
+    for k, (col, value) in enumerate(cells):
+        m[(seed + 5 * k) % 12, col] = value
+    x, y = m[:, :11], m[:, 11:]
+    expect = next((i for i in range(12) if not _row_ok(x[i], y[i])), None)
+    try:
+        data.check_rows(x, y, lines=np.arange(12) + 2)
+        got = None
+    except ConstraintViolation as err:
+        got = err.row - 2
+    assert got == expect
+
+
+def test_earliest_bad_row_is_reported(csv_factory):
+    path = csv_factory([valid_row(), valid_row(hc_o=101.0), valid_row(biomass_c=105.0)])
+    with pytest.raises(ConstraintViolation) as err:
+        data.load_csv(path)
+    assert err.value.row == 3 and "hc_o" in str(err.value)
+
+
+def test_blank_lines_skipped_and_line_numbers_kept(tmp_path):
+    path = tmp_path / "gaps.csv"
+    rows = [valid_row(), valid_row(temperature_c=400.0)]
+    lines = [",".join(data.CSV_HEADER), ",".join(map(str, rows[0])), "", ",,,", ",".join(map(str, rows[1]))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds = data.load_csv(path)
+    assert ds.n_rows == 2
+    assert ds.warnings == ["row 5: temperature_c=400 outside observed envelope [100, 375]"]
+
+
+def test_wrong_cell_count_rejected(csv_factory):
+    path = csv_factory([valid_row(), valid_row()[:-1]])
+    with pytest.raises(UnparseableCell) as err:
+        data.load_csv(path)
+    assert err.value.row == 3
+
+
+def test_dataset_is_two_read_only_matrices(small_dataset):
+    x, y = small_dataset.feature_matrix(), small_dataset.target_matrix()
+    assert x.shape == (80, 11) and y.shape == (80, 10)
+    assert not x.flags.writeable and not y.flags.writeable
+    with pytest.raises(DimensionMismatch):
+        data.Dataset(x[:, :10], y)
+    with pytest.raises(EmptyDataset):
+        data.Dataset(np.empty((0, 11)), np.empty((0, 10)))
 
 
 def test_roundtrip_preserves_12_significant_digits(tmp_path, csv_factory):
@@ -139,11 +243,12 @@ def test_scaler_roundtrip_and_normalization(values):
     assert abs(z.std() - 1.0) < 1e-10
 
 
-def test_fit_scaler_train_rows_only(small_dataset):
+def test_scaler_fit_on_train_rows_only(small_dataset):
     rows = np.arange(10)
-    s = data.fit_scaler(small_dataset, columns=["temperature_c"], rows=rows)
-    expect = small_dataset.feature_matrix()[rows, 8].mean()
-    assert s.means[0] == pytest.approx(expect, rel=1e-12)
+    x = small_dataset.feature_matrix()
+    s = data.Scaler.fit(x[rows], columns=data.FEATURE_COLUMNS)
+    assert s.means[8] == pytest.approx(x[rows, 8].mean(), rel=1e-12)
+    assert s.means[8] != pytest.approx(x[:, 8].mean(), rel=1e-12)
 
 
 # ------------------------------------------------------------------- split

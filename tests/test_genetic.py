@@ -9,11 +9,11 @@ from hydrochar.errors import InfeasibleBounds, MissingModel
 from hydrochar.genetic import (
     GaConfig,
     ObjectiveProfile,
-    fitness,
     optimize,
     render_table,
     report,
     run_ga,
+    surrogate_objective,
 )
 
 TABLE_PROFILES = {
@@ -100,14 +100,14 @@ def test_fitness_hand_computed():
         "hc_hhv": (24.0, 4.0),   # minimize: -(-1.0) = +1.0
         "hc_yield": (50.0, 20.0),  # +0.5
     }
-    x = np.zeros(11)
-    assert fitness(models, profile, x, stats) == pytest.approx(5.5, abs=1e-12)
+    pop = np.zeros((3, 11))
+    assert surrogate_objective(models, profile, stats)(pop) == pytest.approx([5.5] * 3, abs=1e-12)
 
 
 def test_fitness_missing_model():
     profile = ObjectiveProfile.builtin("soil")
     with pytest.raises(MissingModel):
-        fitness({"hc_n": ConstantModel(1.0)}, profile, np.zeros(11), {"hc_n": (0.0, 1.0)})
+        surrogate_objective({"hc_n": ConstantModel(1.0)}, profile, {"hc_n": (0.0, 1.0)})
 
 
 def test_fitness_monotone_in_maximized_prediction(rng):
@@ -115,9 +115,10 @@ def test_fitness_monotone_in_maximized_prediction(rng):
     directions["hc_yield"] = "maximize"
     profile = ObjectiveProfile.from_directions("only-yield", directions)
     stats = {"hc_yield": (50.0, 10.0)}
-    lo = fitness({"hc_yield": ConstantModel(40.0)}, profile, np.zeros(11), stats)
-    hi = fitness({"hc_yield": ConstantModel(70.0)}, profile, np.zeros(11), stats)
-    assert hi > lo
+    pop = np.zeros((1, 11))
+    lo = surrogate_objective({"hc_yield": ConstantModel(40.0)}, profile, stats)(pop)
+    hi = surrogate_objective({"hc_yield": ConstantModel(70.0)}, profile, stats)(pop)
+    assert hi[0] > lo[0]
 
 
 def test_config_validation():

@@ -128,22 +128,9 @@ def test_train_all_shared_split_counts(medium_dataset):
 
 def test_train_all_skips_absent_target():
     base = data.generate_synthetic(120, seed=9)
-    rows = []
-    for fv, tr in base.rows:
-        gutted = data.TargetRecord(
-            yield_pct=tr.yield_pct,
-            hhv=None,  # hc_hhv missing everywhere
-            hc_vm=tr.hc_vm,
-            hc_fc=tr.hc_fc,
-            hc_ash=tr.hc_ash,
-            hc_c=tr.hc_c,
-            hc_h=tr.hc_h,
-            hc_n=tr.hc_n,
-            hc_s=tr.hc_s,
-            hc_o=tr.hc_o,
-        )
-        rows.append((fv, gutted))
-    ds = Dataset(rows)
+    y = base.target_matrix().copy()
+    y[:, data.TARGET_COLUMNS.index("hc_hhv")] = np.nan  # hc_hhv missing everywhere
+    ds = Dataset(base.feature_matrix(), y)
     res = train_all(ds, tiny_grid(), seed=2, models=("dtr",))
     assert "hc_hhv" in res.skips["dtr"]
     assert len(res.trained) == 9

@@ -73,7 +73,7 @@ def test_efficiency_on_tree_models(rng):
     tree = fit_tree(x, y, TreeParams(max_depth=6))
     for row in x[:10]:
         e = explain(tree.predict_batch, row, x[:16])
-        assert abs(e.base_value + e.phi.sum() - tree.predict(row)) <= 1e-9
+        assert abs(e.base_value + e.phi.sum() - tree.predict_batch([row])[0]) <= 1e-9
 
 
 def test_symmetry(rng):

@@ -15,6 +15,8 @@ from hydrochar.errors import (
     TooFewRows,
 )
 
+from conftest import make_dataset
+
 
 # ----------------------------------------------------------------- metrics
 
@@ -41,7 +43,6 @@ def test_mae_examples():
     assert stats.mae([1, 2, 3], [1, 2, 3]) == 0.0
     assert stats.mae([0, 0], [3, 4]) == pytest.approx(3.5, abs=1e-12)
     assert stats.mae([1, 2], [2, 1]) == pytest.approx(1.0, abs=1e-12)
-    assert stats.mae([0, 0], [3, 4], scale_100=True) == pytest.approx(350.0, abs=1e-9)
 
 
 @settings(max_examples=200)
@@ -119,18 +120,6 @@ def test_average_ranks():
 
 # ------------------------------------------------------ correlation matrix
 
-def _dataset_from_columns(n, temp, hc_yield=None, hc_o=None):
-    rows = []
-    for i in range(n):
-        fv = data.FeatureVector(45.0, 6.0, 1.0, 0.2, 40.0, 70.0, 15.0, 8.0, temp[i], 60.0 + i, 80.0)
-        tr = data.TargetRecord(
-            yield_pct=None if hc_yield is None else hc_yield[i],
-            hc_o=None if hc_o is None else hc_o[i],
-        )
-        rows.append((fv, tr))
-    return data.Dataset(rows)
-
-
 def test_correlation_diag_and_symmetry(small_dataset):
     corr = stats.correlation_matrix(small_dataset)
     assert np.allclose(np.diag(corr.values), 1.0)
@@ -141,7 +130,7 @@ def test_correlation_diag_and_symmetry(small_dataset):
 def test_correlation_monotone_decreasing_pair():
     temp = np.linspace(150.0, 300.0, 12)
     hc_yield = 90.0 - 0.2 * temp  # strictly decreasing in temperature
-    ds = _dataset_from_columns(12, temp, hc_yield=hc_yield)
+    ds = make_dataset(12, temperature_c=temp, time_min=60.0 + np.arange(12), hc_yield=hc_yield)
     corr = stats.correlation_matrix(ds)
     i = corr.labels.index("temperature_c")
     j = corr.labels.index("hc_yield")
@@ -159,12 +148,7 @@ def test_correlation_independent_columns_small(medium_dataset):
 
 def test_correlation_pairs_with_too_few_joint_rows_absent():
     temp = np.linspace(150.0, 300.0, 10)
-    hc_o = [20.0, 25.0] + [None] * 8
-    rows = []
-    for i in range(10):
-        fv = data.FeatureVector(45.0, 6.0, 1.0, 0.2, 40.0, 70.0, 15.0, 8.0, temp[i], 60.0, 80.0)
-        rows.append((fv, data.TargetRecord(hc_o=hc_o[i])))
-    ds = data.Dataset(rows)
+    ds = make_dataset(10, temperature_c=temp, hc_o=[20.0, 25.0] + [None] * 8)
     corr = stats.correlation_matrix(ds)
     i = corr.labels.index("temperature_c")
     j = corr.labels.index("hc_o")
@@ -199,11 +183,9 @@ def _orthogonal_dataset(n=64):
     water = 60.0 + 15.0 * waves[2]
     b_n = 1.5 + 0.5 * waves[3]
     b_s = 0.5 + 0.2 * waves[4]
-    rows = []
-    for r in range(n):
-        fv = data.FeatureVector(45.0, 6.0, b_n[r], b_s[r], 40.0, 70.0, 15.0, 8.0, temp[r], time_[r], water[r])
-        rows.append((fv, data.TargetRecord(yield_pct=50.0)))
-    return data.Dataset(rows)
+    return make_dataset(
+        n, biomass_n=b_n, biomass_s=b_s, temperature_c=temp, time_min=time_, water_wt=water, hc_yield=50.0
+    )
 
 
 ORTHO_COLS = ["temperature_c", "time_min", "water_wt", "biomass_n", "biomass_s"]
@@ -217,13 +199,7 @@ def test_factor_identity_correlation_gives_unit_eigenvalues():
 
 def test_factor_perfectly_correlated_pair():
     temp = np.linspace(150.0, 300.0, 30)
-    rows = []
-    for i in range(30):
-        fv = data.FeatureVector(
-            45.0, 6.0, 1.0, 0.2, 40.0, 70.0, 15.0, 8.0, temp[i], 2.0 * temp[i] - 150.0, 80.0
-        )
-        rows.append((fv, data.TargetRecord()))
-    ds = data.Dataset(rows)
+    ds = make_dataset(30, temperature_c=temp, time_min=2.0 * temp - 150.0)
     res = stats.factor_analysis(ds, ["temperature_c", "time_min"])
     assert res.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-10)
 
@@ -259,17 +235,10 @@ def test_factor_errors():
     ds = _orthogonal_dataset(8)
     with pytest.raises(ValueError):
         stats.factor_analysis(ds, ["temperature_c"])
-    rows = [
-        (
-            data.FeatureVector(45.0, 6.0, 1.0, 0.2, 40.0, 70.0, 15.0, 8.0, 200.0, 60.0, 80.0),
-            data.TargetRecord(),
-        )
-        for _ in range(10)
-    ]
-    const = data.Dataset(rows)
+    const = make_dataset(10, temperature_c=200.0)
     with pytest.raises(SingularInput):
         stats.factor_analysis(const, ["temperature_c", "time_min"])
-    sparse = data.Dataset(rows[:2] + rows[:0])
+    sparse = make_dataset(2, temperature_c=200.0)
     with pytest.raises(TooFewRows):
         stats.factor_analysis(sparse, ["hc_yield", "hc_hhv"])
 

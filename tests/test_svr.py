@@ -10,18 +10,16 @@ from hydrochar.svr import (
     SvrParams,
     check_kkt,
     fit_svr,
-    kernel_eval,
     kernel_matrix,
-    predict_svr,
 )
 
 
 # ----------------------------------------------------------------- kernels
 
-def test_kernel_eval_examples():
-    assert kernel_eval(Kernel.rbf(0.7), [1.0, 2.0], [1.0, 2.0]) == 1.0
-    assert kernel_eval(Kernel.linear(), [1.0, 2.0], [3.0, 4.0]) == 11.0
-    assert kernel_eval(Kernel.polynomial(2, coef0=1.0), [1.0], [1.0]) == 4.0
+def test_kernel_matrix_examples():
+    assert kernel_matrix(Kernel.rbf(0.7), [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == 1.0
+    assert kernel_matrix(Kernel.linear(), [[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == 11.0
+    assert kernel_matrix(Kernel.polynomial(2, coef0=1.0), [[1.0]], [[1.0]])[0, 0] == 4.0
 
 
 def test_kernel_validation():
@@ -35,7 +33,7 @@ def test_kernel_validation():
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        kernel_eval(Kernel.linear(), [1.0, 2.0], [1.0])
+        kernel_matrix(Kernel.linear(), [[1.0, 2.0]], [[1.0]])
 
 
 def test_kernel_matrix_symmetric(rng):
@@ -52,7 +50,7 @@ def test_constant_target_inside_tube():
     model = fit_svr(x, np.full(12, 3.3), SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.rbf(1.0)))
     assert len(model.dual_coeffs) == 0
     assert model.bias == pytest.approx(3.3, abs=1e-12)
-    assert model.predict([0.77]) == pytest.approx(3.3, abs=1e-12)
+    assert model.predict_batch([[0.77]])[0] == pytest.approx(3.3, abs=1e-12)
 
 
 def test_linear_fit_tracks_targets(rng):
@@ -141,7 +139,7 @@ def test_no_support_vectors_predicts_bias():
         params=SvrParams(),
         n_features=2,
     )
-    assert model.predict([9.0, 9.0]) == 1.25
+    assert model.predict_batch([[9.0, 9.0]])[0] == 1.25
     assert np.all(model.predict_batch(np.zeros((5, 2))) == 1.25)
 
 
@@ -155,7 +153,7 @@ def test_single_support_vector_at_itself():
         n_features=2,
     )
     # k(sv, sv) = 1, so prediction = coeff + bias
-    assert predict_svr(model, sv[0]) == pytest.approx(2.3, abs=1e-12)
+    assert model.predict_batch(sv)[0] == pytest.approx(2.3, abs=1e-12)
 
 
 def test_prediction_linear_in_dual_coeffs(rng):
@@ -179,7 +177,7 @@ def test_prediction_linear_in_dual_coeffs(rng):
 def test_predict_dimension_mismatch():
     model = SvrModel(np.empty((0, 3)), [], 0.0, SvrParams(), n_features=3)
     with pytest.raises(DimensionMismatch):
-        model.predict([1.0, 2.0])
+        model.predict_batch([[1.0, 2.0]])
 
 
 def test_serialization_roundtrip_bit_stable(rng):
