@@ -71,10 +71,6 @@ class RegressionTree:
     def n_nodes(self) -> int:
         return len(self.is_leaf)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(self.is_leaf.sum())
-
     def depth(self) -> int:
         depths = np.zeros(self.n_nodes, dtype=int)
         best = 0
@@ -135,39 +131,35 @@ class RegressionTree:
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Exhaustive scan over (feature, midpoint threshold) candidates.
+    """Exhaustive scan over (feature, midpoint threshold) candidates, all features in one pass.
 
-    Returns (gain, feature, threshold) for the split minimizing total child
-    SSE, or None when no candidate leaves both children with at least
-    ``min_leaf`` samples. Ties prefer the lowest feature index, then the
-    smallest threshold.
+    Returns (gain, feature, threshold, order, n_left) for the split minimizing
+    total child SSE, where the first ``n_left`` rows of ``order`` go left, or
+    None when no candidate leaves both children with ``min_leaf`` samples.
+    Ties prefer the lowest feature index, then the smallest threshold.
     """
-    m = len(y)
+    m, d = x.shape
     s_tot = float(y.sum())
     s2_tot = float(np.dot(y, y))
     parent_sse = s2_tot - s_tot * s_tot / m
-    best = None
-    positions = np.arange(1, m)
-    for f in range(x.shape[1]):
-        xf = x[:, f]
-        order = np.argsort(xf, kind="stable")
-        xo = xf[order]
-        yo = y[order]
-        valid = (xo[1:] != xo[:-1]) & (positions >= min_leaf) & (m - positions >= min_leaf)
-        if not valid.any():
-            continue
-        cs = np.cumsum(yo)[:-1]
-        cs2 = np.cumsum(yo * yo)[:-1]
-        nl = positions
-        nr = m - positions
-        child_sse = (cs2 - cs * cs / nl) + ((s2_tot - cs2) - (s_tot - cs) ** 2 / nr)
-        child_sse[~valid] = np.inf
-        pos = int(np.argmin(child_sse))
-        gain = parent_sse - float(child_sse[pos])
-        if best is None or gain > best[0]:
-            thr = 0.5 * (xo[pos] + xo[pos + 1])
-            best = (gain, f, float(thr), order, pos + 1)
-    return best
+    cols = np.arange(d)
+    order = np.argsort(x, axis=0, kind="stable")
+    xo = x[order, cols]
+    yo = y[order]
+    positions = np.arange(1, m)[:, None]
+    valid = (xo[1:] != xo[:-1]) & (positions >= min_leaf) & (m - positions >= min_leaf)
+    cs = np.cumsum(yo, axis=0)[:-1]
+    cs2 = np.cumsum(yo * yo, axis=0)[:-1]
+    child_sse = (cs2 - cs * cs / positions) + ((s2_tot - cs2) - (s_tot - cs) ** 2 / (m - positions))
+    child_sse[~valid] = np.inf
+    pos = np.argmin(child_sse, axis=0)
+    gains = parent_sse - child_sse[pos, cols]  # -inf where a feature has no valid split
+    f = int(np.argmax(gains))
+    if gains[f] == -np.inf:
+        return None
+    p = int(pos[f])
+    thr = 0.5 * (xo[p, f] + xo[p + 1, f])
+    return float(gains[f]), f, float(thr), order[:, f], p + 1
 
 
 def fit_tree(x, y, params: TreeParams) -> RegressionTree:
@@ -193,7 +185,7 @@ def fit_tree(x, y, params: TreeParams) -> RegressionTree:
         node_id, idx, depth = stack.pop()
         ys = y[idx]
         make_leaf = (
-            len(idx) < params.min_samples_split
+            len(idx) < max(params.min_samples_split, 2 * params.min_samples_leaf)
             or (params.max_depth is not None and depth >= params.max_depth)
             or ys.max() == ys.min()
         )

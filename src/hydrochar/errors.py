@@ -89,6 +89,10 @@ class MissingModelFile(HydrocharError):
     """A trained-model JSON file required by this command does not exist."""
 
 
+class UnsupportedSchema(HydrocharError):
+    """A saved file's schema_version is missing or not one this version reads."""
+
+
 class DualConstraintDrift(HydrocharError):
     """The SVR solver's duals no longer satisfy sum(alpha - alpha*) = 0."""
 

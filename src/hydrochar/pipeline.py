@@ -18,7 +18,7 @@ import numpy as np
 from . import data as data_mod
 from .cart import RegressionTree, TreeParams, fit_tree
 from .data import Dataset, Scaler, SplitPlan
-from .errors import HydrocharError, TooFewRows
+from .errors import HydrocharError, TooFewRows, UnsupportedSchema
 from .stats import MetricsReport, metrics_report, rmse
 from .svr import Kernel, SvrModel, SvrParams, fit_svr
 
@@ -111,6 +111,9 @@ class TrainedTarget:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TrainedTarget":
+        version = obj.get("schema_version")
+        if version != 1:
+            raise UnsupportedSchema(f"model file schema_version {version!r} is not supported; expected 1")
         kind = obj["model_kind"]
         if kind == "dtr":
             model = RegressionTree.from_json_obj(obj["model"])
@@ -118,8 +121,6 @@ class TrainedTarget:
         else:
             model = SvrModel.from_json_obj(obj["model"])
             params = SvrParams.from_dict(obj["params"])
-        tm = obj["train_metrics"]
-        sm = obj["test_metrics"]
         return cls(
             target=obj["target"],
             model_kind=kind,
@@ -128,8 +129,8 @@ class TrainedTarget:
             scaler_out=Scaler.from_dict(obj["scaler_out"]) if obj.get("scaler_out") else None,
             chosen_params=params,
             cv_rmse=float(obj["cv_rmse"]),
-            train_metrics=MetricsReport(**tm),
-            test_metrics=MetricsReport(**sm),
+            train_metrics=MetricsReport(**obj["train_metrics"]),
+            test_metrics=MetricsReport(**obj["test_metrics"]),
             target_mean=float(obj["target_mean"]),
             target_std=float(obj["target_std"]),
             seed=int(obj.get("seed", 0)),
@@ -174,7 +175,8 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None) -> G
     ``fold_ids`` reuses an existing fold assignment (one per row of ``x``);
     otherwise rows are shuffled with ``seed`` and chunked into k folds. Ties,
     including exact duplicates, go to the earliest grid entry. A candidate
-    that fails on any fold scores infinity.
+    that fails on any fold scores infinity; when every candidate fails, the
+    raised error carries the first failure's message.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -199,6 +201,7 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None) -> G
     if len(nonempty) < 2:
         raise TooFewRows("need at least 2 non-empty folds")
     scored: list[tuple[TreeParams | SvrParams, float]] = []
+    first_failure = None
     for params in candidates:
         fold_scores = []
         try:
@@ -208,13 +211,14 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None) -> G
                     raise TooFewRows("fold training part too small")
                 fold_scores.append(_cv_fold_rmse(x, y, params, trn, val))
             score = float(np.mean(fold_scores))
-        except HydrocharError:
+        except HydrocharError as exc:
             score = np.inf
+            first_failure = first_failure or str(exc)
         scored.append((params, score))
     best_idx = min(range(len(scored)), key=lambda i: (scored[i][1], i))
     chosen, cv = scored[best_idx]
     if not np.isfinite(cv):
-        raise HydrocharError("every grid candidate failed cross-validation")
+        raise HydrocharError(f"every grid candidate failed cross-validation; first failure: {first_failure}")
     return GridSearchResult(chosen_params=chosen, cv_rmse=cv, candidates=scored)
 
 

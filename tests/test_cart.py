@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from hydrochar import cart, data
 from hydrochar.cart import RegressionTree, TreeParams, fit_tree
 from hydrochar.errors import DimensionMismatch, EmptyInput
+from hydrochar.pipeline import HyperGrid
 from hydrochar.stats import r_squared
 
 
@@ -179,3 +182,75 @@ def test_fully_grown_replays_training_targets(seed):
     y = r.normal(0, 1, 30)
     tree = fit_tree(x, y, TreeParams())
     assert np.array_equal(tree.predict_batch(x), y)
+
+
+def _reference_best_split(x, y, min_leaf):
+    """Per-feature loop that the one-pass scan in cart._best_split replaces."""
+    m = len(y)
+    s_tot = float(y.sum())
+    s2_tot = float(np.dot(y, y))
+    parent_sse = s2_tot - s_tot * s_tot / m
+    best = None
+    positions = np.arange(1, m)
+    for f in range(x.shape[1]):
+        xf = x[:, f]
+        order = np.argsort(xf, kind="stable")
+        xo = xf[order]
+        yo = y[order]
+        valid = (xo[1:] != xo[:-1]) & (positions >= min_leaf) & (m - positions >= min_leaf)
+        if not valid.any():
+            continue
+        cs = np.cumsum(yo)[:-1]
+        cs2 = np.cumsum(yo * yo)[:-1]
+        nl = positions
+        nr = m - positions
+        child_sse = (cs2 - cs * cs / nl) + ((s2_tot - cs2) - (s_tot - cs) ** 2 / nr)
+        child_sse[~valid] = np.inf
+        pos = int(np.argmin(child_sse))
+        gain = parent_sse - float(child_sse[pos])
+        if best is None or gain > best[0]:
+            thr = 0.5 * (xo[pos] + xo[pos + 1])
+            best = (gain, f, float(thr), order, pos + 1)
+    return best
+
+
+@st.composite
+def split_cases(draw):
+    """Small-integer matrices, so duplicate values and equal gains across
+    features are common, with some columns (possibly all) held constant."""
+    m = draw(st.integers(2, 80))
+    d = draw(st.integers(1, 11))
+    x = draw(hnp.arrays(float, (m, d), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0]), fill=st.nothing()))
+    for f in draw(st.sets(st.integers(0, d - 1))):
+        x[:, f] = x[0, f]
+    ys = draw(st.sampled_from([st.sampled_from([0.0, 1.0, 2.0]), st.floats(-1e3, 1e3)]))
+    y = draw(hnp.arrays(float, m, elements=ys, fill=st.nothing()))
+    return x, y, draw(st.sampled_from([1, 2, 5, 10]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_best_split_matches_per_feature_loop(case):
+    x, y, min_leaf = case
+    got = cart._best_split(x, y, min_leaf)
+    want = _reference_best_split(x, y, min_leaf)
+    if want is None:
+        assert got is None
+        return
+    gain, feature, threshold, order, n_left = got
+    want_gain, want_feature, want_threshold, want_order, want_n_left = want
+    assert (feature, threshold, n_left) == (want_feature, want_threshold, want_n_left)
+    assert gain == want_gain  # same bits, not approximately equal
+    assert np.array_equal(order, want_order)
+
+
+def test_trees_match_per_feature_loop(monkeypatch):
+    ds = data.generate_synthetic(80, seed=7, noise_sd=0.5)
+    lattice = np.floor(ds.feature_matrix() / 10.0)  # many tied thresholds
+    cases = [(ds.feature_matrix(), ds.target_matrix()[:, 0]), (lattice, ds.target_matrix()[:, 1])]
+    grid = HyperGrid.default().tree_grid
+    fast = [fit_tree(x, y, p).to_json_obj() for x, y in cases for p in grid]
+    monkeypatch.setattr(cart, "_best_split", _reference_best_split)
+    slow = [fit_tree(x, y, p).to_json_obj() for x, y in cases for p in grid]
+    assert len(fast) >= 30
+    assert fast == slow

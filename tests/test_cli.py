@@ -281,3 +281,17 @@ def test_evaluate_without_models_fails(workdir, capsys):
     out = workdir / "none"
     assert run("evaluate", "--data", csv, "--out", out, "--seed", 4) == 1
     assert "no model_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [None, 2])
+def test_evaluate_refuses_unknown_model_schema(workdir, capsys, version):
+    csv, out = _train_for_optimize(workdir)
+    path = out / "model_dtr_hc_yield.json"
+    obj = json.loads(path.read_text())
+    obj.pop("schema_version")
+    if version is not None:
+        obj["schema_version"] = version
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", "dtr") == 1
+    assert f"schema_version {version!r} is not supported" in capsys.readouterr().err
+    assert not (out / "evaluation.json").exists()

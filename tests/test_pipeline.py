@@ -136,6 +136,15 @@ def test_train_all_skips_absent_target():
     assert len(res.trained) == 9
 
 
+def test_skip_names_why_every_candidate_failed():
+    base = data.generate_synthetic(60, seed=9)
+    x = base.feature_matrix().copy()
+    x[:, data.FEATURE_COLUMNS.index("water_wt")] = 80.0  # the fold scaler rejects it
+    res = train_all(Dataset(x, base.target_matrix()), tiny_grid(), seed=2, models=("dtr",))
+    reason = "every grid candidate failed cross-validation; first failure: column 10 has fewer than 2 distinct values"
+    assert res.report["skips"]["dtr"] == {t: reason for t in data.TARGET_COLUMNS}
+
+
 def test_no_leakage_scaler_fit_on_train_rows(medium_dataset):
     res = train_all(medium_dataset, tiny_grid(), seed=4, models=("dtr",))
     plan = res.plan
