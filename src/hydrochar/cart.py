@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput
+from .errors import DimensionMismatch, EmptyInput, InvalidModelFile
 
 
 @dataclass(frozen=True)
@@ -50,50 +50,54 @@ class RegressionTree:
     """Fitted binary regression tree stored as parallel node arrays.
 
     Node 0 is the root. Internal nodes route ``x[feature] <= threshold`` to
-    the left child; leaves predict the mean of their training targets.
-    Instances are immutable after fitting and safe to share across threads.
+    the left child, so NaN goes right; leaves predict the mean of their
+    training targets. Instances are immutable after fitting and safe to
+    share across threads.
     """
 
     def __init__(self, n_features: int, params: TreeParams, nodes: list[dict]):
+        if not nodes:
+            raise InvalidModelFile("a tree has no nodes")
         self.n_features = n_features
         self.params = params
-        self.feature = np.array([n.get("feature", -1) for n in nodes], dtype=np.intp)
-        self.threshold = np.array([n.get("threshold", 0.0) for n in nodes], dtype=float)
         self.left = np.array([n.get("left", -1) for n in nodes], dtype=np.intp)
         self.right = np.array([n.get("right", -1) for n in nodes], dtype=np.intp)
         self.value = np.array([n.get("value", 0.0) for n in nodes], dtype=float)
         self.count = np.array([n.get("count", 0) for n in nodes], dtype=np.intp)
         self.is_leaf = np.array([n["kind"] == "leaf" for n in nodes], dtype=bool)
-        for arr in (self.feature, self.threshold, self.left, self.right, self.value, self.count, self.is_leaf):
+        # A leaf tests feature 0 against +inf and loops to itself, so every
+        # row can take the same number of steps; children[2 i + (x <= t)].
+        self.feature = np.where(self.is_leaf, 0, [n.get("feature", 0) for n in nodes]).astype(np.intp)
+        self.threshold = np.where(self.is_leaf, np.inf, [n.get("threshold", 0.0) for n in nodes])
+        split = ~self.is_leaf
+        bad = np.flatnonzero(split & ((self.feature < 0) | (self.feature >= n_features)))
+        if bad.size:
+            raise InvalidModelFile(f"node {bad[0]} splits on feature {self.feature[bad[0]]}, not one of 0..{n_features - 1}")
+        kids_lo, kids_hi = np.minimum(self.left, self.right), np.maximum(self.left, self.right)
+        bad = np.flatnonzero(split & ((kids_lo < 0) | (kids_hi >= self.n_nodes)))
+        if bad.size:
+            raise InvalidModelFile(f"node {bad[0]} has a child outside nodes 0..{self.n_nodes - 1}")
+        ids = np.arange(self.n_nodes)
+        self._children = np.stack(
+            [np.where(self.is_leaf, ids, self.right), np.where(self.is_leaf, ids, self.left)], axis=1
+        ).ravel()
+        self.depth = _depth(self.is_leaf, self.left, self.right)
+        for arr in (self.feature, self.threshold, self.left, self.right, self.value, self.count, self.is_leaf, self._children):
             arr.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.is_leaf)
 
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=int)
-        best = 0
-        for i in range(self.n_nodes):
-            if not self.is_leaf[i]:
-                depths[self.left[i]] = depths[i] + 1
-                depths[self.right[i]] = depths[i] + 1
-            else:
-                best = max(best, int(depths[i]))
-        return best
-
     def predict_batch(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.n_features:
             raise DimensionMismatch(f"expected {self.n_features} features, got {x.shape[1]}")
+        flat = x.ravel()
+        row_start = np.arange(0, flat.size, self.n_features)
         node = np.zeros(x.shape[0], dtype=np.intp)
-        while True:
-            pending = ~self.is_leaf[node]
-            if not pending.any():
-                break
-            cur = node[pending]
-            go_left = x[pending, self.feature[cur]] <= self.threshold[cur]
-            node[pending] = np.where(go_left, self.left[cur], self.right[cur])
+        for _ in range(self.depth):
+            node = self._children[2 * node + (flat[row_start + self.feature[node]] <= self.threshold[node])]
         return self.value[node]
 
     def leaf_nodes(self) -> list[tuple[float, int]]:
@@ -128,6 +132,21 @@ class RegressionTree:
             params=TreeParams.from_dict(obj["params"]),
             nodes=list(obj["nodes"]),
         )
+
+
+def _depth(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:
+    """Number of split levels on the longest root-to-leaf path, one level at a time."""
+    level = np.zeros(1, dtype=np.intp)
+    depth = 0
+    while True:
+        level = level[~is_leaf[level]]
+        if not level.size:
+            return depth
+        level = np.concatenate([left[level], right[level]])
+        depth += 1
+        # a path longer than the node count, or a level wider, revisits a node
+        if level.size > len(is_leaf) or depth > len(is_leaf):
+            raise InvalidModelFile("tree nodes form a cycle")
 
 
 def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):

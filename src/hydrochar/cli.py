@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, genetic, pipeline, shapley, stats
-from .errors import HydrocharError, MissingModelFile, SingularInput, TooFewRows
+from .errors import HydrocharError, InvalidModelFile, MissingModelFile, SingularInput, TooFewRows
 
 SCHEMA_VERSION = 1
 
@@ -149,14 +149,21 @@ def cmd_train(args) -> int:
     return 0 if result.trained else 1
 
 
-def _load_models(cfg: RunConfig, kind: str, targets=None) -> dict[str, pipeline.TrainedTarget]:
-    models = {}
-    for target in targets if targets is not None else data.TARGET_COLUMNS:
-        path = _model_path(cfg.out, kind, target)
-        if not path.exists():
-            continue
+def _read_model(path: Path) -> pipeline.TrainedTarget:
+    """Load one saved model; a refusal names the file."""
+    try:
         with path.open(encoding="utf-8") as fh:
-            models[target] = pipeline.TrainedTarget.from_json_obj(json.load(fh))
+            return pipeline.TrainedTarget.from_json_obj(json.load(fh))
+    except (HydrocharError, KeyError, ValueError) as exc:
+        raise InvalidModelFile(f"model file {path}: {exc}") from exc
+
+
+def _load_models(cfg: RunConfig, kind: str) -> dict[str, pipeline.TrainedTarget]:
+    models = {}
+    for target in data.TARGET_COLUMNS:
+        path = _model_path(cfg.out, kind, target)
+        if path.exists():
+            models[target] = _read_model(path)
     return models
 
 
@@ -196,8 +203,7 @@ def cmd_explain(args) -> int:
     path = _model_path(cfg.out, kind, args.target)
     if not path.exists():
         raise MissingModelFile(f"{path} not found; run train first")
-    with path.open(encoding="utf-8") as fh:
-        model = pipeline.TrainedTarget.from_json_obj(json.load(fh))
+    model = _read_model(path)
     ds = data.load_csv(cfg.data)
     plan = data.split(ds, seed=cfg.seed)
     x = ds.feature_matrix()
@@ -228,6 +234,8 @@ def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
 
 def cmd_optimize(args) -> int:
     cfg = RunConfig.from_args(args)
+    if cfg.model == "svr":
+        raise HydrocharError("optimize searches the DTR surrogates only; --model svr is not supported, use dtr or both")
     profile = _resolve_profile(cfg.application)
     needed = [t for t, _ in profile.active()]
     models = _load_models(cfg, "dtr")

@@ -20,6 +20,7 @@ from .errors import (
     ConstraintViolation,
     DimensionMismatch,
     EmptyDataset,
+    InvalidModelFile,
     MissingColumn,
     TooFewRows,
     UnparseableCell,
@@ -271,8 +272,7 @@ class Scaler:
         stds = np.nanstd(m, axis=0)
         for j in range(m.shape[1]):
             if not stds[j] > 0.0:
-                name = columns[j] if columns is not None else f"column {j}"
-                raise ConstantColumn(f"{name} has fewer than 2 distinct values")
+                raise ConstantColumn(f"{_column_name(columns, j)} has fewer than 2 distinct values")
         means.setflags(write=False)
         stds.setflags(write=False)
         return cls(means=means, stds=stds, columns=tuple(columns) if columns is not None else None)
@@ -282,6 +282,35 @@ class Scaler:
 
     def inverse_transform(self, x):
         return np.asarray(x, dtype=float) * self.stds + self.means
+
+    def raw_thresholds(self, features, thresholds) -> np.ndarray:
+        """For each split (feature f, scaled threshold t), the largest raw
+        double T whose transform is <= t.
+
+        IEEE subtraction, and division by a positive std, are monotone, so
+        ``x <= T`` holds for exactly the doubles x whose transform is <= t,
+        and NaN fails both. T is found by bisection over the doubles in
+        order, computing the transform exactly as ``transform`` does.
+        """
+        f = np.asarray(features, dtype=np.intp)
+        t = np.asarray(thresholds, dtype=float)
+        if not np.isfinite(t).all():
+            raise InvalidModelFile("a split threshold is not finite")
+        m = self.means[f]
+        s = self.stds[f]
+        # Bisection keeps transform(lo) <= t < transform(hi). Stepping one
+        # double at a time from t*s + m is not enough: where T lies far below
+        # the mean's binade, millions of consecutive doubles share one
+        # transformed value.
+        lo_key, hi_key = _order_keys(np.array([-np.inf, np.inf]))
+        lo = np.full(t.shape, lo_key)
+        hi = np.full(t.shape, hi_key)
+        while np.any(hi - lo > _ONE):
+            mid = lo + ((hi - lo) >> _ONE)
+            passes = (_from_order_keys(mid) - m) / s <= t
+            lo = np.where(passes, mid, lo)
+            hi = np.where(passes, hi, mid)
+        return _from_order_keys(lo)
 
     def to_dict(self) -> dict:
         return {
@@ -294,10 +323,36 @@ class Scaler:
     def from_dict(cls, d: dict) -> "Scaler":
         means = np.array(d["means"], dtype=float)
         stds = np.array(d["stds"], dtype=float)
+        cols = d.get("columns")
+        if means.ndim != 1 or means.shape != stds.shape:
+            raise InvalidModelFile(f"scaler has {means.size} means and {stds.size} stds")
+        for j in range(len(means)):
+            if not np.isfinite(means[j]):
+                raise InvalidModelFile(f"scaler {_column_name(cols, j)}: mean {means[j]} is not finite")
+            if not (np.isfinite(stds[j]) and stds[j] > 0.0):
+                raise InvalidModelFile(f"scaler {_column_name(cols, j)}: std {stds[j]} is not finite and > 0")
         means.setflags(write=False)
         stds.setflags(write=False)
-        cols = d.get("columns")
         return cls(means=means, stds=stds, columns=tuple(cols) if cols is not None else None)
+
+
+def _column_name(columns, j: int) -> str:
+    return columns[j] if columns is not None else f"column {j}"
+
+
+_SIGN = np.uint64(1 << 63)
+_ONE = np.uint64(1)
+
+
+def _order_keys(v: np.ndarray) -> np.ndarray:
+    """uint64 keys whose integer order is the order of the doubles in ``v``
+    (-0.0 sits just below +0.0; adjacent doubles differ by one)."""
+    b = np.ascontiguousarray(v, dtype=float).view(np.uint64)
+    return np.where((b & _SIGN) != 0, ~b, b | _SIGN)
+
+
+def _from_order_keys(k: np.ndarray) -> np.ndarray:
+    return np.where((k & _SIGN) != 0, k ^ _SIGN, ~k).view(float)
 
 
 @dataclass(frozen=True)

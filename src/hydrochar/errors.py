@@ -89,6 +89,10 @@ class MissingModelFile(HydrocharError):
     """A trained-model JSON file required by this command does not exist."""
 
 
+class InvalidModelFile(HydrocharError):
+    """A saved model file cannot be read, or holds values no fit produces."""
+
+
 class UnsupportedSchema(HydrocharError):
     """A saved file's schema_version is missing or not one this version reads."""
 

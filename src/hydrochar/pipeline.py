@@ -11,14 +11,14 @@ metrics are in original target units.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import data as data_mod
 from .cart import RegressionTree, TreeParams, fit_tree
 from .data import Dataset, Scaler, SplitPlan
-from .errors import HydrocharError, TooFewRows, UnsupportedSchema
+from .errors import HydrocharError, InvalidModelFile, TooFewRows, UnsupportedSchema
 from .stats import MetricsReport, metrics_report, rmse
 from .svr import Kernel, SvrModel, SvrParams, fit_svr
 
@@ -84,10 +84,29 @@ class TrainedTarget:
     target_std: float
     seed: int
 
+    _raw_tree: RegressionTree | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Thresholds mapped back through scaler_in route raw rows exactly as
+        # the saved thresholds route transformed ones, so a tree needs no
+        # transform at predict time.
+        if isinstance(self.model, RegressionTree):
+            if self.scaler_in.means.size != self.model.n_features:
+                raise InvalidModelFile(f"tree has {self.model.n_features} features, scaler_in {self.scaler_in.means.size}")
+            tree = self.model.to_json_obj()
+            splits = [n for n in tree["nodes"] if n["kind"] == "split"]
+            raw = self.scaler_in.raw_thresholds([n["feature"] for n in splits], [n["threshold"] for n in splits])
+            for node, t in zip(splits, raw.tolist()):
+                node["threshold"] = t
+            self._raw_tree = RegressionTree.from_json_obj(tree)
+
     def predict(self, x_raw) -> np.ndarray:
         """Predict on raw (unscaled) feature rows, in original target units."""
-        xs = self.scaler_in.transform(np.atleast_2d(np.asarray(x_raw, dtype=float)))
-        pred = self.model.predict_batch(xs)
+        x = np.atleast_2d(np.asarray(x_raw, dtype=float))
+        if self._raw_tree is not None:
+            pred = self._raw_tree.predict_batch(x)
+        else:
+            pred = self.model.predict_batch(self.scaler_in.transform(x))
         if self.scaler_out is not None:
             pred = self.scaler_out.inverse_transform(pred[:, None])[:, 0]
         return pred

@@ -8,9 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from hydrochar import cart, data
 from hydrochar.cart import RegressionTree, TreeParams, fit_tree
-from hydrochar.errors import DimensionMismatch, EmptyInput
-from hydrochar.pipeline import HyperGrid
-from hydrochar.stats import r_squared
+from hydrochar.data import Scaler
+from hydrochar.errors import DimensionMismatch, EmptyInput, InvalidModelFile
+from hydrochar.pipeline import HyperGrid, TrainedTarget
+from hydrochar.stats import MetricsReport, r_squared
 
 
 def training_sse(tree, x, y):
@@ -71,7 +72,7 @@ def test_max_depth_respected(rng):
     y = rng.normal(0, 1, 200)
     for depth in (0, 1, 3, 5):
         tree = fit_tree(x, y, TreeParams(max_depth=depth))
-        assert tree.depth() <= depth
+        assert tree.depth <= depth
 
 
 def test_min_samples_leaf_respected(rng):
@@ -155,6 +156,22 @@ def test_serialization_roundtrip_bit_exact(rng):
     q = rng.uniform(-5, 5, (40, 4))
     assert np.array_equal(tree.predict_batch(q), back.predict_batch(q))
     assert back.params == tree.params
+    assert back.depth == tree.depth == 7
+
+
+@pytest.mark.parametrize("nodes", [
+    [],
+    [{"kind": "split", "feature": -1, "threshold": 0.5, "left": 1, "right": 2}] + [{"kind": "leaf"}] * 2,
+    [{"kind": "split", "feature": 2, "threshold": 0.5, "left": 1, "right": 2}] + [{"kind": "leaf"}] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 999, "right": 2}] + [{"kind": "leaf"}] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": -1}] + [{"kind": "leaf"}] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1}] + [{"kind": "leaf"}] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 0, "right": 1}, {"kind": "leaf"}],
+], ids=["no-nodes", "feature-negative", "feature-n_features", "left-past-end", "right-negative", "right-missing",
+        "cycle"])
+def test_loaded_malformed_tree_is_refused(nodes):
+    with pytest.raises(InvalidModelFile):
+        RegressionTree.from_json_obj({"n_features": 2, "params": {}, "nodes": nodes})
 
 
 def _route_one(tree, x):
@@ -172,6 +189,70 @@ def test_predict_batch_matches_scalar(rng):
     q = rng.uniform(0, 1, (25, 3))
     batch = tree.predict_batch(q)
     assert all(batch[i] == _route_one(tree, q[i]) for i in range(len(q)))
+
+
+@st.composite
+def trees_and_rows(draw):
+    """Hand-built trees of any shape (a lone leaf, chains, unbalanced and
+    bushy), with rows whose cells sit on a threshold, one ulp either side of
+    it, at +-inf, NaN, or anywhere."""
+    d = draw(st.integers(1, 4))
+    nodes = [{}]
+    leaves = [0]
+    for _ in range(draw(st.integers(0, 12))):
+        node = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
+        threshold = draw(st.sampled_from([0.0, -1.5, 2.0, 1e-300]) | st.floats(-1e6, 1e6))
+        nodes[node] = {"kind": "split", "feature": draw(st.integers(0, d - 1)), "threshold": threshold,
+                       "left": len(nodes), "right": len(nodes) + 1}
+        leaves += [len(nodes), len(nodes) + 1]
+        nodes += [{}, {}]
+    for value, node in enumerate(leaves, start=1):
+        nodes[node] = {"kind": "leaf", "value": float(value), "count": 1}
+    tree = RegressionTree(d, TreeParams(), nodes)
+    cuts = tree.threshold[~tree.is_leaf]
+    pool = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf), [np.nan, np.inf, -np.inf]])
+    cell = st.sampled_from(pool.tolist()) | st.floats(allow_nan=True)
+    rows = draw(hnp.arrays(float, (draw(st.integers(1, 30)), d), elements=cell))
+    return tree, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees_and_rows())
+def test_predict_batch_matches_reference_walk(case):
+    tree, rows = case
+    want = [_route_one(tree, row) for row in rows]
+    assert np.array_equal(tree.predict_batch(rows), want)
+
+
+def _trained_dtr(tree, scaler):
+    report = MetricsReport(0.0, 0.0, 0.0, 0)
+    return TrainedTarget(target="hc_yield", model_kind="dtr", model=tree, scaler_in=scaler, scaler_out=None,
+                         chosen_params=tree.params, cv_rmse=0.0, train_metrics=report, test_metrics=report,
+                         target_mean=0.0, target_std=1.0, seed=0)
+
+
+@pytest.mark.parametrize("mean", [1e-6, -1.0, 1e6, -1e6])
+@pytest.mark.parametrize("std", [1e-6, 1.0, 1e6])
+def test_raw_unit_routing_matches_transform(rng, mean, std):
+    d = 3
+    scaler = Scaler(means=np.array([mean, 0.5 * mean, 2.0 * mean]), stds=np.array([std, 3.0 * std, 0.25 * std]))
+    # raw cells near zero put thresholds far below the mean's binade, where
+    # many consecutive doubles share one transformed value
+    raw = np.vstack([scaler.means + scaler.stds * rng.normal(0, 1, (150, d)), 10.0 ** rng.uniform(-3, 2, (50, d))])
+    tree = fit_tree(scaler.transform(raw), rng.normal(0, 1, 200), TreeParams(max_depth=8))
+    split = ~tree.is_leaf
+    f, t = tree.feature[split], tree.threshold[split]
+    m, s = scaler.means[f], scaler.stds[f]
+    raw_t = scaler.raw_thresholds(f, t)
+    assert np.all((raw_t - m) / s <= t)
+    assert np.all((np.nextafter(raw_t, np.inf) - m) / s > t)
+    # every training row, with one split's feature set to one probe value
+    probes = [raw_t, np.nextafter(raw_t, -np.inf), np.nextafter(raw_t, np.inf), t * s + m, np.full_like(t, np.nan)]
+    x = np.repeat(raw[None], len(f) * len(probes), axis=0)
+    for k, cell in enumerate(np.concatenate(probes)):
+        x[k, :, f[k % len(f)]] = cell
+    x = np.vstack([raw, x.reshape(-1, d)])
+    assert np.array_equal(_trained_dtr(tree, scaler).predict(x), tree.predict_batch(scaler.transform(x)))
 
 
 @settings(max_examples=20, deadline=None)

@@ -252,6 +252,13 @@ def test_optimize_requires_models(workdir, capsys):
     assert "missing trained DTR model" in capsys.readouterr().err
 
 
+def test_optimize_rejects_svr_model(workdir, capsys):
+    csv, out = _train_for_optimize(workdir)
+    assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--model", "svr") == 1
+    assert "DTR surrogates only" in capsys.readouterr().err
+    assert not (out / "optimum.json").exists()
+
+
 def test_optimize_accepts_custom_direction_map(workdir):
     csv, out = _train_for_optimize(workdir)
     directions = {t: "ignore" for t in data.TARGET_COLUMNS}
@@ -283,15 +290,78 @@ def test_evaluate_without_models_fails(workdir, capsys):
     assert "no model_" in capsys.readouterr().err
 
 
+def _edit_model(out, edit):
+    """Hand-edit the saved hc_yield tree; returns the file's name."""
+    path = out / "model_dtr_hc_yield.json"
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path.name
+
+
+def _set_schema_version(version):
+    def edit(obj):
+        obj.pop("schema_version")
+        if version is not None:
+            obj["schema_version"] = version
+    return edit
+
+
 @pytest.mark.parametrize("version", [None, 2])
 def test_evaluate_refuses_unknown_model_schema(workdir, capsys, version):
     csv, out = _train_for_optimize(workdir)
-    path = out / "model_dtr_hc_yield.json"
-    obj = json.loads(path.read_text())
-    obj.pop("schema_version")
-    if version is not None:
-        obj["schema_version"] = version
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    name = _edit_model(out, _set_schema_version(version))
     assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", "dtr") == 1
-    assert f"schema_version {version!r} is not supported" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"schema_version {version!r} is not supported" in err
+    assert name in err
+    assert not (out / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize("version", [None, 2])
+def test_explain_refuses_unknown_model_schema(workdir, capsys, version):
+    csv, out = _train_for_optimize(workdir)
+    name = _edit_model(out, _set_schema_version(version))
+    assert run("explain", "--data", csv, "--out", out, "--seed", 4, "--model", "dtr", "--target", "hc_yield") == 1
+    err = capsys.readouterr().err
+    assert f"schema_version {version!r} is not supported" in err
+    assert name in err
+    assert not (out / "shap_dtr_hc_yield").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("means", float("nan")), ("means", float("inf")),
+    ("stds", 0.0), ("stds", -1.0), ("stds", float("nan")), ("stds", float("inf")),
+])
+def test_evaluate_refuses_invalid_scaler(workdir, capsys, field, value):
+    csv, out = _train_for_optimize(workdir)
+    name = _edit_model(out, lambda obj: obj["scaler_in"][field].__setitem__(10, value))
+    assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", "dtr") == 1
+    err = capsys.readouterr().err
+    assert name in err and "water_wt" in err
+    assert not (out / "evaluation.json").exists()
+
+
+def _set_root(field, value):
+    return lambda obj: obj["model"]["nodes"][0].__setitem__(field, value)
+
+
+def _drop_last_scaler_column(obj):
+    for field in ("means", "stds", "columns"):
+        obj["scaler_in"][field].pop()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_root("threshold", float("nan")), "threshold is not finite"),
+    (_set_root("feature", -1), "node 0 splits on feature -1"),
+    (_set_root("feature", 11), "node 0 splits on feature 11"),
+    (_set_root("left", 999), "node 0 has a child outside"),
+    (_drop_last_scaler_column, "tree has 11 features, scaler_in 10"),
+], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler"])
+def test_evaluate_refuses_malformed_tree(workdir, capsys, edit, message):
+    csv, out = _train_for_optimize(workdir)
+    name = _edit_model(out, edit)
+    assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", "dtr") == 1
+    err = capsys.readouterr().err
+    assert name in err and message in err
     assert not (out / "evaluation.json").exists()
