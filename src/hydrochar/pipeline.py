@@ -172,8 +172,8 @@ def _fit_candidate(x_train, y_train, params):
     return model.predict_batch
 
 
-def _cv_fold_rmse(x, y, params, trn, val) -> float:
-    scaler = Scaler.fit(x[trn])
+def _cv_fold_rmse(x, y, params, trn, val, columns) -> float:
+    scaler = Scaler.fit(x[trn], columns=columns)
     x_trn = scaler.transform(x[trn])
     x_val = scaler.transform(x[val])
     if isinstance(params, SvrParams):
@@ -187,7 +187,7 @@ def _cv_fold_rmse(x, y, params, trn, val) -> float:
     return rmse(y[val], pred)
 
 
-def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None) -> GridSearchResult:
+def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None, columns=None) -> GridSearchResult:
     """Select the candidate with the lowest mean validation RMSE over k folds.
 
     Fold scalers are re-fit inside every fold on its own training part.
@@ -195,7 +195,8 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None) -> G
     otherwise rows are shuffled with ``seed`` and chunked into k folds. Ties,
     including exact duplicates, go to the earliest grid entry. A candidate
     that fails on any fold scores infinity; when every candidate fails, the
-    raised error carries the first failure's message.
+    raised error carries the first failure's message, which names a column
+    of ``x`` from ``columns`` when given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -228,7 +229,7 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None) -> G
                 trn = np.setdiff1d(np.arange(n), val)
                 if len(trn) < 2:
                     raise TooFewRows("fold training part too small")
-                fold_scores.append(_cv_fold_rmse(x, y, params, trn, val))
+                fold_scores.append(_cv_fold_rmse(x, y, params, trn, val, columns))
             score = float(np.mean(fold_scores))
         except HydrocharError as exc:
             score = np.inf
@@ -319,7 +320,8 @@ def train_all(dataset: Dataset, grid: HyperGrid, seed: int, models=("dtr", "svr"
                 skips[kind][target] = "training target is constant"
                 continue
             try:
-                gs = grid_search(x[trn], y[trn], candidates, k=plan.k, seed=seed, fold_ids=folds)
+                gs = grid_search(x[trn], y[trn], candidates, k=plan.k, seed=seed, fold_ids=folds,
+                                 columns=data_mod.FEATURE_COLUMNS)
                 trained[(kind, target)] = _fit_final(
                     x, y, trn, tst, gs.chosen_params, target, kind, gs.cv_rmse, seed
                 )

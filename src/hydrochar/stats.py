@@ -69,15 +69,21 @@ def metrics_report(actual, predicted) -> MetricsReport:
 def average_ranks(values) -> np.ndarray:
     """1-based ranks with ties assigned the average of their positions."""
     v = np.asarray(values, dtype=float).ravel()
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=float)
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    return _ranks_in_order(v, np.argsort(v, kind="stable"))
+
+
+def _ranks_in_order(v: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Average ranks of ``v`` given its stable ascending ``order``.
+
+    A tie group is a run of equal neighbours in sorted order, so each NaN
+    is a group of its own; every member gets the group's mean 1-based
+    position.
+    """
+    s = v[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], len(s)) - 1
+    ranks = np.empty(len(s), dtype=float)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -149,6 +155,9 @@ def correlation_matrix(dataset: Dataset, min_joint: int = 3) -> CorrelationMatri
         raise TooFewRows(f"need at least {min_joint} rows, got {dataset.n_rows}")
     labels = tuple(FEATURE_COLUMNS) + tuple(TARGET_COLUMNS)
     cols = [dataset.column(lab) for lab in labels]
+    # Each column is sorted once. Dropping the rows outside a pair's joint
+    # mask from a stable order leaves the stable order of the joint subvector.
+    orders = [np.argsort(v, kind="stable") for v, _ in cols]
     p = len(labels)
     out = np.full((p, p), np.nan)
     np.fill_diagonal(out, 1.0)
@@ -159,8 +168,11 @@ def correlation_matrix(dataset: Dataset, min_joint: int = 3) -> CorrelationMatri
             joint = mi & mj
             if int(joint.sum()) < min_joint:
                 continue
+            pos = np.cumsum(joint) - 1
+            ri = _ranks_in_order(vi[joint], pos[orders[i][joint[orders[i]]]])
+            rj = _ranks_in_order(vj[joint], pos[orders[j][joint[orders[j]]]])
             try:
-                r = spearman(vi[joint], vj[joint])
+                r = _pearson(ri, rj)
             except DegenerateInput:
                 continue
             out[i, j] = out[j, i] = r
@@ -196,17 +208,15 @@ def jacobi_eigendecomposition(a, tol: float = 1e-12, max_sweeps: int = 100):
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 app, aqq = a[p, p], a[q, q]
+                arp, arq = a[:, p], a[:, q]
+                new_p = c * arp - s * arq
+                new_q = s * arp + c * arq
+                a[:, p] = a[p, :] = new_p
+                a[:, q] = a[q, :] = new_q
+                # the rotation's own 2x2 block is set in closed form
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
                 a[p, q] = a[q, p] = 0.0
-                arp = a[:, p].copy()
-                arq = a[:, q].copy()
-                mask = np.ones(n, dtype=bool)
-                mask[[p, q]] = False
-                a[mask, p] = c * arp[mask] - s * arq[mask]
-                a[mask, q] = s * arp[mask] + c * arq[mask]
-                a[p, mask] = a[mask, p]
-                a[q, mask] = a[mask, q]
                 vp = v[:, p].copy()
                 v[:, p] = c * vp - s * v[:, q]
                 v[:, q] = s * vp + c * v[:, q]

@@ -251,6 +251,50 @@ def test_scaler_fit_on_train_rows_only(small_dataset):
     assert s.means[8] != pytest.approx(x[:, 8].mean(), rel=1e-12)
 
 
+def _double_keys(v):
+    """uint64 keys in the order of the doubles, adjacent doubles one apart."""
+    b = np.asarray(v, dtype=float).view(np.uint64)
+    sign = np.uint64(1 << 63)
+    return np.where(b & sign, ~b, b | sign)
+
+
+def _keys_to_doubles(k):
+    sign = np.uint64(1 << 63)
+    return np.where(k & sign, k ^ sign, ~k).view(float)
+
+
+def _reference_raw_thresholds(scaler, features, thresholds):
+    """Bisection over every double from -inf to +inf, 64 steps per split."""
+    f = np.asarray(features, dtype=np.intp)
+    t = np.asarray(thresholds, dtype=float)
+    m, s = scaler.means[f], scaler.stds[f]
+    lo = np.full(t.shape, _double_keys(-np.inf))
+    hi = np.full(t.shape, _double_keys(np.inf))
+    with np.errstate(over="ignore"):
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // np.uint64(2)
+            passes = (_keys_to_doubles(mid) - m) / s <= t
+            lo = np.where(passes, mid, lo)
+            hi = np.where(passes, hi, mid)
+    return _keys_to_doubles(lo)
+
+
+@pytest.mark.parametrize("mean", [1e-6, -1.0, 1e6, -1e6])
+@pytest.mark.parametrize("std", [1e-6, 1.0, 1e6])
+def test_raw_thresholds_match_full_range_bisection(mean, std):
+    r = np.random.default_rng(23)
+    scaler = data.Scaler(means=np.array([mean, 0.5 * mean, 2.0 * mean]), stds=np.array([std, 3.0 * std, 0.25 * std]))
+    big = np.finfo(float).max
+    edges = [big, -big, np.nextafter(big, 0.0), -np.nextafter(big, 0.0), 0.0, -0.0, 5e-324, -5e-324, 1e-300]
+    t = np.concatenate([
+        r.normal(0.0, 3.0, 120),
+        r.choice([-1.0, 1.0], 60) * 10.0 ** r.uniform(-300.0, 308.0, 60),
+        np.repeat(edges, 3),
+    ])
+    f = np.resize(np.arange(3), len(t))
+    assert scaler.raw_thresholds(f, t).tobytes() == _reference_raw_thresholds(scaler, f, t).tobytes()
+
+
 # ------------------------------------------------------------------- split
 
 def test_split_sizes_example():

@@ -141,7 +141,7 @@ def test_skip_names_why_every_candidate_failed():
     x = base.feature_matrix().copy()
     x[:, data.FEATURE_COLUMNS.index("water_wt")] = 80.0  # the fold scaler rejects it
     res = train_all(Dataset(x, base.target_matrix()), tiny_grid(), seed=2, models=("dtr",))
-    reason = "every grid candidate failed cross-validation; first failure: column 10 has fewer than 2 distinct values"
+    reason = "every grid candidate failed cross-validation; first failure: water_wt has fewer than 2 distinct values"
     assert res.report["skips"]["dtr"] == {t: reason for t in data.TARGET_COLUMNS}
 
 
@@ -217,3 +217,8 @@ def test_grid_search_all_candidates_failing_raises(rng):
     y = np.full(20, 3.0)  # constant target breaks the SVR target scaler
     with pytest.raises(HydrocharError):
         grid_search(x, y, [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.linear())], k=4, seed=0)
+    x[:, 1] = 0.5  # a constant column breaks every fold's input scaler
+    with pytest.raises(HydrocharError, match="first failure: column 1 has fewer than 2 distinct values"):
+        grid_search(x, y + x[:, 0], [TreeParams(max_depth=2)], k=4, seed=0)
+    with pytest.raises(HydrocharError, match="first failure: time_min has fewer than 2 distinct values"):
+        grid_search(x, y + x[:, 0], [TreeParams(max_depth=2)], k=4, seed=0, columns=("temperature_c", "time_min"))

@@ -118,6 +118,34 @@ def test_average_ranks():
     assert np.array_equal(stats.average_ranks([5, 5, 1]), [2.5, 2.5, 1.0])
 
 
+def _reference_average_ranks(values):
+    """Per-element tie loop that the vectorized pass in stats replaces."""
+    v = np.asarray(values, dtype=float).ravel()
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v), dtype=float)
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+_RANK_CELLS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RANK_CELLS, max_size=60))
+def test_average_ranks_matches_tie_loop(values):
+    assert stats.average_ranks(values).tobytes() == _reference_average_ranks(values).tobytes()
+
+
 # ------------------------------------------------------ correlation matrix
 
 def test_correlation_diag_and_symmetry(small_dataset):
@@ -154,6 +182,67 @@ def test_correlation_pairs_with_too_few_joint_rows_absent():
     j = corr.labels.index("hc_o")
     assert np.isnan(corr.values[i, j])
     assert corr.values[j, j] == 1.0
+
+
+def _reference_correlation(dataset, min_joint=3):
+    """Per-pair Spearman: reference ranks of each pair's joint subvectors."""
+    labels = tuple(data.FEATURE_COLUMNS) + tuple(data.TARGET_COLUMNS)
+    cols = [dataset.column(lab) for lab in labels]
+    out = np.full((len(labels), len(labels)), np.nan)
+    np.fill_diagonal(out, 1.0)
+    for i, (vi, mi) in enumerate(cols):
+        for j in range(i + 1, len(labels)):
+            vj, mj = cols[j]
+            joint = mi & mj
+            if int(joint.sum()) < min_joint:
+                continue
+            try:
+                r = stats._pearson(_reference_average_ranks(vi[joint]), _reference_average_ranks(vj[joint]))
+            except DegenerateInput:
+                continue
+            out[i, j] = out[j, i] = r
+    return out
+
+
+def _awkward_table(n=60):
+    """Blank target cells, tied columns, a target with 2 reported cells and
+    targets constant on every row, or only on another target's rows."""
+    r = np.random.default_rng(8)
+    base = data.generate_synthetic(n, seed=31)
+    x = base.feature_matrix().copy()
+    y = base.target_matrix().copy()
+    fcol, tcol = data.FEATURE_COLUMNS.index, data.TARGET_COLUMNS.index
+    x[:, fcol("biomass_s")] = np.round(x[:, fcol("biomass_s")])
+    x[:, fcol("time_min")] = r.choice([30.0, 60.0, 120.0], n)
+    y[r.random(y.shape) < 0.3] = np.nan
+    y[:, tcol("hc_n")] = np.where(r.random(n) < 0.5, np.nan, r.integers(0, 3, n))
+    y[:, tcol("hc_o")] = np.nan
+    y[:2, tcol("hc_o")] = [20.0, 25.0]
+    y[:, tcol("hc_s")] = np.where(np.isnan(y[:, tcol("hc_s")]), np.nan, 0.1)
+    hc_c_reported = ~np.isnan(y[:, tcol("hc_c")])
+    y[hc_c_reported, tcol("hc_h")] = 5.0
+    y[~hc_c_reported, tcol("hc_h")] = r.uniform(3.0, 7.0, int((~hc_c_reported).sum()))
+    return data.Dataset(x, y)
+
+
+def test_correlation_matches_per_pair_reference():
+    ds = _awkward_table()
+    got = stats.correlation_matrix(ds)
+    assert got.values.tobytes() == _reference_correlation(ds).tobytes()
+    at = got.labels.index
+    assert np.isnan(got.values[at("temperature_c"), at("hc_o")])  # 2 joint rows
+    assert np.isnan(got.values[at("temperature_c"), at("hc_s")])  # constant
+    assert np.isnan(got.values[at("hc_c"), at("hc_h")])  # constant on the joint rows only
+    assert np.isfinite(got.values[at("temperature_c"), at("hc_h")])
+
+
+@pytest.mark.parametrize("blank", [0.0, 0.3, 0.9])
+def test_correlation_matches_per_pair_reference_on_blank_targets(blank):
+    base = data.generate_synthetic(200, seed=5)
+    y = base.target_matrix().copy()
+    y[np.random.default_rng(9).random(y.shape) < blank] = np.nan
+    ds = data.Dataset(base.feature_matrix(), y)
+    assert stats.correlation_matrix(ds).values.tobytes() == _reference_correlation(ds).tobytes()
 
 
 def test_correlation_requires_rows():
@@ -254,6 +343,63 @@ def test_jacobi_matches_numpy_eigh(rng):
         assert np.allclose(np.sort(vals), ref, atol=1e-9)
         assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-9)
         assert np.allclose(vecs @ vecs.T, np.eye(8), atol=1e-9)
+
+
+def _reference_jacobi(a, tol=1e-12, max_sweeps=100):
+    """Cyclic Jacobi with a boolean mask per rotation, the solver's former
+    update, which the slicing in stats.jacobi_eigendecomposition replaces."""
+    a = np.array(a, dtype=float, copy=True)
+    n = a.shape[0]
+    v = np.eye(n)
+    for _ in range(max_sweeps):
+        if math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0)) < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = a[p, p], a[q, q]
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                arp = a[:, p].copy()
+                arq = a[:, q].copy()
+                mask = np.ones(n, dtype=bool)
+                mask[[p, q]] = False
+                a[mask, p] = c * arp[mask] - s * arq[mask]
+                a[mask, q] = s * arp[mask] + c * arq[mask]
+                a[p, mask] = a[mask, p]
+                a[q, mask] = a[mask, q]
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - s * v[:, q]
+                v[:, q] = s * vp + c * v[:, q]
+    return np.diag(a).copy(), v
+
+
+def _assert_jacobi_matches_reference(a):
+    vals, vecs = stats.jacobi_eigendecomposition(a)
+    ref_vals, ref_vecs = _reference_jacobi(a)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def test_jacobi_matches_masked_rotation_reference(rng):
+    for n in (1, 2, 3, 5, 8, 13):
+        m = rng.standard_normal((n, n))
+        _assert_jacobi_matches_reference((m + m.T) / 2.0)
+
+
+def test_jacobi_matches_masked_rotation_reference_on_factor_correlation():
+    ds = data.generate_synthetic(300, seed=17)
+    cols = list(data.FEATURE_COLUMNS) + list(data.TARGET_COLUMNS)
+    _assert_jacobi_matches_reference(stats.factor_analysis(ds, cols).correlation)
 
 
 def test_jacobi_rejects_asymmetric():
