@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ class TreeParams:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if not math.isfinite(self.min_impurity_decrease):
+            raise ValueError(f"min_impurity_decrease must be finite, got {self.min_impurity_decrease!r}")
         if self.min_impurity_decrease < 0.0:
             raise ValueError("min_impurity_decrease must be >= 0")
 

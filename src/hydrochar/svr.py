@@ -3,13 +3,24 @@
 The dual problem is solved over the 2n box variables (alpha, alpha*) with
 the single equality constraint sum(alpha - alpha*) = 0. Each step takes the
 maximal KKT violator as the first working variable, picks its partner by
-the largest guaranteed objective decrease (second-order rule), and then
-minimizes the dual exactly along the feasible segment. Selection scans all
-samples every step; an epoch is n steps and ``max_passes`` counts epochs.
+the largest guaranteed objective decrease (second-order rule of Fan, Chen &
+Lin 2005), and then minimizes the dual exactly along the feasible segment.
+Selection scans all samples every step; an epoch is n steps and
+``max_passes`` counts epochs.
+
+Every per-variable vector of the step loop has length 2n: entry k < n is
+alpha_k and entry n + k is alpha*_k, so one first-index argmax over it
+prefers alpha to alpha* on ties. Whether a variable may still move is kept
+as two additive penalty vectors, 0 where it can move that way and -inf
+(lower bias bound) or +inf (upper bias bound) where it cannot; a step
+changes only its two working variables, so only their two entries are
+refreshed. The loop's scratch vectors are allocated once and written in
+place, and the duals are held as Python floats for the scalar arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +39,9 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in ("linear", "polynomial", "rbf"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        for name in ("gamma", "coef0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"kernel {name} must be finite, got {getattr(self, name)!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         if self.kind == "rbf" and not self.gamma > 0.0:
@@ -44,6 +58,9 @@ class Kernel:
     @classmethod
     def rbf(cls, gamma: float) -> "Kernel":
         return cls(kind="rbf", gamma=gamma)
+
+    def __str__(self) -> str:
+        return " ".join([self.kind] + [f"{k}={v!r}" for k, v in self.to_dict().items() if k != "kind"])
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -73,6 +90,9 @@ class SvrParams:
     max_passes: int = 200
 
     def __post_init__(self):
+        for name in ("c", "epsilon", "tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"SVR {name} must be finite, got {getattr(self, name)!r}")
         if not self.c > 0.0:
             raise ValueError("c must be > 0")
         if self.epsilon < 0.0:
@@ -189,8 +209,9 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     On return every KKT condition holds within ``params.tolerance`` unless
     the update budget (``max_passes`` epochs of n steps each) ran out, in
     which case the best-effort model is returned with ``converged=False``
-    and a ConvergenceWarning is emitted. The solver is deterministic and
-    holds the dense n x n Gram matrix (8n^2 bytes) for the whole solve.
+    and a ConvergenceWarning naming the candidate is emitted. The solver is
+    deterministic and holds the dense n x n Gram matrix (8n^2 bytes) for the
+    whole solve.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -202,51 +223,62 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     c, eps, tol = params.c, params.epsilon, params.tolerance
     gram = kernel_matrix(params.kernel, x, x)
     diag = gram.diagonal().copy()
-    u = np.zeros(2 * n)
+    y_at, diag_at = y.tolist(), diag.tolist()
+    slack = 1e-10 * c
+    grow_below = c - slack
+    u = [0.0] * (2 * n)
     f = np.zeros(n)
+    # u = 0: every alpha can grow (bias lower bound), every alpha* can grow
+    # (bias upper bound), and nothing can shrink.
+    low_pen = np.concatenate([np.zeros(n), np.full(n, -np.inf)])
+    up_pen = np.concatenate([np.full(n, np.inf), np.zeros(n)])
+    r, scaled_row = np.empty(n), np.empty(n)
+    vals, lv, uv, eta, gain = (np.empty(2 * n) for _ in range(5))
+    vals_a, vals_s, eta_a, eta_s = vals[:n], vals[n:], eta[:n], eta[n:]
+    blocked = np.empty(2 * n, dtype=bool)
     converged = False
     budget = params.max_passes * max(n, 1)
     for step in range(budget):
         if step and step % (8 * n) == 0:
-            f = gram @ (u[:n] - u[n:])  # periodic refresh against drift
-        vals_a, vals_s, low_a, low_s, up_a, up_s = _bias_interval(u, f, y, c, eps)
-        lv_a = np.where(low_a, vals_a, -np.inf)
-        lv_s = np.where(low_s, vals_s, -np.inf)
-        pa = int(np.argmax(lv_a))
-        ps = int(np.argmax(lv_s))
-        if lv_a[pa] >= lv_s[ps]:
-            p, b_low, s_p = pa, float(lv_a[pa]), 1.0
-        else:
-            p, b_low, s_p = n + ps, float(lv_s[ps]), -1.0
-        uv_a = np.where(up_a, vals_a, np.inf)
-        uv_s = np.where(up_s, vals_s, np.inf)
-        b_up = float(min(uv_a.min(), uv_s.min()))
-        if b_low - b_up <= tol or not np.isfinite(b_low) or not np.isfinite(b_up):
+            f = gram @ (np.array(u[:n]) - np.array(u[n:]))  # periodic refresh against drift
+        np.subtract(y, f, r)
+        np.subtract(r, eps, vals_a)
+        np.add(r, eps, vals_s)
+        np.add(vals, low_pen, lv)
+        np.add(vals, up_pen, uv)
+        p = int(lv.argmax())
+        b_low = lv.item(p)
+        b_up = uv.item(uv.argmin())
+        if b_low - b_up <= tol or not math.isfinite(b_low) or not math.isfinite(b_up):
             converged = True
             break
-        i = p % n
+        i, s_p = (p, 1.0) if p < n else (p - n, -1.0)
         k_i = gram[i]
         # partner choice: largest guaranteed decrease viol^2 / eta
-        eta_all = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
-        eta_all[i] = 1e-12
-        gain_a = np.where(uv_a < b_low, (b_low - uv_a) ** 2 / eta_all, -np.inf)
-        gain_s = np.where(uv_s < b_low, (b_low - uv_s) ** 2 / eta_all, -np.inf)
-        qa = int(np.argmax(gain_a))
-        qs = int(np.argmax(gain_s))
-        if gain_a[qa] >= gain_s[qs]:
-            q, s_q = qa, 1.0
-        else:
-            q, s_q = n + qs, -1.0
-        j = q % n
+        np.add(diag, diag_at[i], r)
+        np.multiply(k_i, 2.0, scaled_row)
+        np.subtract(r, scaled_row, r)
+        np.maximum(r, 1e-12, out=eta_a)
+        eta_s[...] = eta_a
+        # a finite k(i, i) cancels to 0 here anyway; an overflowed one would read NaN
+        eta[i] = eta[n + i] = 1e-12
+        np.subtract(b_low, uv, gain)
+        np.multiply(gain, gain, gain)
+        np.divide(gain, eta, gain)
+        np.greater_equal(uv, b_low, blocked)
+        np.copyto(gain, -np.inf, where=blocked)
+        q = int(gain.argmax())
+        j, s_q = (q, 1.0) if q < n else (q - n, -1.0)
         k_j = gram[j] if j != i else k_i
-        g = (f[i] - y[i] + s_p * eps) - (f[j] - y[j] + s_q * eps)
-        eta = k_i[i] + k_j[j] - 2.0 * k_i[j] if i != j else 0.0
-        t_lo_p, t_hi_p = (-u[p], c - u[p]) if s_p > 0 else (u[p] - c, u[p])
-        t_lo_q, t_hi_q = (u[q] - c, u[q]) if s_q > 0 else (-u[q], c - u[q])
+        g = (f.item(i) - y_at[i] + s_p * eps) - (f.item(j) - y_at[j] + s_q * eps)
+        eta_ij = diag_at[i] + diag_at[j] - 2.0 * k_i.item(j) if i != j else 0.0
+        u_p, u_q = u[p], u[q]
+        t_lo_p, t_hi_p = (-u_p, c - u_p) if s_p > 0 else (u_p - c, u_p)
+        t_lo_q, t_hi_q = (u_q - c, u_q) if s_q > 0 else (-u_q, c - u_q)
         t_lo = max(t_lo_p, t_lo_q)
         t_hi = min(t_hi_p, t_hi_q)
-        if eta > 1e-12:
-            t = min(max(-g / eta, t_lo), t_hi)
+        if eta_ij > 1e-12:
+            t = min(max(-g / eta_ij, t_lo), t_hi)
         else:
             t = t_hi if g < 0.0 else t_lo
         if t == 0.0:
@@ -254,16 +286,32 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
             break
         beta_i_old = u[i] - u[n + i]
         beta_j_old = u[j] - u[n + j]
-        u[p] = min(max(u[p] + s_p * t, 0.0), c)
-        u[q] = min(max(u[q] - s_q * t, 0.0), c)
+        u[p] = min(max(u_p + s_p * t, 0.0), c)
+        u[q] = min(max(u_q - s_q * t, 0.0), c)
         d_i = (u[i] - u[n + i]) - beta_i_old
         d_j = 0.0 if i == j else (u[j] - u[n + j]) - beta_j_old
         if d_i != 0.0:
-            f = f + d_i * k_i
+            np.multiply(k_i, d_i, scaled_row)
+            np.add(f, scaled_row, f)
         if d_j != 0.0:
-            f = f + d_j * k_j
+            np.multiply(k_j, d_j, scaled_row)
+            np.add(f, scaled_row, f)
+        for k in (p, q):
+            can_grow, can_shrink = u[k] < grow_below, u[k] > slack
+            if k < n:
+                low_pen[k] = 0.0 if can_grow else -np.inf
+                up_pen[k] = 0.0 if can_shrink else np.inf
+            else:
+                low_pen[k] = 0.0 if can_shrink else -np.inf
+                up_pen[k] = 0.0 if can_grow else np.inf
+    u = np.array(u)
     if not converged:
-        warnings.warn("SVR solver hit max_passes before satisfying KKT conditions", ConvergenceWarning)
+        warnings.warn(
+            f"SVR solver used its whole budget of {budget} steps (max_passes={params.max_passes} x {n} rows) "
+            f"before satisfying KKT conditions for C={c!r}, epsilon={eps!r}, kernel={params.kernel}, "
+            f"tolerance={tol!r}",
+            ConvergenceWarning,
+        )
     beta = u[:n] - u[n:]
     np.clip(beta, -c, c, out=beta)
     # dual feasibility is maintained exactly by the paired updates

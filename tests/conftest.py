@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hydrochar import data
+
+# Property tests fit models and scan whole arrays; per-example time varies
+# with the drawn size and the host, so no example has a deadline.
+settings.register_profile("hydrochar", deadline=None)
+settings.load_profile("hydrochar")
 
 
 @pytest.fixture(scope="session")

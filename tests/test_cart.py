@@ -25,6 +25,9 @@ def test_params_validation():
         TreeParams(min_samples_leaf=0)
     with pytest.raises(ValueError):
         TreeParams(min_impurity_decrease=-1.0)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="min_impurity_decrease must be finite"):
+            TreeParams(min_impurity_decrease=value)
 
 
 def test_constant_target_single_leaf():
@@ -216,7 +219,7 @@ def trees_and_rows(draw):
     return tree, rows
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(trees_and_rows())
 def test_predict_batch_matches_reference_walk(case):
     tree, rows = case
@@ -255,7 +258,7 @@ def test_raw_unit_routing_matches_transform(rng, mean, std):
     assert np.array_equal(_trained_dtr(tree, scaler).predict(x), tree.predict_batch(scaler.transform(x)))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(st.integers(0, 10_000))
 def test_fully_grown_replays_training_targets(seed):
     r = np.random.default_rng(seed)
@@ -309,7 +312,7 @@ def split_cases(draw):
     return x, y, draw(st.sampled_from([1, 2, 5, 10]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(split_cases())
 def test_best_split_matches_per_feature_loop(case):
     x, y, min_leaf = case

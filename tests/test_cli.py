@@ -117,6 +117,27 @@ def test_train_single_entry_grid_is_chosen(workdir):
         assert section["params"]["min_samples_leaf"] == 5
 
 
+@pytest.mark.parametrize(
+    "tree_entries, svr_entries, field",
+    [
+        ([], [{"c": float("inf"), "epsilon": 0.1, "kernel": {"kind": "linear"}}], "c"),
+        ([], [{"c": 1.0, "epsilon": float("nan"), "kernel": {"kind": "linear"}}], "epsilon"),
+        ([], [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "rbf", "gamma": float("inf")}}], "gamma"),
+        ([{"max_depth": 4, "min_impurity_decrease": float("nan")}], [], "min_impurity_decrease"),
+    ],
+    ids=["c-inf", "epsilon-nan", "gamma-inf", "min-impurity-nan"],
+)
+def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr_entries, field):
+    # json.dumps writes Infinity and NaN, and json.load reads them back
+    csv = synth_csv(workdir)
+    out = workdir / "run"
+    grid = grid_file(workdir, tree_entries=tree_entries, svr_entries=svr_entries)
+    assert "Infinity" in grid.read_text() or "NaN" in grid.read_text()
+    assert run("train", "--data", csv, "--out", out, "--seed", 9, "--grid", grid) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 # ------------------------------------------------------------------- stats
 
 def test_stats_artifacts(workdir):

@@ -140,7 +140,7 @@ _RANK_CELLS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.lists(_RANK_CELLS, max_size=60))
 def test_average_ranks_matches_tie_loop(values):
     assert stats.average_ranks(values).tobytes() == _reference_average_ranks(values).tobytes()

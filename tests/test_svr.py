@@ -1,9 +1,16 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydrochar.errors import ConvergenceWarning, DimensionMismatch, EmptyInput
+from hydrochar import data
+from hydrochar.data import Scaler
+from hydrochar.errors import ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput
+from hydrochar.pipeline import HyperGrid
 from hydrochar.svr import (
     Kernel,
     SvrModel,
@@ -116,10 +123,29 @@ def test_no_convergence_flag(rng):
     x = rng.uniform(-2, 2, (80, 3))
     y = np.sin(3 * x[:, 0]) * np.cos(x[:, 1]) + x[:, 2]
     params = SvrParams(c=100.0, epsilon=0.001, kernel=Kernel.rbf(2.0), max_passes=1)
-    with pytest.warns(ConvergenceWarning):
+    expected = (r"budget of 80 steps \(max_passes=1 x 80 rows\).*"
+                r"C=100\.0, epsilon=0\.001, kernel=rbf gamma=2\.0, tolerance=0\.001")
+    with pytest.warns(ConvergenceWarning, match=expected):
         model = fit_svr(x, y, params)
     assert not model.converged
     assert model.predict_batch(x).shape == (80,)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: SvrParams(c=v), "c"),
+        (lambda v: SvrParams(epsilon=v), "epsilon"),
+        (lambda v: SvrParams(tolerance=v), "tolerance"),
+        (lambda v: Kernel.rbf(v), "gamma"),
+        (lambda v: Kernel.polynomial(2, coef0=v), "coef0"),
+    ],
+    ids=["c", "epsilon", "tolerance", "gamma", "coef0"],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_hyperparameters_rejected(make, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(value)
 
 
 def test_fit_errors():
@@ -189,3 +215,216 @@ def test_serialization_roundtrip_bit_stable(rng):
     assert np.abs(model.predict_batch(q) - back.predict_batch(q)).max() <= 1e-12
     assert back.params == model.params
     assert np.array_equal(back.sv_indices, model.sv_indices)
+
+
+# ------------------------------------------------------------------ oracle
+#
+# fit_svr must pick the same working pair and do the same float operations
+# as the step loop it replaced, so its duals are compared bit for bit.
+
+def _reference_bias_interval(u: np.ndarray, f: np.ndarray, y: np.ndarray, c: float, eps: float):
+    """Per-variable feasible-bias candidates implied by the current duals.
+
+    A variable that can still grow puts a lower bound on the bias, one that
+    can still shrink puts an upper bound: value y_i - f_i - eps on the alpha
+    side, y_i - f_i + eps on the alpha* side. Returns (vals_a, vals_s,
+    lower_ok_a, lower_ok_s, upper_ok_a, upper_ok_s).
+    """
+    n = len(y)
+    slack = 1e-10 * c
+    base = y - f
+    vals_a = base - eps
+    vals_s = base + eps
+    u_a = u[:n]
+    u_s = u[n:]
+    return vals_a, vals_s, u_a < c - slack, u_s > slack, u_a > slack, u_s < c - slack
+
+
+
+def _reference_fit_svr(x, y, params: SvrParams) -> SvrModel:
+    """The step loop as it was before the one-vector rewrite, kept verbatim as
+    the oracle of fit_svr: alpha and alpha* selected in separate halves,
+    bound masks rebuilt from u every step, f rebuilt by each update.
+
+    Solve the epsilon-SVR dual by sequential minimal optimization.
+
+    On return every KKT condition holds within ``params.tolerance`` unless
+    the update budget (``max_passes`` epochs of n steps each) ran out, in
+    which case the best-effort model is returned with ``converged=False``
+    and a ConvergenceWarning is emitted. The solver is deterministic and
+    holds the dense n x n Gram matrix (8n^2 bytes) for the whole solve.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    n = len(y)
+    if n == 0:
+        raise EmptyInput("no training rows")
+    if x.shape[0] != n:
+        raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {n} values")
+    c, eps, tol = params.c, params.epsilon, params.tolerance
+    gram = kernel_matrix(params.kernel, x, x)
+    diag = gram.diagonal().copy()
+    u = np.zeros(2 * n)
+    f = np.zeros(n)
+    converged = False
+    budget = params.max_passes * max(n, 1)
+    for step in range(budget):
+        if step and step % (8 * n) == 0:
+            f = gram @ (u[:n] - u[n:])  # periodic refresh against drift
+        vals_a, vals_s, low_a, low_s, up_a, up_s = _reference_bias_interval(u, f, y, c, eps)
+        lv_a = np.where(low_a, vals_a, -np.inf)
+        lv_s = np.where(low_s, vals_s, -np.inf)
+        pa = int(np.argmax(lv_a))
+        ps = int(np.argmax(lv_s))
+        if lv_a[pa] >= lv_s[ps]:
+            p, b_low, s_p = pa, float(lv_a[pa]), 1.0
+        else:
+            p, b_low, s_p = n + ps, float(lv_s[ps]), -1.0
+        uv_a = np.where(up_a, vals_a, np.inf)
+        uv_s = np.where(up_s, vals_s, np.inf)
+        b_up = float(min(uv_a.min(), uv_s.min()))
+        if b_low - b_up <= tol or not np.isfinite(b_low) or not np.isfinite(b_up):
+            converged = True
+            break
+        i = p % n
+        k_i = gram[i]
+        # partner choice: largest guaranteed decrease viol^2 / eta
+        eta_all = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
+        eta_all[i] = 1e-12
+        gain_a = np.where(uv_a < b_low, (b_low - uv_a) ** 2 / eta_all, -np.inf)
+        gain_s = np.where(uv_s < b_low, (b_low - uv_s) ** 2 / eta_all, -np.inf)
+        qa = int(np.argmax(gain_a))
+        qs = int(np.argmax(gain_s))
+        if gain_a[qa] >= gain_s[qs]:
+            q, s_q = qa, 1.0
+        else:
+            q, s_q = n + qs, -1.0
+        j = q % n
+        k_j = gram[j] if j != i else k_i
+        g = (f[i] - y[i] + s_p * eps) - (f[j] - y[j] + s_q * eps)
+        eta = k_i[i] + k_j[j] - 2.0 * k_i[j] if i != j else 0.0
+        t_lo_p, t_hi_p = (-u[p], c - u[p]) if s_p > 0 else (u[p] - c, u[p])
+        t_lo_q, t_hi_q = (u[q] - c, u[q]) if s_q > 0 else (-u[q], c - u[q])
+        t_lo = max(t_lo_p, t_lo_q)
+        t_hi = min(t_hi_p, t_hi_q)
+        if eta > 1e-12:
+            t = min(max(-g / eta, t_lo), t_hi)
+        else:
+            t = t_hi if g < 0.0 else t_lo
+        if t == 0.0:
+            converged = True  # violating pair has no headroom at float resolution
+            break
+        beta_i_old = u[i] - u[n + i]
+        beta_j_old = u[j] - u[n + j]
+        u[p] = min(max(u[p] + s_p * t, 0.0), c)
+        u[q] = min(max(u[q] - s_q * t, 0.0), c)
+        d_i = (u[i] - u[n + i]) - beta_i_old
+        d_j = 0.0 if i == j else (u[j] - u[n + j]) - beta_j_old
+        if d_i != 0.0:
+            f = f + d_i * k_i
+        if d_j != 0.0:
+            f = f + d_j * k_j
+    if not converged:
+        warnings.warn("SVR solver hit max_passes before satisfying KKT conditions", ConvergenceWarning)
+    beta = u[:n] - u[n:]
+    np.clip(beta, -c, c, out=beta)
+    # dual feasibility is maintained exactly by the paired updates
+    drift = abs(float(beta.sum()))
+    if drift > max(tol, 1e-9 * c * n):
+        raise DualConstraintDrift(f"dual coefficients sum to {drift:.3g}; the equality constraint drifted")
+    free = (np.abs(beta) > 1e-8 * c) & (np.abs(beta) < c * (1.0 - 1e-8))
+    if free.any():
+        idx = np.flatnonzero(free)
+        bias = float(np.mean([y[i] - f[i] - np.sign(beta[i]) * eps for i in idx]))
+    else:
+        vals_a, vals_s, low_a, low_s, up_a, up_s = _reference_bias_interval(u, f, y, c, eps)
+        b_low = float(max(np.where(low_a, vals_a, -np.inf).max(), np.where(low_s, vals_s, -np.inf).max()))
+        b_up = float(min(np.where(up_a, vals_a, np.inf).min(), np.where(up_s, vals_s, np.inf).min()))
+        if not np.isfinite(b_low):
+            bias = b_up if np.isfinite(b_up) else 0.0
+        elif not np.isfinite(b_up):
+            bias = b_low
+        else:
+            bias = 0.5 * (b_low + b_up)
+    keep = np.flatnonzero(np.abs(beta) > 1e-12)
+    return SvrModel(
+        support_vectors=x[keep],
+        dual_coeffs=beta[keep],
+        bias=bias,
+        params=params,
+        n_features=x.shape[1],
+        sv_indices=keep,
+        converged=converged,
+    )
+
+
+def _assert_same_fit(x, y, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        got = fit_svr(x, y, params)
+        want = _reference_fit_svr(x, y, params)
+    assert got.dual_coeffs.tobytes() == want.dual_coeffs.tobytes()
+    assert got.sv_indices.tobytes() == want.sv_indices.tobytes()
+    assert got.bias == want.bias and math.copysign(1.0, got.bias) == math.copysign(1.0, want.bias)
+    assert got.converged == want.converged
+
+
+KERNELS = st.one_of(
+    st.just(Kernel.linear()),
+    st.floats(0.05, 2.0).map(Kernel.rbf),
+    st.builds(Kernel.polynomial, st.integers(1, 3), st.floats(0.0, 1.0)),
+)
+
+
+@st.composite
+def svr_problems(draw):
+    """Small problems rich in ties: rows drawn from a pool (so duplicates
+    occur), integer or free features, targets on a half-integer lattice or
+    free, and update budgets short enough to end mid-solve."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 3))
+    cell = st.integers(-2, 2).map(float) if draw(st.booleans()) else st.floats(-2.0, 2.0)
+    pool = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=1, max_size=n))
+    x = np.array([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)], dtype=float)
+    target = st.integers(-4, 4).map(lambda v: 0.5 * v) if draw(st.booleans()) else st.floats(-3.0, 3.0)
+    y = np.array(draw(st.lists(target, min_size=n, max_size=n)), dtype=float)
+    params = SvrParams(
+        c=draw(st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]) | st.floats(0.1, 1000.0)),
+        epsilon=draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]) | st.floats(0.0, 0.5)),
+        kernel=draw(KERNELS),
+        max_passes=draw(st.integers(1, 30)),
+    )
+    return x, y, params
+
+
+@settings(max_examples=300)
+@given(svr_problems())
+def test_fit_matches_reference_bit_for_bit(problem):
+    _assert_same_fit(*problem)
+
+
+@pytest.mark.parametrize(
+    "x, y, params",
+    [
+        ([[0.3]], [1.0], SvrParams(c=1.0, epsilon=0.0)),
+        ([[0.3], [0.3], [0.3], [1.0]], [1.0, 2.0, 1.0, 0.0], SvrParams(c=10.0, epsilon=0.0, kernel=Kernel.rbf(1.0))),
+        ([[float(v % 3)] for v in range(12)], [0.5 * (v % 4) for v in range(12)],
+         SvrParams(c=100.0, epsilon=0.0, kernel=Kernel.polynomial(2, 1.0), max_passes=3)),
+        ([[float(v), float(-v)] for v in range(-4, 5)] * 2, [float(abs(v)) for v in range(-4, 5)] * 2,
+         SvrParams(c=1000.0, epsilon=0.01, max_passes=30)),
+    ],
+    ids=["one-row", "duplicate-rows", "y-lattice-budget-bound", "doubled-lattice"],
+)
+def test_fit_matches_reference_on_tied_problems(x, y, params):
+    _assert_same_fit(np.array(x, dtype=float), np.array(y, dtype=float), params)
+
+
+def test_default_grid_matches_reference_on_a_fold():
+    ds = data.generate_synthetic(500, seed=42)
+    plan = data.split(ds, seed=42)
+    y = ds.target_matrix()[:, data.TARGET_COLUMNS.index("hc_yield")]
+    trn = plan.train_indices[plan.fold_assignments != 0]
+    x = Scaler.fit(ds.feature_matrix()[trn]).transform(ds.feature_matrix()[trn])
+    y_fit = Scaler.fit(y[trn][:, None]).transform(y[trn][:, None])[:, 0]
+    for params in HyperGrid.default().svr_grid:
+        _assert_same_fit(x, y_fit, params)
