@@ -9,6 +9,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, InvalidModelFile
 
+_WALK_BLOCK = 8192  # rows per block of the batch tree walk
+
 
 @dataclass(frozen=True)
 class TreeParams:
@@ -81,11 +83,17 @@ class RegressionTree:
         if bad.size:
             raise InvalidModelFile(f"node {bad[0]} has a child outside nodes 0..{self.n_nodes - 1}")
         ids = np.arange(self.n_nodes)
-        self._children = np.stack(
+        # The walk state is 2 * node: each table holds a node's entry twice,
+        # and state + (x <= t) picks 2 * right or 2 * left from _children.
+        self._children = 2 * np.stack(
             [np.where(self.is_leaf, ids, self.right), np.where(self.is_leaf, ids, self.left)], axis=1
         ).ravel()
+        self._feature2, self._threshold2, self._value2 = (
+            np.repeat(a, 2) for a in (self.feature, self.threshold, self.value)
+        )
         self.depth = _depth(self.is_leaf, self.left, self.right)
-        for arr in (self.feature, self.threshold, self.left, self.right, self.value, self.count, self.is_leaf, self._children):
+        for arr in (self.feature, self.threshold, self.left, self.right, self.value, self.count, self.is_leaf,
+                    self._children, self._feature2, self._threshold2, self._value2):
             arr.setflags(write=False)
 
     @property
@@ -96,12 +104,34 @@ class RegressionTree:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.n_features:
             raise DimensionMismatch(f"expected {self.n_features} features, got {x.shape[1]}")
-        flat = x.ravel()
-        row_start = np.arange(0, flat.size, self.n_features)
-        node = np.zeros(x.shape[0], dtype=np.intp)
-        for _ in range(self.depth):
-            node = self._children[2 * node + (flat[row_start + self.feature[node]] <= self.threshold[node])]
-        return self.value[node]
+        n, n_features = x.shape
+        out = np.empty(n)
+        b = max(1, min(n, _WALK_BLOCK))
+        # Blocks keep the per-level buffers in cache, and every block reuses
+        # them. mode="clip" never clips: __init__ proved every feature and
+        # child index in range (the default mode copies through a buffer).
+        row_start = np.arange(0, b * n_features, n_features)
+        state, pos, col = np.empty((3, b), dtype=np.intp)
+        cell, thr = np.empty((2, b))
+        goes_left = np.empty(b, dtype=bool)
+        for lo in range(0, n, b):
+            m = min(b, n - lo)
+            if m < b:  # the last block is short
+                row_start, state, pos, col, cell, thr, goes_left = (
+                    a[:m] for a in (row_start, state, pos, col, cell, thr, goes_left)
+                )
+            flat = x[lo : lo + m].ravel()
+            state.fill(0)
+            for _ in range(self.depth):
+                self._feature2.take(state, out=col, mode="clip")
+                np.add(col, row_start, out=col)
+                flat.take(col, out=cell, mode="clip")
+                self._threshold2.take(state, out=thr, mode="clip")
+                np.less_equal(cell, thr, out=goes_left)
+                np.add(state, goes_left, out=pos)
+                self._children.take(pos, out=state, mode="clip")
+            self._value2.take(state, out=out[lo : lo + m], mode="clip")
+        return out
 
     def leaf_nodes(self) -> list[tuple[float, int]]:
         """(value, training sample count) for every leaf."""

@@ -198,6 +198,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if args.background < 1:
+        raise HydrocharError(f"--background must be at least 1 row, got {args.background}")
     cfg = RunConfig.from_args(args)
     kind = cfg.model if cfg.model in ("dtr", "svr") else "dtr"
     path = _model_path(cfg.out, kind, args.target)

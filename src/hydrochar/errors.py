@@ -85,6 +85,10 @@ class InfeasibleBounds(HydrocharError):
     """No feasible individual found within the sampling budget."""
 
 
+class UnknownApplication(HydrocharError):
+    """An objective profile name is neither built in nor a JSON file."""
+
+
 class MissingModelFile(HydrocharError):
     """A trained-model JSON file required by this command does not exist."""
 

@@ -17,12 +17,13 @@ enough spread to walk off the flat plateaus a tree surrogate produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FEATURE_COLUMNS, TARGET_COLUMNS, mass_balance_ok
-from .errors import InfeasibleBounds, MissingModel
+from .errors import InfeasibleBounds, MissingModel, UnknownApplication
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -102,7 +103,8 @@ class ObjectiveProfile:
     @classmethod
     def builtin(cls, name: str) -> "ObjectiveProfile":
         if name not in _BUILTIN_PROFILES:
-            raise KeyError(f"unknown application {name!r}; choose from {sorted(_BUILTIN_PROFILES)}")
+            choices = ", ".join(sorted(_BUILTIN_PROFILES))
+            raise UnknownApplication(f"unknown application {name!r}; choose one of {choices}, or a .json direction-map file")
         return cls.from_directions(name, _BUILTIN_PROFILES[name])
 
     def direction(self, target: str) -> str:
@@ -139,7 +141,7 @@ class GaConfig:
         if not 0 <= self.elitism < self.population:
             raise ValueError("elitism must lie in [0, population)")
         for lo, hi in self.bounds:
-            if not lo < hi:
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):  # lo == hi pins the gene
                 raise ValueError(f"invalid gene bounds ({lo}, {hi})")
 
     def to_dict(self) -> dict:
@@ -238,17 +240,7 @@ def run_ga(objective, config: GaConfig, feasible=None) -> tuple[np.ndarray, floa
         n_children = config.population - config.elitism
         parents = rng.choice(config.population, size=n_children, p=probs)
         children = pop[parents].copy()
-        # blend crossover on consecutive pairs of the mating pool
-        for a in range(0, n_children - 1, 2):
-            if rng.random() < config.crossover_prob:
-                pa, pb = children[a], children[a + 1]
-                lo_g = np.minimum(pa, pb)
-                hi_g = np.maximum(pa, pb)
-                width = hi_g - lo_g
-                c_lo = lo_g - _BLX_ALPHA * width
-                c_hi = hi_g + _BLX_ALPHA * width
-                children[a] = c_lo + rng.random(d) * (c_hi - c_lo)
-                children[a + 1] = c_lo + rng.random(d) * (c_hi - c_lo)
+        _blend_crossover(children, rng, config.crossover_prob)
         pop_range = pop.max(axis=0) - pop.min(axis=0)
         sd = _MUTATION_RANGE_FRACTION * np.maximum(pop_range, _MUTATION_FLOOR_FRACTION * span)
         mutate = rng.random(n_children) < config.mutation_prob
@@ -271,6 +263,45 @@ def run_ga(objective, config: GaConfig, feasible=None) -> tuple[np.ndarray, floa
     if not np.isfinite(best_f):
         raise InfeasibleBounds("search never produced a feasible individual")
     return best_x, best_f, history, gens
+
+
+def _blend_crossover(children: np.ndarray, rng: np.random.Generator, prob: float) -> None:
+    """BLX-alpha on consecutive pairs of the mating pool, in place.
+
+    Consumes ``rng`` exactly as a pair-by-pair loop would: one uniform per
+    pair, then 2d more (child a, then child a + 1) when it crosses. Only
+    the draws still certainly owed are taken, so the stream never runs ahead.
+    """
+    n_pairs, d = len(children) // 2, children.shape[1]
+    chunks, drawn = [], []  # the uniforms taken, as arrays and as one list to scan
+    crossing, offsets = [], []
+    pos = pair = 0  # stream position of the next pair's decision
+    while True:
+        owed = pos + (n_pairs - pair) - len(drawn)
+        if owed > 0:
+            chunks.append(rng.random(owed))
+            drawn += chunks[-1].tolist()
+        if pair == n_pairs:
+            break
+        while pair < n_pairs and pos < len(drawn):
+            if drawn[pos] < prob:
+                crossing.append(2 * pair)
+                offsets.append(pos + 1)
+                pos += 2 * d
+            pos += 1
+            pair += 1
+    if not crossing:
+        return
+    a = np.array(crossing)
+    u = np.concatenate(chunks)[np.array(offsets)[:, None] + np.arange(2 * d)]
+    pa, pb = children[a], children[a + 1]
+    lo_g = np.minimum(pa, pb)
+    hi_g = np.maximum(pa, pb)
+    width = hi_g - lo_g
+    c_lo = lo_g - _BLX_ALPHA * width
+    c_hi = hi_g + _BLX_ALPHA * width
+    children[a] = c_lo + u[:, :d] * (c_hi - c_lo)
+    children[a + 1] = c_lo + u[:, d:] * (c_hi - c_lo)
 
 
 def optimize(models: dict, profile: ObjectiveProfile, config: GaConfig, target_stats: dict | None = None) -> GaResult:

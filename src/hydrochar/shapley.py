@@ -8,6 +8,7 @@ result is exact and the efficiency identity holds to rounding error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,15 +47,43 @@ def coalition_values(predict_fn, x: np.ndarray, background: np.ndarray) -> np.nd
     d = len(x)
     n_bg = len(background)
     n_masks = 1 << d
-    bit_cols = np.arange(d)
+    chunk = min(_EVAL_CHUNK, n_masks)
+    low_bits = chunk.bit_length() - 1
+    rows = np.empty((chunk, n_bg, d))
     values = np.empty(n_masks)
-    for start in range(0, n_masks, _EVAL_CHUNK):
-        masks = np.arange(start, min(start + _EVAL_CHUNK, n_masks))
-        bits = ((masks[:, None] >> bit_cols) & 1).astype(bool)
-        rows = np.where(bits[:, None, :], x[None, None, :], background[None, :, :])
+    for start in range(0, n_masks, chunk):
+        # Row block i is mask start + i: the chunk's high bits are set in
+        # block 0, then each low bit k doubles the blocks [0, 2^k) into
+        # [2^k, 2^(k+1)) with column k set to x[k].
+        rows[0] = background
+        for k in range(low_bits, d):
+            if start >> k & 1:
+                rows[0, :, k] = x[k]
+        for k in range(low_bits):
+            h = 1 << k
+            rows[h : 2 * h] = rows[:h]
+            rows[h : 2 * h, :, k] = x[k]
         preds = np.asarray(predict_fn(rows.reshape(-1, d)), dtype=float)
-        values[masks] = preds.reshape(len(masks), n_bg).mean(axis=1)
+        values[start : start + chunk] = preds.reshape(chunk, n_bg).mean(axis=1)
     return values
+
+
+@functools.lru_cache(maxsize=1)  # explain runs a whole set of rows at one d
+def _marginal_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per feature i: the masks without i, the same masks with i, and the
+    Shapley weight of each, as (d, 2^(d-1)) arrays."""
+    masks = np.arange(1 << d)
+    sizes = np.zeros(1 << d, dtype=int)
+    for i in range(d):
+        sizes += (masks >> i) & 1
+    fact = [math.factorial(k) for k in range(d + 1)]
+    # weight for adding feature i to a coalition of size s (i excluded)
+    weight = np.array([fact[s] * fact[d - s - 1] / fact[d] for s in range(d)])
+    base = np.array([masks[(masks & (1 << i)) == 0] for i in range(d)], dtype=int).reshape(d, (1 << d) // 2)
+    tables = (base, base | (1 << np.arange(d))[:, None], weight[sizes[base]])
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def explain(predict_fn, x, background) -> ShapExplanation:
@@ -73,18 +102,8 @@ def explain(predict_fn, x, background) -> ShapExplanation:
     if background.shape[1] != d:
         raise DimensionMismatch(f"background has {background.shape[1]} features, x has {d}")
     v = coalition_values(predict_fn, x, background)
-    masks = np.arange(1 << d)
-    sizes = np.zeros(1 << d, dtype=int)
-    for i in range(d):
-        sizes += (masks >> i) & 1
-    fact = [math.factorial(k) for k in range(d + 1)]
-    # weight for adding feature i to a coalition of size s (i excluded)
-    weight = np.array([fact[s] * fact[d - s - 1] / fact[d] for s in range(d)])
-    phi = np.empty(d)
-    for i in range(d):
-        without = (masks & (1 << i)) == 0
-        base = masks[without]
-        phi[i] = float(np.sum(weight[sizes[base]] * (v[base | (1 << i)] - v[base])))
+    base, with_i, weight = _marginal_tables(d)
+    phi = np.array([float(np.sum(w * (v[a] - v[b]))) for w, a, b in zip(weight, with_i, base)])
     phi.setflags(write=False)
     x.setflags(write=False)
     return ShapExplanation(feature_values=x, phi=phi, base_value=float(v[0]))

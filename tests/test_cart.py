@@ -194,6 +194,21 @@ def test_predict_batch_matches_scalar(rng):
     assert all(batch[i] == _route_one(tree, q[i]) for i in range(len(q)))
 
 
+def _reference_predict_batch(tree, x):
+    """The per-level walk over the whole batch that predict_batch replaced."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ids = np.arange(tree.n_nodes)
+    children = np.stack(
+        [np.where(tree.is_leaf, ids, tree.right), np.where(tree.is_leaf, ids, tree.left)], axis=1
+    ).ravel()
+    flat = x.ravel()
+    row_start = np.arange(0, flat.size, tree.n_features)
+    node = np.zeros(x.shape[0], dtype=np.intp)
+    for _ in range(tree.depth):
+        node = children[2 * node + (flat[row_start + tree.feature[node]] <= tree.threshold[node])]
+    return tree.value[node]
+
+
 @st.composite
 def trees_and_rows(draw):
     """Hand-built trees of any shape (a lone leaf, chains, unbalanced and
@@ -224,7 +239,24 @@ def trees_and_rows(draw):
 def test_predict_batch_matches_reference_walk(case):
     tree, rows = case
     want = [_route_one(tree, row) for row in rows]
-    assert np.array_equal(tree.predict_batch(rows), want)
+    got = tree.predict_batch(rows)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == _reference_predict_batch(tree, rows).tobytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cart._WALK_BLOCK - 1, cart._WALK_BLOCK, cart._WALK_BLOCK + 1,
+                                    3 * cart._WALK_BLOCK + 5])
+def test_blockwise_walk_matches_per_level_walk(n_rows):
+    rng = np.random.default_rng(n_rows)
+    for d, params in ((1, TreeParams()), (4, TreeParams(max_depth=3)), (11, TreeParams(max_depth=8)),
+                      (11, TreeParams(min_samples_leaf=3))):
+        x = rng.uniform(0, 1, (200, d))
+        tree = fit_tree(x, rng.normal(0, 1, 200), params)
+        q = rng.uniform(-0.1, 1.1, (n_rows, d))
+        q[rng.random(q.shape) < 0.05] = np.nan  # NaN goes right
+        want = _reference_predict_batch(tree, q)
+        assert tree.predict_batch(q).tobytes() == want.tobytes()
+        assert tree.predict_batch(np.asfortranarray(q)).tobytes() == want.tobytes()
 
 
 def _trained_dtr(tree, scaler):

@@ -223,6 +223,17 @@ def test_explain_requires_model_file(workdir, capsys):
     assert "run train first" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("background", [0, -3])
+def test_explain_refuses_background_below_one(workdir, capsys, background):
+    csv = synth_csv(workdir, n=40, seed=4)
+    out = workdir / "nomodels"
+    argv = ("explain", "--data", csv, "--out", out, "--seed", 4, "--target", "hc_s", "--background", background)
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --background must be at least 1 row, got {background}\n"
+    assert not out.exists()  # refused before anything is loaded or created
+
+
 # ---------------------------------------------------------------- optimize
 
 def _train_for_optimize(workdir, seed=4):
@@ -290,6 +301,15 @@ def test_optimize_accepts_custom_direction_map(workdir):
     rep = json.loads((out / "optimum.json").read_text())
     assert rep["application"] == "only_yield"
     assert rep["directions"]["hc_yield"] == "maximize"
+
+
+def test_optimize_refuses_unknown_application(workdir, capsys):
+    csv, out = _train_for_optimize(workdir)
+    assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", "bogus") == 1
+    assert capsys.readouterr().err == (
+        "error: unknown application 'bogus'; choose one of adsorption, energy, soil, or a .json direction-map file\n"
+    )
+    assert not (out / "optimum.json").exists()
 
 
 # ---------------------------------------------------------------- evaluate

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hydrochar import data
+from hydrochar import data, genetic
 from hydrochar.cart import TreeParams, fit_tree
-from hydrochar.errors import InfeasibleBounds, MissingModel
+from hydrochar.errors import InfeasibleBounds, MissingModel, UnknownApplication
 from hydrochar.genetic import (
     GaConfig,
     ObjectiveProfile,
@@ -77,7 +77,7 @@ def test_builtin_profiles_match_application_table():
 
 
 def test_profile_validation():
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownApplication, match=r"^unknown application 'rocketry'; choose one of adsorption, energy, soil"):
         ObjectiveProfile.builtin("rocketry")
     with pytest.raises(ValueError):
         ObjectiveProfile.from_directions("empty", {t: "ignore" for t in data.TARGET_COLUMNS})
@@ -126,8 +126,11 @@ def test_config_validation():
         GaConfig(bounds=unit_bounds(), population=1)
     with pytest.raises(ValueError):
         GaConfig(bounds=unit_bounds(), crossover_prob=1.5)
-    with pytest.raises(ValueError):
-        GaConfig(bounds=((1.0, 0.0),))
+    GaConfig(bounds=((0.5, 0.5), (0.0, 1.0)))  # lo == hi pins the gene
+    nan, inf = float("nan"), float("inf")
+    for lo, hi in ((1.0, 0.0), (nan, 1.0), (0.0, nan), (nan, nan), (-inf, inf), (0.0, inf), (inf, inf)):
+        with pytest.raises(ValueError, match="invalid gene bounds"):
+            GaConfig(bounds=((lo, hi),))
     with pytest.raises(ValueError):
         GaConfig(bounds=unit_bounds(), elitism=100, population=50)
 
@@ -198,24 +201,28 @@ def test_infeasible_bounds_raise():
         run_ga(obj, cfg, feasible=lambda pop: np.zeros(len(pop), dtype=bool))
 
 
+class TreeModel:
+    def __init__(self, tree, mean, std):
+        self.tree = tree
+        self.target_mean = mean
+        self.target_std = std
+
+    def predict(self, rows):
+        return self.tree.predict_batch(rows)
+
+
+def tree_models(dataset):
+    x = dataset.feature_matrix()
+    y = dataset.target_matrix()
+    return {
+        t: TreeModel(fit_tree(x, y[:, j], TreeParams(max_depth=4)), float(y[:, j].mean()), float(y[:, j].std()))
+        for j, t in enumerate(data.TARGET_COLUMNS)
+    }
+
+
 def test_optimize_rejects_mass_balance_violations(medium_dataset):
     x = medium_dataset.feature_matrix()
-    y = medium_dataset.target_matrix()
-
-    models = {}
-    for j, t in enumerate(data.TARGET_COLUMNS):
-        tree = fit_tree(x, y[:, j], TreeParams(max_depth=4))
-
-        class Wrapped:
-            def __init__(self, tr, mean, std):
-                self.tree = tr
-                self.target_mean = mean
-                self.target_std = std
-
-            def predict(self, rows):
-                return self.tree.predict_batch(rows)
-
-        models[t] = Wrapped(tree, float(y[:, j].mean()), float(y[:, j].std()))
+    models = tree_models(medium_dataset)
     bounds = tuple((float(col.min()), float(col.max())) for col in x.T)
     cfg = GaConfig(bounds=bounds, population=120, generations=40, seed=2)
     result = optimize(models, ObjectiveProfile.builtin("energy"), cfg)
@@ -254,3 +261,49 @@ def test_report_echoes_inputs_and_roundtrips():
     table = render_table(rep)
     assert "application: energy" in table
     assert "hc_yield" in table
+
+
+def _reference_crossover(children, rng, crossover_prob):
+    """The pair-by-pair crossover loop that genetic._blend_crossover replaced."""
+    n_children, d = children.shape
+    for a in range(0, n_children - 1, 2):
+        if rng.random() < crossover_prob:
+            pa, pb = children[a], children[a + 1]
+            lo_g = np.minimum(pa, pb)
+            hi_g = np.maximum(pa, pb)
+            width = hi_g - lo_g
+            c_lo = lo_g - genetic._BLX_ALPHA * width
+            c_hi = hi_g + genetic._BLX_ALPHA * width
+            children[a] = c_lo + rng.random(d) * (c_hi - c_lo)
+            children[a + 1] = c_lo + rng.random(d) * (c_hi - c_lo)
+
+
+@pytest.mark.parametrize("n_children", [1, 2, 3, 7, 8, 99, 498, 499])
+@pytest.mark.parametrize("crossover_prob", [0.0, 1.0, None])
+def test_crossover_matches_pair_loop_and_stream(n_children, crossover_prob):
+    """Same children bit for bit, and the generator left at the same place."""
+    for d in range(1, 12):
+        seed = 1000 * d + n_children
+        prob = np.random.default_rng(seed).random() if crossover_prob is None else crossover_prob
+        children = np.random.default_rng(seed + 1).normal(size=(n_children, d))
+        children[:, 0] = 3.0  # equal parent genes give a zero-width blend
+        got, want = children.copy(), children.copy()
+        rng_got, rng_want = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
+        genetic._blend_crossover(got, rng_got, prob)
+        _reference_crossover(want, rng_want, prob)
+        assert got.tobytes() == want.tobytes()
+        assert rng_got.random(5).tobytes() == rng_want.random(5).tobytes()
+
+
+def test_pinned_gene_returns_its_constant(medium_dataset):
+    """A gene with lo == hi (a constant training column) stays at that value."""
+    x = medium_dataset.feature_matrix()
+    models = tree_models(medium_dataset)
+    bounds = [(float(col.min()), float(col.max())) for col in x.T]
+    pinned = data.FEATURE_COLUMNS.index("water_wt")
+    value = float(np.median(x[:, pinned]))
+    bounds[pinned] = (value, value)
+    cfg = GaConfig(bounds=tuple(bounds), population=60, generations=15, seed=3)
+    result = optimize(models, ObjectiveProfile.builtin("soil"), cfg)
+    assert result.best_inputs[pinned] == value
+    assert np.isfinite(result.best_fitness)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from hydrochar.errors import (
     EmptyInput,
     TooManyFeatures,
 )
+from hydrochar import shapley
 from hydrochar.shapley import (
     ShapExplanation,
+    coalition_values,
     emit_plot_data,
     explain,
     global_importance,
@@ -115,6 +119,75 @@ def test_monte_carlo_oracle_agreement(rng):
     phi_mc, se = mc_shapley(tree.predict_batch, row, bg, n_perm=10_000, seed=99)
     for i in range(4):
         assert abs(exact.phi[i] - phi_mc[i]) <= 3.0 * max(se[i], 1e-12)
+
+
+def _reference_coalition_values(predict_fn, x, background):
+    """The np.where build of every chunk's rows that coalition_values replaced."""
+    d = len(x)
+    n_bg = len(background)
+    n_masks = 1 << d
+    bit_cols = np.arange(d)
+    values = np.empty(n_masks)
+    for start in range(0, n_masks, shapley._EVAL_CHUNK):
+        masks = np.arange(start, min(start + shapley._EVAL_CHUNK, n_masks))
+        bits = ((masks[:, None] >> bit_cols) & 1).astype(bool)
+        rows = np.where(bits[:, None, :], x[None, None, :], background[None, :, :])
+        preds = np.asarray(predict_fn(rows.reshape(-1, d)), dtype=float)
+        values[masks] = preds.reshape(len(masks), n_bg).mean(axis=1)
+    return values
+
+
+@pytest.mark.parametrize("d", [1, 2, 11, 15, 16])
+def test_coalition_values_match_where_build(d):
+    """Same rows to the model in the same calls, and the same values bit for bit;
+    d = 15 and 16 take two and four chunks, so the high mask bits are set per chunk."""
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=d)
+    background = rng.normal(size=(3, d))
+    background[0, 0] = x[0]  # a background cell equal to the explained one
+    w = rng.normal(size=d)
+
+    def recorder(calls):
+        def predict(rows):
+            calls.append(rows.copy())
+            return np.sin(rows @ w) * rows[:, 0]
+        return predict
+
+    got_calls, want_calls = [], []
+    got = coalition_values(recorder(got_calls), x, background)
+    want = _reference_coalition_values(recorder(want_calls), x, background)
+    assert got.tobytes() == want.tobytes()
+    assert len(got_calls) == len(want_calls) == max(1, (1 << d) // shapley._EVAL_CHUNK)
+    for a, b in zip(got_calls, want_calls):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_explain_phi(v, d):
+    """The per-row bookkeeping and sums that explain replaced, applied to v."""
+    masks = np.arange(1 << d)
+    sizes = np.zeros(1 << d, dtype=int)
+    for i in range(d):
+        sizes += (masks >> i) & 1
+    fact = [math.factorial(k) for k in range(d + 1)]
+    weight = np.array([fact[s] * fact[d - s - 1] / fact[d] for s in range(d)])
+    phi = np.empty(d)
+    for i in range(d):
+        without = (masks & (1 << i)) == 0
+        base = masks[without]
+        phi[i] = float(np.sum(weight[sizes[base]] * (v[base | (1 << i)] - v[base])))
+    return phi
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 11])
+def test_explain_phi_matches_per_row_bookkeeping(d):
+    rng = np.random.default_rng(100 + d)
+    background = rng.normal(size=(4, d))
+    tree = fit_tree(rng.normal(size=(60, d)), rng.normal(size=60), TreeParams(max_depth=6))
+    for x in rng.normal(size=(3, d)):
+        e = explain(tree.predict_batch, x, background)
+        v = coalition_values(tree.predict_batch, x, background)
+        assert e.phi.tobytes() == _reference_explain_phi(v, d).tobytes()
+        assert e.base_value == v[0]
 
 
 def test_errors():
