@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidModelFile
+from .errors import DimensionMismatch, EmptyInput, InvalidModelFile, require_int
 
 _WALK_BLOCK = 8192  # rows per block of the batch tree walk
 
@@ -22,6 +22,10 @@ class TreeParams:
     min_impurity_decrease: float = 0.0
 
     def __post_init__(self):
+        if self.max_depth is not None:
+            require_int("max_depth", self.max_depth)
+        require_int("min_samples_split", self.min_samples_split)
+        require_int("min_samples_leaf", self.min_samples_leaf)
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be None or >= 0")
         if self.min_samples_split < 2:
@@ -45,8 +49,8 @@ class TreeParams:
     def from_dict(cls, d: dict) -> "TreeParams":
         return cls(
             max_depth=d.get("max_depth"),
-            min_samples_split=int(d.get("min_samples_split", 2)),
-            min_samples_leaf=int(d.get("min_samples_leaf", 1)),
+            min_samples_split=d.get("min_samples_split", 2),
+            min_samples_leaf=d.get("min_samples_leaf", 1),
             min_impurity_decrease=float(d.get("min_impurity_decrease", 0.0)),
         )
 
@@ -188,30 +192,35 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     Returns (gain, feature, threshold, order, n_left) for the split minimizing
     total child SSE, where the first ``n_left`` rows of ``order`` go left, or
     None when no candidate leaves both children with ``min_leaf`` samples.
-    Ties prefer the lowest feature index, then the smallest threshold.
+    Ties prefer the lowest feature index, then the smallest threshold. Only
+    the split positions ``min_leaf .. m - min_leaf`` that the leaf-size floor
+    allows are scanned.
     """
     m, d = x.shape
+    lo, hi = min_leaf, m - min_leaf  # first and last allowed left-child size
+    if hi < lo:
+        return None
     s_tot = float(y.sum())
     s2_tot = float(np.dot(y, y))
     parent_sse = s2_tot - s_tot * s_tot / m
     cols = np.arange(d)
     order = np.argsort(x, axis=0, kind="stable")
-    xo = x[order, cols]
-    yo = y[order]
-    positions = np.arange(1, m)[:, None]
-    valid = (xo[1:] != xo[:-1]) & (positions >= min_leaf) & (m - positions >= min_leaf)
-    cs = np.cumsum(yo, axis=0)[:-1]
-    cs2 = np.cumsum(yo * yo, axis=0)[:-1]
+    # sorted rows lo - 1 .. hi: each allowed position splits xw[j] | xw[j + 1]
+    xw = x[order[lo - 1 : hi + 1], cols]
+    yo = y[order[:hi]]
+    positions = np.arange(lo, hi + 1)[:, None]
+    cs = np.cumsum(yo, axis=0)[lo - 1 :]
+    cs2 = np.cumsum(yo * yo, axis=0)[lo - 1 :]
     child_sse = (cs2 - cs * cs / positions) + ((s2_tot - cs2) - (s_tot - cs) ** 2 / (m - positions))
-    child_sse[~valid] = np.inf
+    child_sse[xw[1:] == xw[:-1]] = np.inf
     pos = np.argmin(child_sse, axis=0)
     gains = parent_sse - child_sse[pos, cols]  # -inf where a feature has no valid split
     f = int(np.argmax(gains))
     if gains[f] == -np.inf:
         return None
     p = int(pos[f])
-    thr = 0.5 * (xo[p, f] + xo[p + 1, f])
-    return float(gains[f]), f, float(thr), order[:, f], p + 1
+    thr = 0.5 * (xw[p, f] + xw[p + 1, f])
+    return float(gains[f]), f, float(thr), order[:, f], lo + p
 
 
 def fit_tree(x, y, params: TreeParams) -> RegressionTree:
@@ -233,23 +242,21 @@ def fit_tree(x, y, params: TreeParams) -> RegressionTree:
     # Stack of (node_id, row indices, depth); children are allocated when a
     # split is committed so node ids are stable and deterministic.
     stack = [(0, np.arange(len(y)), 0)]
+    min_rows = max(params.min_samples_split, 2 * params.min_samples_leaf)
     while stack:
         node_id, idx, depth = stack.pop()
+        m = len(idx)
         ys = y[idx]
-        make_leaf = (
-            len(idx) < max(params.min_samples_split, 2 * params.min_samples_leaf)
-            or (params.max_depth is not None and depth >= params.max_depth)
-            or ys.max() == ys.min()
-        )
         split_choice = None
-        if not make_leaf:
+        if m >= min_rows and (params.max_depth is None or depth < params.max_depth) and ys.max() != ys.min():
             split_choice = _best_split(x[idx], ys, params.min_samples_leaf)
-            if split_choice is None or (
-                params.min_impurity_decrease > 0.0 and split_choice[0] < params.min_impurity_decrease
+            if split_choice is not None and params.min_impurity_decrease > 0.0 and (
+                split_choice[0] < params.min_impurity_decrease
             ):
-                make_leaf = True
-        if make_leaf:
-            nodes[node_id] = {"kind": "leaf", "value": float(ys.mean()), "count": len(idx)}
+                split_choice = None
+        if split_choice is None:
+            # bitwise what ys.mean() returns: the same sum, one division
+            nodes[node_id] = {"kind": "leaf", "value": float(ys.sum()) / m, "count": m}
             continue
         _, feat, thr, order, n_left = split_choice
         left_id = len(nodes)

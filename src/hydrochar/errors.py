@@ -89,6 +89,10 @@ class UnknownApplication(HydrocharError):
     """An objective profile name is neither built in nor a JSON file."""
 
 
+class InvalidGrid(HydrocharError):
+    """A hyperparameter grid file is malformed; the message names the entry and field."""
+
+
 class MissingModelFile(HydrocharError):
     """A trained-model JSON file required by this command does not exist."""
 
@@ -107,3 +111,9 @@ class DualConstraintDrift(HydrocharError):
 
 class ConvergenceWarning(UserWarning):
     """Solver hit its iteration budget; the returned model is best-effort."""
+
+
+def require_int(name: str, value) -> None:
+    """Refuse a count that is not an integer; a bool or a float is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

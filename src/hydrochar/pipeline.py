@@ -18,7 +18,7 @@ import numpy as np
 from . import data as data_mod
 from .cart import RegressionTree, TreeParams, fit_tree
 from .data import Dataset, Scaler, SplitPlan
-from .errors import HydrocharError, InvalidModelFile, TooFewRows, UnsupportedSchema
+from .errors import HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, UnsupportedSchema
 from .stats import MetricsReport, metrics_report, rmse
 from .svr import Kernel, SvrModel, SvrParams, fit_svr
 
@@ -38,7 +38,7 @@ class HyperGrid:
 
     def __post_init__(self):
         if not self.tree_grid and not self.svr_grid:
-            raise ValueError("grid must contain at least one candidate")
+            raise InvalidGrid("grid must contain at least one candidate")
 
     @classmethod
     def default(cls) -> "HyperGrid":
@@ -60,11 +60,33 @@ class HyperGrid:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "HyperGrid":
+    def from_json_obj(cls, obj) -> "HyperGrid":
+        """Read a grid file's JSON; a malformed one raises InvalidGrid naming the entry."""
+        if not isinstance(obj, dict):
+            raise InvalidGrid(
+                f"a grid file must hold a JSON object of tree_grid and svr_grid lists, got {type(obj).__name__}"
+            )
         return cls(
-            tree_grid=[TreeParams.from_dict(d) for d in obj.get("tree_grid", [])],
-            svr_grid=[SvrParams.from_dict(d) for d in obj.get("svr_grid", [])],
+            tree_grid=_grid_entries(obj, "tree_grid", TreeParams.from_dict),
+            svr_grid=_grid_entries(obj, "svr_grid", SvrParams.from_dict),
         )
+
+
+def _grid_entries(obj: dict, key: str, parse) -> list:
+    entries = obj.get(key, [])
+    if not isinstance(entries, list):
+        raise InvalidGrid(f"{key} must be a list of entries, got {type(entries).__name__}")
+    parsed = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise InvalidGrid(f"{key}[{i}] must be an object, got {type(entry).__name__}")
+        try:
+            parsed.append(parse(entry))
+        except KeyError as exc:
+            raise InvalidGrid(f"{key}[{i}] has no field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidGrid(f"{key}[{i}]: {exc}") from exc
+    return parsed
 
 
 @dataclass
@@ -163,34 +185,57 @@ class GridSearchResult:
     candidates: list[tuple[TreeParams | SvrParams, float]]
 
 
-def _fit_candidate(x_train, y_train, params):
-    """Fit one candidate on already-standardized inputs; returns a callable."""
-    if isinstance(params, TreeParams):
-        model = fit_tree(x_train, y_train, params)
-    else:
-        model = fit_svr(x_train, y_train, params)
-    return model.predict_batch
+@dataclass(frozen=True)
+class _Fold:
+    """One fold's standardized parts, built once and shared by every candidate.
+
+    ``y_scaler`` and ``svr_y``, the target scaler and the standardized
+    training target SVR fits on, are set only when the grid has SVR
+    candidates. When that scaler cannot be fit, ``y_scaler`` holds its
+    exception, raised again for each SVR candidate that reaches this fold.
+    """
+
+    x_trn: np.ndarray
+    x_val: np.ndarray
+    y_trn: np.ndarray
+    y_val: np.ndarray
+    y_scaler: Scaler | HydrocharError | None
+    svr_y: np.ndarray | None
 
 
-def _cv_fold_rmse(x, y, params, trn, val, columns) -> float:
+def _prepare_fold(x, y, trn, val, columns, svr: bool) -> _Fold:
+    if len(trn) < 2:
+        raise TooFewRows("fold training part too small")
     scaler = Scaler.fit(x[trn], columns=columns)
-    x_trn = scaler.transform(x[trn])
-    x_val = scaler.transform(x[val])
+    y_trn = y[trn]
+    y_scaler = svr_y = None
+    if svr:
+        try:
+            y_scaler = Scaler.fit(y_trn[:, None])
+            svr_y = y_scaler.transform(y_trn[:, None])[:, 0]
+        except HydrocharError as exc:
+            y_scaler = exc
+    return _Fold(scaler.transform(x[trn]), scaler.transform(x[val]), y_trn, y[val], y_scaler, svr_y)
+
+
+def _fold_rmse(fold: _Fold | HydrocharError, params) -> float:
+    if isinstance(fold, HydrocharError):
+        raise fold
     if isinstance(params, SvrParams):
-        y_scaler = Scaler.fit(y[trn][:, None])
-        y_trn = y_scaler.transform(y[trn][:, None])[:, 0]
-        predict = _fit_candidate(x_trn, y_trn, params)
-        pred = y_scaler.inverse_transform(predict(x_val)[:, None])[:, 0]
+        if isinstance(fold.y_scaler, HydrocharError):
+            raise fold.y_scaler
+        pred = fit_svr(fold.x_trn, fold.svr_y, params).predict_batch(fold.x_val)
+        pred = fold.y_scaler.inverse_transform(pred[:, None])[:, 0]
     else:
-        predict = _fit_candidate(x_trn, y[trn], params)
-        pred = predict(x_val)
-    return rmse(y[val], pred)
+        pred = fit_tree(fold.x_trn, fold.y_trn, params).predict_batch(fold.x_val)
+    return rmse(fold.y_val, pred)
 
 
 def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None, columns=None) -> GridSearchResult:
     """Select the candidate with the lowest mean validation RMSE over k folds.
 
-    Fold scalers are re-fit inside every fold on its own training part.
+    Fold scalers are re-fit inside every fold on its own training part; each
+    fold is prepared once and every candidate fits on the same arrays.
     ``fold_ids`` reuses an existing fold assignment (one per row of ``x``);
     otherwise rows are shuffled with ``seed`` and chunked into k folds. Ties,
     including exact duplicates, go to the earliest grid entry. A candidate
@@ -216,21 +261,23 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None, colu
         if len(fold_ids) != n:
             raise TooFewRows("fold assignment length does not match row count")
         k = max(k, int(fold_ids.max()) + 1)
-    folds = [np.flatnonzero(fold_ids == f) for f in range(k)]
-    nonempty = [f for f in folds if len(f)]
-    if len(nonempty) < 2:
+    svr = any(isinstance(p, SvrParams) for p in candidates)
+    folds: list[_Fold | HydrocharError] = []
+    for f in range(k):
+        in_fold = fold_ids == f
+        if not in_fold.any():
+            continue
+        try:
+            folds.append(_prepare_fold(x, y, np.flatnonzero(~in_fold), np.flatnonzero(in_fold), columns, svr))
+        except HydrocharError as exc:
+            folds.append(exc)
+    if len(folds) < 2:
         raise TooFewRows("need at least 2 non-empty folds")
     scored: list[tuple[TreeParams | SvrParams, float]] = []
     first_failure = None
     for params in candidates:
-        fold_scores = []
         try:
-            for val in nonempty:
-                trn = np.setdiff1d(np.arange(n), val)
-                if len(trn) < 2:
-                    raise TooFewRows("fold training part too small")
-                fold_scores.append(_cv_fold_rmse(x, y, params, trn, val, columns))
-            score = float(np.mean(fold_scores))
+            score = float(np.mean([_fold_rmse(fold, params) for fold in folds]))
         except HydrocharError as exc:
             score = np.inf
             first_failure = first_failure or str(exc)

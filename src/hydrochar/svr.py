@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput
+from .errors import ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, require_int
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class Kernel:
         for name in ("gamma", "coef0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"kernel {name} must be finite, got {getattr(self, name)!r}")
+        require_int("kernel degree", self.degree)
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         if self.kind == "rbf" and not self.gamma > 0.0:
@@ -75,7 +76,7 @@ class Kernel:
     def from_dict(cls, d: dict) -> "Kernel":
         return cls(
             kind=d["kind"],
-            degree=int(d.get("degree", 3)),
+            degree=d.get("degree", 3),
             coef0=float(d.get("coef0", 0.0)),
             gamma=float(d.get("gamma", 0.1)),
         )
@@ -99,6 +100,7 @@ class SvrParams:
             raise ValueError("epsilon must be >= 0")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be > 0")
+        require_int("max_passes", self.max_passes)
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
 
@@ -118,7 +120,7 @@ class SvrParams:
             epsilon=float(d["epsilon"]),
             kernel=Kernel.from_dict(d["kernel"]),
             tolerance=float(d.get("tolerance", 1e-3)),
-            max_passes=int(d.get("max_passes", 200)),
+            max_passes=d.get("max_passes", 200),
         )
 
 
@@ -210,8 +212,8 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     the update budget (``max_passes`` epochs of n steps each) ran out, in
     which case the best-effort model is returned with ``converged=False``
     and a ConvergenceWarning naming the candidate is emitted. The solver is
-    deterministic and holds the dense n x n Gram matrix (8n^2 bytes) for the
-    whole solve.
+    deterministic and holds the dense n x n Gram matrix (8n^2 bytes) and the
+    (n, 2n) table of pair curvatures eta (16n^2 bytes) for the whole solve.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -232,9 +234,18 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     # (bias upper bound), and nothing can shrink.
     low_pen = np.concatenate([np.zeros(n), np.full(n, -np.inf)])
     up_pen = np.concatenate([np.full(n, np.inf), np.zeros(n)])
+    # Row i is the curvature k(i,i) + k(j,j) - 2 k(i,j) toward every partner,
+    # once per twin, floored at 1e-12; both twins of i itself get the floor
+    # (a finite k(i, i) cancels to 0 there anyway; an overflowed one would
+    # read NaN).
+    eta_table = np.empty((n, 2 * n))
+    np.maximum((diag[None, :] + diag[:, None]) - gram * 2.0, 1e-12, out=eta_table[:, :n])
+    eta_table[:, n:] = eta_table[:, :n]
+    rows = np.arange(n)
+    eta_table[rows, rows] = eta_table[rows, n + rows] = 1e-12
     r, scaled_row = np.empty(n), np.empty(n)
-    vals, lv, uv, eta, gain = (np.empty(2 * n) for _ in range(5))
-    vals_a, vals_s, eta_a, eta_s = vals[:n], vals[n:], eta[:n], eta[n:]
+    vals, lv, uv, gain = (np.empty(2 * n) for _ in range(4))
+    vals_a, vals_s = vals[:n], vals[n:]
     blocked = np.empty(2 * n, dtype=bool)
     converged = False
     budget = params.max_passes * max(n, 1)
@@ -255,16 +266,9 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
         i, s_p = (p, 1.0) if p < n else (p - n, -1.0)
         k_i = gram[i]
         # partner choice: largest guaranteed decrease viol^2 / eta
-        np.add(diag, diag_at[i], r)
-        np.multiply(k_i, 2.0, scaled_row)
-        np.subtract(r, scaled_row, r)
-        np.maximum(r, 1e-12, out=eta_a)
-        eta_s[...] = eta_a
-        # a finite k(i, i) cancels to 0 here anyway; an overflowed one would read NaN
-        eta[i] = eta[n + i] = 1e-12
         np.subtract(b_low, uv, gain)
         np.multiply(gain, gain, gain)
-        np.divide(gain, eta, gain)
+        np.divide(gain, eta_table[i], gain)
         np.greater_equal(uv, b_low, blocked)
         np.copyto(gain, -np.inf, where=blocked)
         q = int(gain.argmax())

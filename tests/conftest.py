@@ -5,9 +5,18 @@ from hypothesis import settings
 from hydrochar import data
 
 # Property tests fit models and scan whole arrays; per-example time varies
-# with the drawn size and the host, so no example has a deadline.
+# with the drawn size and the host, so no example has a deadline. The "ci"
+# profile runs ten times the examples; `pytest --hypothesis-profile=ci`
+# loads it after this file's load_profile, so it takes effect.
 settings.register_profile("hydrochar", deadline=None)
+settings.register_profile("ci", parent=settings.get_profile("hydrochar"), max_examples=1000)
 settings.load_profile("hydrochar")
+
+
+def examples(n: int) -> int:
+    """``n`` examples under the default profile, scaled like its max_examples
+    by the loaded one (10x under "ci"); decorators read it at collection."""
+    return n * settings.default.max_examples // 100
 
 
 @pytest.fixture(scope="session")

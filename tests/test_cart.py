@@ -13,6 +13,8 @@ from hydrochar.errors import DimensionMismatch, EmptyInput, InvalidModelFile
 from hydrochar.pipeline import HyperGrid, TrainedTarget
 from hydrochar.stats import MetricsReport, r_squared
 
+from conftest import examples
+
 
 def training_sse(tree, x, y):
     return float(np.sum((tree.predict_batch(x) - y) ** 2))
@@ -28,6 +30,10 @@ def test_params_validation():
     for value in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="min_impurity_decrease must be finite"):
             TreeParams(min_impurity_decrease=value)
+    for field in ("max_depth", "min_samples_split", "min_samples_leaf"):
+        for value in (4.7, 4.0, True, "4"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+                TreeParams(**{field: value})
 
 
 def test_constant_target_single_leaf():
@@ -234,7 +240,7 @@ def trees_and_rows(draw):
     return tree, rows
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(trees_and_rows())
 def test_predict_batch_matches_reference_walk(case):
     tree, rows = case
@@ -290,7 +296,7 @@ def test_raw_unit_routing_matches_transform(rng, mean, std):
     assert np.array_equal(_trained_dtr(tree, scaler).predict(x), tree.predict_batch(scaler.transform(x)))
 
 
-@settings(max_examples=20)
+@settings(max_examples=examples(20))
 @given(st.integers(0, 10_000))
 def test_fully_grown_replays_training_targets(seed):
     r = np.random.default_rng(seed)
@@ -344,7 +350,7 @@ def split_cases(draw):
     return x, y, draw(st.sampled_from([1, 2, 5, 10]))
 
 
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 @given(split_cases())
 def test_best_split_matches_per_feature_loop(case):
     x, y, min_leaf = case

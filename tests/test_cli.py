@@ -138,6 +138,29 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"tree_grid": [{"max_depth": 4.7}]}, "tree_grid[0]: max_depth must be an integer, got 4.7"),
+        ({"tree_grid": [{"max_depth": 6}, {"max_depth": True}]}, "tree_grid[1]: max_depth must be an integer, got True"),
+        ({"tree_grid": [{"min_samples_leaf": 2.9}]}, "tree_grid[0]: min_samples_leaf must be an integer, got 2.9"),
+        ({"tree_grid": [{"max_depth": "4"}]}, "tree_grid[0]: max_depth must be an integer, got '4'"),
+        ({"tree_grid": {"max_depth": 4}}, "tree_grid must be a list of entries, got dict"),
+        ([], "a grid file must hold a JSON object of tree_grid and svr_grid lists, got list"),
+        ({"svr_grid": [{"epsilon": 0.1, "kernel": {"kind": "linear"}}]}, "svr_grid[0] has no field 'c'"),
+    ],
+    ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c"],
+)
+def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
+    csv = synth_csv(workdir)
+    out = workdir / "run"
+    path = workdir / "grid.json"
+    path.write_text(json.dumps(grid), encoding="utf-8")
+    assert run("train", "--data", csv, "--out", out, "--seed", 9, "--grid", path) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "report.json").exists()
+
+
 # ------------------------------------------------------------------- stats
 
 def test_stats_artifacts(workdir):

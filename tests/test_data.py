@@ -17,7 +17,7 @@ from hydrochar.errors import (
     ZeroCarbon,
 )
 
-from conftest import valid_row
+from conftest import examples, valid_row
 
 
 # ---------------------------------------------------------------- load_csv
@@ -135,7 +135,7 @@ def _row_ok(f, t):
     )
 
 
-@settings(max_examples=60)
+@settings(max_examples=examples(60))
 @given(
     st.lists(st.tuples(st.integers(0, 20), st.sampled_from([-1.0, 0.0, 50.0, 100.5, np.inf, -np.inf, np.nan])),
              max_size=4),
@@ -321,7 +321,7 @@ def test_split_too_few_rows():
         data.split(ds, k=5, seed=0)
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(n=st.integers(7, 60), seed=st.integers(0, 1000), k=st.integers(2, 5))
 def test_split_coverage_invariants(n, seed, k):
     ds = data.generate_synthetic(n, seed=0)

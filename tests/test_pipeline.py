@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from hydrochar import data
+from hydrochar import data, pipeline
 from hydrochar.cart import TreeParams, fit_tree
 from hydrochar.data import Dataset, Scaler
-from hydrochar.errors import HydrocharError
+from hydrochar.errors import HydrocharError, TooFewRows
 from hydrochar.pipeline import (
+    GridSearchResult,
     HyperGrid,
     TrainedTarget,
     evaluate,
@@ -15,7 +16,7 @@ from hydrochar.pipeline import (
     train_all,
 )
 from hydrochar.stats import MetricsReport, rmse
-from hydrochar.svr import Kernel, SvrParams
+from hydrochar.svr import Kernel, SvrParams, fit_svr
 
 
 def tiny_grid():
@@ -222,3 +223,126 @@ def test_grid_search_all_candidates_failing_raises(rng):
         grid_search(x, y + x[:, 0], [TreeParams(max_depth=2)], k=4, seed=0)
     with pytest.raises(HydrocharError, match="first failure: time_min has fewer than 2 distinct values"):
         grid_search(x, y + x[:, 0], [TreeParams(max_depth=2)], k=4, seed=0, columns=("temperature_c", "time_min"))
+
+
+def _reference_cv_fold_rmse(x, y, params, trn, val, columns) -> float:
+    scaler = Scaler.fit(x[trn], columns=columns)
+    x_trn = scaler.transform(x[trn])
+    x_val = scaler.transform(x[val])
+    if isinstance(params, SvrParams):
+        y_scaler = Scaler.fit(y[trn][:, None])
+        y_trn = y_scaler.transform(y[trn][:, None])[:, 0]
+        pred = y_scaler.inverse_transform(fit_svr(x_trn, y_trn, params).predict_batch(x_val)[:, None])[:, 0]
+    else:
+        pred = fit_tree(x_trn, y[trn], params).predict_batch(x_val)
+    return rmse(y[val], pred)
+
+
+def _reference_grid_search(x, y, candidates, k=5, seed=0, fold_ids=None, columns=None) -> GridSearchResult:
+    """Per-candidate loop, with every fold set up again for each candidate,
+    that grid_search's once-per-fold preparation replaces."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    candidates = list(candidates)
+    n = len(y)
+    if fold_ids is None:
+        perm = np.random.default_rng(seed).permutation(n)
+        fold_ids = np.empty(n, dtype=int)
+        for fold, chunk in enumerate(np.array_split(perm, k)):
+            fold_ids[chunk] = fold
+    else:
+        fold_ids = np.asarray(fold_ids, dtype=int)
+        k = max(k, int(fold_ids.max()) + 1)
+    folds = [np.flatnonzero(fold_ids == f) for f in range(k)]
+    nonempty = [f for f in folds if len(f)]
+    scored = []
+    first_failure = None
+    for params in candidates:
+        fold_scores = []
+        try:
+            for val in nonempty:
+                trn = np.setdiff1d(np.arange(n), val)
+                if len(trn) < 2:
+                    raise TooFewRows("fold training part too small")
+                fold_scores.append(_reference_cv_fold_rmse(x, y, params, trn, val, columns))
+            score = float(np.mean(fold_scores))
+        except HydrocharError as exc:
+            score = np.inf
+            first_failure = first_failure or str(exc)
+        scored.append((params, score))
+    best_idx = min(range(len(scored)), key=lambda i: (scored[i][1], i))
+    chosen, cv = scored[best_idx]
+    if not np.isfinite(cv):
+        raise HydrocharError(f"every grid candidate failed cross-validation; first failure: {first_failure}")
+    return GridSearchResult(chosen_params=chosen, cv_rmse=cv, candidates=scored)
+
+
+def _mixed_grid():
+    trees = [TreeParams(max_depth=d, min_samples_leaf=leaf) for d in (2, 6, None) for leaf in (1, 5)]
+    svrs = [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.linear()), SvrParams(c=10.0, epsilon=0.1, kernel=Kernel.rbf(0.1))]
+    return trees[:3] + svrs[:1] + trees[3:] + svrs[1:]
+
+
+def _assert_same_search(*args, **kwargs):
+    want = _reference_grid_search(*args, **kwargs)
+    got = grid_search(*args, **kwargs)
+    assert got.candidates == want.candidates  # the same bits, inf included
+    assert got.chosen_params == want.chosen_params
+    assert got.cv_rmse == want.cv_rmse
+    return got
+
+
+def _synthetic_xy(n, seed, target=0):
+    ds = data.generate_synthetic(n, seed=seed, noise_sd=0.5)
+    return ds.feature_matrix().copy(), ds.target_matrix()[:, target].copy()
+
+
+def test_grid_search_matches_per_candidate_reference():
+    x, y = _synthetic_xy(60, 31)
+    got = _assert_same_search(x, y, _mixed_grid(), k=5, seed=4, columns=data.FEATURE_COLUMNS)
+    assert all(np.isfinite(score) for _, score in got.candidates)
+
+
+def test_grid_search_matches_reference_when_one_fold_fails():
+    x, y = _synthetic_xy(40, 32)
+    fold_ids = np.arange(40) % 4
+    # constant on every row outside fold 2: only that fold's training part fails
+    x[:, 3] = np.where(fold_ids == 2, x[:, 3], 0.25)
+    with pytest.raises(HydrocharError) as got:
+        grid_search(x, y, _mixed_grid(), fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+    with pytest.raises(HydrocharError) as want:
+        _reference_grid_search(x, y, _mixed_grid(), fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("first failure: biomass_s has fewer than 2 distinct values")
+    # a target constant outside fold 1 fails only the SVR target scaler there
+    x, y = _synthetic_xy(40, 33)
+    y = np.where(fold_ids == 1, y, 3.0)
+    got = _assert_same_search(x, y, _mixed_grid(), fold_ids=fold_ids)
+    assert [np.isinf(score) for _, score in got.candidates] == [isinstance(p, SvrParams) for p in _mixed_grid()]
+    svrs = [p for p in _mixed_grid() if isinstance(p, SvrParams)]
+    with pytest.raises(HydrocharError) as got:
+        grid_search(x, y, svrs, fold_ids=fold_ids)
+    with pytest.raises(HydrocharError) as want:
+        _reference_grid_search(x, y, svrs, fold_ids=fold_ids)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("first failure: column 0 has fewer than 2 distinct values")
+
+
+def test_grid_search_matches_reference_with_an_empty_fold():
+    x, y = _synthetic_xy(36, 34)
+    fold_ids = np.array([0, 1, 3, 4] * 9)  # fold 2 has no rows
+    _assert_same_search(x, y, _mixed_grid(), k=5, fold_ids=fold_ids)
+
+
+def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
+    x, y = _synthetic_xy(50, 35)
+    calls = []
+
+    def counting_fit_tree(*args):
+        calls.append(args[2])
+        return fit_tree(*args)
+
+    monkeypatch.setattr(pipeline, "fit_tree", counting_fit_tree)
+    grid = HyperGrid.default().tree_grid
+    grid_search(x, y, grid, k=5, seed=2)
+    assert calls == [p for p in grid for _ in range(5)]

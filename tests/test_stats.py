@@ -15,7 +15,7 @@ from hydrochar.errors import (
     TooFewRows,
 )
 
-from conftest import make_dataset
+from conftest import examples, make_dataset
 
 
 # ----------------------------------------------------------------- metrics
@@ -45,7 +45,7 @@ def test_mae_examples():
     assert stats.mae([1, 2], [2, 1]) == pytest.approx(1.0, abs=1e-12)
 
 
-@settings(max_examples=200)
+@settings(max_examples=examples(200))
 @given(
     st.lists(
         st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=50
@@ -96,7 +96,7 @@ def test_spearman_errors():
         stats.spearman([1, 1, 1], [1, 2, 3])
 
 
-@settings(max_examples=100)
+@settings(max_examples=examples(100))
 @given(st.permutations(list(range(8))), st.permutations(list(range(8))))
 def test_closed_form_matches_rank_pearson_without_ties(x, y):
     assert stats.spearman_rank_difference(x, y) == pytest.approx(stats.spearman(x, y), abs=1e-12)
@@ -140,7 +140,7 @@ _RANK_CELLS = st.one_of(
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(st.lists(_RANK_CELLS, max_size=60))
 def test_average_ranks_matches_tie_loop(values):
     assert stats.average_ranks(values).tobytes() == _reference_average_ranks(values).tobytes()

@@ -20,6 +20,8 @@ from hydrochar.svr import (
     kernel_matrix,
 )
 
+from conftest import examples
+
 
 # ----------------------------------------------------------------- kernels
 
@@ -146,6 +148,14 @@ def test_no_convergence_flag(rng):
 def test_non_finite_hyperparameters_rejected(make, field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make(value)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "string"])
+def test_non_integer_counts_rejected(value):
+    with pytest.raises(ValueError, match=f"max_passes must be an integer, got {value!r}"):
+        SvrParams(max_passes=value)
+    with pytest.raises(ValueError, match=f"kernel degree must be an integer, got {value!r}"):
+        Kernel.polynomial(value)
 
 
 def test_fit_errors():
@@ -397,7 +407,7 @@ def svr_problems(draw):
     return x, y, params
 
 
-@settings(max_examples=300)
+@settings(max_examples=examples(300))
 @given(svr_problems())
 def test_fit_matches_reference_bit_for_bit(problem):
     _assert_same_fit(*problem)
