@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidModelFile, require_int
+from .errors import DimensionMismatch, EmptyInput, InvalidModelFile, require_int, require_known_fields, require_real
 
 _WALK_BLOCK = 8192  # rows per block of the batch tree walk
 
@@ -47,11 +47,12 @@ class TreeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
+        require_known_fields(d, ("max_depth", "min_samples_split", "min_samples_leaf", "min_impurity_decrease"))
         return cls(
             max_depth=d.get("max_depth"),
             min_samples_split=d.get("min_samples_split", 2),
             min_samples_leaf=d.get("min_samples_leaf", 1),
-            min_impurity_decrease=float(d.get("min_impurity_decrease", 0.0)),
+            min_impurity_decrease=require_real("min_impurity_decrease", d.get("min_impurity_decrease", 0.0)),
         )
 
 
@@ -82,6 +83,9 @@ class RegressionTree:
         bad = np.flatnonzero(split & ((self.feature < 0) | (self.feature >= n_features)))
         if bad.size:
             raise InvalidModelFile(f"node {bad[0]} splits on feature {self.feature[bad[0]]}, not one of 0..{n_features - 1}")
+        bad = np.flatnonzero(split & ~np.isfinite(self.threshold))
+        if bad.size:
+            raise InvalidModelFile(f"node {bad[0]} threshold is not finite: {self.threshold[bad[0]]}")
         kids_lo, kids_hi = np.minimum(self.left, self.right), np.maximum(self.left, self.right)
         bad = np.flatnonzero(split & ((kids_lo < 0) | (kids_hi >= self.n_nodes)))
         if bad.size:
@@ -136,14 +140,6 @@ class RegressionTree:
                 self._children.take(pos, out=state, mode="clip")
             self._value2.take(state, out=out[lo : lo + m], mode="clip")
         return out
-
-    def leaf_nodes(self) -> list[tuple[float, int]]:
-        """(value, training sample count) for every leaf."""
-        return [
-            (float(self.value[i]), int(self.count[i]))
-            for i in range(self.n_nodes)
-            if self.is_leaf[i]
-        ]
 
     def to_json_obj(self) -> dict:
         nodes = []

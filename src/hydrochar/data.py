@@ -283,57 +283,6 @@ class Scaler:
     def inverse_transform(self, x):
         return np.asarray(x, dtype=float) * self.stds + self.means
 
-    @np.errstate(over="ignore")
-    def raw_thresholds(self, features, thresholds) -> np.ndarray:
-        """For each split (feature f, scaled threshold t), the largest raw
-        double T whose transform is <= t.
-
-        IEEE subtraction, and division by a positive std, are monotone, so
-        ``x <= T`` holds for exactly the doubles x whose transform is <= t,
-        and NaN fails both. T is found over the doubles in order, computing
-        the transform exactly as ``transform`` does: a bracket around
-        ``t*s + m`` is widened by doubling steps until it holds, then bisected.
-        """
-        f = np.asarray(features, dtype=np.intp)
-        t = np.asarray(thresholds, dtype=float)
-        if not np.isfinite(t).all():
-            raise InvalidModelFile("a split threshold is not finite")
-        m = self.means[f]
-        s = self.stds[f]
-
-        def passes(keys):
-            return (_from_order_keys(keys) - m) / s <= t
-
-        # Invariant: transform(lo) <= t < transform(hi), which the +-inf keys
-        # satisfy; overflow to +-inf keeps the order. Stepping one double at a
-        # time from t*s + m is not enough: where T lies far below the mean's
-        # binade, millions of consecutive doubles share one transformed value.
-        lo_key, hi_key = _order_keys(np.array([-np.inf, np.inf]))
-        guess = np.clip(_order_keys(t * s + m), lo_key, hi_key)
-        up = passes(guess)
-        lo = np.where(up, guess, lo_key)
-        hi = np.where(up, hi_key, guess)
-        step = np.ones_like(lo)
-        gallop = np.ones(t.shape, dtype=bool)
-        while True:
-            # a step that would reach the far end of the bracket leaves it to
-            # the bisection, so no key leaves [-inf, +inf]
-            gallop &= step < hi - lo
-            if not gallop.any():
-                break
-            probe = np.where(gallop, np.where(up, lo + step, hi - step), lo)
-            ok = passes(probe)
-            lo = np.where(gallop & ok, probe, lo)
-            hi = np.where(gallop & ~ok, probe, hi)
-            gallop &= ok == up
-            step <<= _ONE
-        while np.any(hi - lo > _ONE):
-            mid = lo + ((hi - lo) >> _ONE)
-            ok = passes(mid)
-            lo = np.where(ok, mid, lo)
-            hi = np.where(ok, hi, mid)
-        return _from_order_keys(lo)
-
     def to_dict(self) -> dict:
         return {
             "means": [float(v) for v in self.means],
@@ -360,21 +309,6 @@ class Scaler:
 
 def _column_name(columns, j: int) -> str:
     return columns[j] if columns is not None else f"column {j}"
-
-
-_SIGN = np.uint64(1 << 63)
-_ONE = np.uint64(1)
-
-
-def _order_keys(v: np.ndarray) -> np.ndarray:
-    """uint64 keys whose integer order is the order of the doubles in ``v``
-    (-0.0 sits just below +0.0; adjacent doubles differ by one)."""
-    b = np.ascontiguousarray(v, dtype=float).view(np.uint64)
-    return np.where((b & _SIGN) != 0, ~b, b | _SIGN)
-
-
-def _from_order_keys(k: np.ndarray) -> np.ndarray:
-    return np.where((k & _SIGN) != 0, k ^ _SIGN, ~k).view(float)
 
 
 @dataclass(frozen=True)

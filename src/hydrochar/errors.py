@@ -117,3 +117,17 @@ def require_int(name: str, value) -> None:
     """Refuse a count that is not an integer; a bool or a float is refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> float:
+    """Read a real number; a bool, a string or null is refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def require_known_fields(d: dict, known) -> None:
+    """Refuse a field nothing reads, so a misspelt one is never ignored."""
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}; expected one of {', '.join(known)}")

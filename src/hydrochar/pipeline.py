@@ -1,17 +1,17 @@
 """Experiment protocol: per-target cross-validated grid search and reporting.
 
 One 80/20 split plan is shared by every target; rows are filtered per target
-after splitting so the train/test boundary stays comparable. Inputs are
-standardized on training statistics only. Targets are left on their original
-scale for trees (scale-equivariant) and standardized for SVR fitting, with
-predictions mapped back before any metric is computed, so all reported
-metrics are in original target units.
+after splitting so the train/test boundary stays comparable. Trees fit on raw
+inputs and targets: a split compares one feature with a threshold, so scaling
+changes nothing. For SVR, inputs and targets are standardized on training
+statistics only, with predictions mapped back before any metric is computed,
+so all reported metrics are in original target units.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class TrainedTarget:
     target: str
     model_kind: str  # "dtr" | "svr"
     model: RegressionTree | SvrModel
-    scaler_in: Scaler
+    scaler_in: Scaler | None  # None for a tree, unless an older file stored the scaler it was fit through
     scaler_out: Scaler | None
     chosen_params: TreeParams | SvrParams
     cv_rmse: float
@@ -106,29 +106,20 @@ class TrainedTarget:
     target_std: float
     seed: int
 
-    _raw_tree: RegressionTree | None = field(default=None, init=False, repr=False, compare=False)
-
     def __post_init__(self):
-        # Thresholds mapped back through scaler_in route raw rows exactly as
-        # the saved thresholds route transformed ones, so a tree needs no
-        # transform at predict time.
-        if isinstance(self.model, RegressionTree):
-            if self.scaler_in.means.size != self.model.n_features:
-                raise InvalidModelFile(f"tree has {self.model.n_features} features, scaler_in {self.scaler_in.means.size}")
-            tree = self.model.to_json_obj()
-            splits = [n for n in tree["nodes"] if n["kind"] == "split"]
-            raw = self.scaler_in.raw_thresholds([n["feature"] for n in splits], [n["threshold"] for n in splits])
-            for node, t in zip(splits, raw.tolist()):
-                node["threshold"] = t
-            self._raw_tree = RegressionTree.from_json_obj(tree)
+        if self.model_kind == "svr" and (self.scaler_in is None or self.scaler_out is None):
+            raise InvalidModelFile("an svr model needs both scaler_in and scaler_out")
+        if self.scaler_in is not None and self.scaler_in.means.size != self.model.n_features:
+            raise InvalidModelFile(f"model has {self.model.n_features} features, scaler_in {self.scaler_in.means.size}")
+        if self.scaler_out is not None and self.scaler_out.means.size != 1:
+            raise InvalidModelFile(f"scaler_out has {self.scaler_out.means.size} columns, not 1")
 
     def predict(self, x_raw) -> np.ndarray:
         """Predict on raw (unscaled) feature rows, in original target units."""
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
-        if self._raw_tree is not None:
-            pred = self._raw_tree.predict_batch(x)
-        else:
-            pred = self.model.predict_batch(self.scaler_in.transform(x))
+        if self.scaler_in is not None:
+            x = self.scaler_in.transform(x)
+        pred = self.model.predict_batch(x)
         if self.scaler_out is not None:
             pred = self.scaler_out.inverse_transform(pred[:, None])[:, 0]
         return pred
@@ -141,7 +132,7 @@ class TrainedTarget:
             "seed": self.seed,
             "params": self.chosen_params.to_dict(),
             "cv_rmse": self.cv_rmse,
-            "scaler_in": self.scaler_in.to_dict(),
+            "scaler_in": self.scaler_in.to_dict() if self.scaler_in is not None else None,
             "scaler_out": self.scaler_out.to_dict() if self.scaler_out is not None else None,
             "target_mean": self.target_mean,
             "target_std": self.target_std,
@@ -159,14 +150,16 @@ class TrainedTarget:
         if kind == "dtr":
             model = RegressionTree.from_json_obj(obj["model"])
             params = TreeParams.from_dict(obj["params"])
-        else:
+        elif kind == "svr":
             model = SvrModel.from_json_obj(obj["model"])
             params = SvrParams.from_dict(obj["params"])
+        else:
+            raise InvalidModelFile(f"model_kind {kind!r} is neither 'dtr' nor 'svr'")
         return cls(
             target=obj["target"],
             model_kind=kind,
             model=model,
-            scaler_in=Scaler.from_dict(obj["scaler_in"]),
+            scaler_in=Scaler.from_dict(obj["scaler_in"]) if obj.get("scaler_in") else None,
             scaler_out=Scaler.from_dict(obj["scaler_out"]) if obj.get("scaler_out") else None,
             chosen_params=params,
             cv_rmse=float(obj["cv_rmse"]),
@@ -187,45 +180,45 @@ class GridSearchResult:
 
 @dataclass(frozen=True)
 class _Fold:
-    """One fold's standardized parts, built once and shared by every candidate.
+    """One fold's parts, built once and shared by every candidate.
 
-    ``y_scaler`` and ``svr_y``, the target scaler and the standardized
-    training target SVR fits on, are set only when the grid has SVR
-    candidates. When that scaler cannot be fit, ``y_scaler`` holds its
-    exception, raised again for each SVR candidate that reaches this fold.
+    Trees fit on the raw slices. ``svr`` is set only when the grid has SVR
+    candidates: the standardized training and validation inputs, the target
+    scaler and the standardized training target. When a scaler cannot be
+    fit, ``svr`` holds its exception, raised again for each SVR candidate
+    that reaches this fold.
     """
 
     x_trn: np.ndarray
     x_val: np.ndarray
     y_trn: np.ndarray
     y_val: np.ndarray
-    y_scaler: Scaler | HydrocharError | None
-    svr_y: np.ndarray | None
+    svr: tuple[np.ndarray, np.ndarray, Scaler, np.ndarray] | HydrocharError | None
 
 
 def _prepare_fold(x, y, trn, val, columns, svr: bool) -> _Fold:
     if len(trn) < 2:
         raise TooFewRows("fold training part too small")
-    scaler = Scaler.fit(x[trn], columns=columns)
-    y_trn = y[trn]
-    y_scaler = svr_y = None
+    x_trn, y_trn = x[trn], y[trn]
+    svr_part = None
     if svr:
         try:
+            scaler = Scaler.fit(x_trn, columns=columns)
             y_scaler = Scaler.fit(y_trn[:, None])
-            svr_y = y_scaler.transform(y_trn[:, None])[:, 0]
+            svr_part = (scaler.transform(x_trn), scaler.transform(x[val]), y_scaler, y_scaler.transform(y_trn[:, None])[:, 0])
         except HydrocharError as exc:
-            y_scaler = exc
-    return _Fold(scaler.transform(x[trn]), scaler.transform(x[val]), y_trn, y[val], y_scaler, svr_y)
+            svr_part = exc
+    return _Fold(x_trn, x[val], y_trn, y[val], svr_part)
 
 
 def _fold_rmse(fold: _Fold | HydrocharError, params) -> float:
     if isinstance(fold, HydrocharError):
         raise fold
     if isinstance(params, SvrParams):
-        if isinstance(fold.y_scaler, HydrocharError):
-            raise fold.y_scaler
-        pred = fit_svr(fold.x_trn, fold.svr_y, params).predict_batch(fold.x_val)
-        pred = fold.y_scaler.inverse_transform(pred[:, None])[:, 0]
+        if isinstance(fold.svr, HydrocharError):
+            raise fold.svr
+        x_trn, x_val, y_scaler, y_fit = fold.svr
+        pred = y_scaler.inverse_transform(fit_svr(x_trn, y_fit, params).predict_batch(x_val)[:, None])[:, 0]
     else:
         pred = fit_tree(fold.x_trn, fold.y_trn, params).predict_batch(fold.x_val)
     return rmse(fold.y_val, pred)
@@ -234,8 +227,9 @@ def _fold_rmse(fold: _Fold | HydrocharError, params) -> float:
 def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None, columns=None) -> GridSearchResult:
     """Select the candidate with the lowest mean validation RMSE over k folds.
 
-    Fold scalers are re-fit inside every fold on its own training part; each
-    fold is prepared once and every candidate fits on the same arrays.
+    Trees fit on raw inputs. For SVR candidates, scalers are re-fit inside
+    every fold on its own training part. Each fold is prepared once and every
+    candidate fits on the same arrays.
     ``fold_ids`` reuses an existing fold assignment (one per row of ``x``);
     otherwise rows are shuffled with ``seed`` and chunked into k folds. Ties,
     including exact duplicates, go to the earliest grid entry. A candidate
@@ -300,15 +294,13 @@ class TrainResult:
 
 
 def _fit_final(x, y, trn, tst, params, target, kind, cv, seed) -> TrainedTarget:
-    scaler_in = Scaler.fit(x[trn], columns=data_mod.FEATURE_COLUMNS)
-    x_trn = scaler_in.transform(x[trn])
-    scaler_out = None
+    scaler_in = scaler_out = None
     if isinstance(params, SvrParams):
+        scaler_in = Scaler.fit(x[trn], columns=data_mod.FEATURE_COLUMNS)
         scaler_out = Scaler.fit(y[trn][:, None])
-        y_fit = scaler_out.transform(y[trn][:, None])[:, 0]
-        model = fit_svr(x_trn, y_fit, params)
+        model = fit_svr(scaler_in.transform(x[trn]), scaler_out.transform(y[trn][:, None])[:, 0], params)
     else:
-        model = fit_tree(x_trn, y[trn], params)
+        model = fit_tree(x[trn], y[trn], params)
     trained = TrainedTarget(
         target=target,
         model_kind=kind,

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, require_int
+from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, require_int,
+                     require_known_fields, require_real)
 
 
 @dataclass(frozen=True)
@@ -74,11 +75,12 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
+        require_known_fields(d, ("kind", "degree", "coef0", "gamma"))
         return cls(
             kind=d["kind"],
             degree=d.get("degree", 3),
-            coef0=float(d.get("coef0", 0.0)),
-            gamma=float(d.get("gamma", 0.1)),
+            coef0=require_real("kernel coef0", d.get("coef0", 0.0)),
+            gamma=require_real("kernel gamma", d.get("gamma", 0.1)),
         )
 
 
@@ -115,11 +117,12 @@ class SvrParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvrParams":
+        require_known_fields(d, ("c", "epsilon", "kernel", "tolerance", "max_passes"))
         return cls(
-            c=float(d["c"]),
-            epsilon=float(d["epsilon"]),
+            c=require_real("c", d["c"]),
+            epsilon=require_real("epsilon", d["epsilon"]),
             kernel=Kernel.from_dict(d["kernel"]),
-            tolerance=float(d.get("tolerance", 1e-3)),
+            tolerance=require_real("tolerance", d.get("tolerance", 1e-3)),
             max_passes=d.get("max_passes", 200),
         )
 

@@ -10,8 +10,8 @@ from hydrochar import cart, data
 from hydrochar.cart import RegressionTree, TreeParams, fit_tree
 from hydrochar.data import Scaler
 from hydrochar.errors import DimensionMismatch, EmptyInput, InvalidModelFile
-from hydrochar.pipeline import HyperGrid, TrainedTarget
-from hydrochar.stats import MetricsReport, r_squared
+from hydrochar.pipeline import HyperGrid
+from hydrochar.stats import r_squared
 
 from conftest import examples
 
@@ -88,16 +88,16 @@ def test_min_samples_leaf_respected(rng):
     x = rng.uniform(0, 1, (100, 2))
     y = rng.normal(0, 1, 100)
     tree = fit_tree(x, y, TreeParams(min_samples_leaf=7))
-    assert all(count >= 7 for _, count in tree.leaf_nodes())
+    assert all(tree.count[tree.is_leaf] >= 7)
 
 
 def test_leaf_replay_reproduces_target_sum(rng):
     x = rng.uniform(0, 1, (80, 3))
     y = rng.normal(10, 3, 80)
     tree = fit_tree(x, y, TreeParams(max_depth=4, min_samples_leaf=3))
-    replay = sum(v * c for v, c in tree.leaf_nodes())
+    replay = np.dot(tree.value[tree.is_leaf], tree.count[tree.is_leaf])
     assert replay == pytest.approx(y.sum(), abs=1e-9)
-    assert sum(c for _, c in tree.leaf_nodes()) == 80
+    assert tree.count[tree.is_leaf].sum() == 80
 
 
 def test_min_impurity_decrease_prunes():
@@ -176,11 +176,20 @@ def test_serialization_roundtrip_bit_exact(rng):
     [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": -1}] + [{"kind": "leaf"}] * 2,
     [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1}] + [{"kind": "leaf"}] * 2,
     [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 0, "right": 1}, {"kind": "leaf"}],
+    [{"kind": "leaf"}, {"kind": "split", "feature": 1, "threshold": float("nan"), "left": 0, "right": 0}],
+    [{"kind": "split", "feature": 0, "threshold": -float("inf"), "left": 1, "right": 2}] + [{"kind": "leaf"}] * 2,
 ], ids=["no-nodes", "feature-negative", "feature-n_features", "left-past-end", "right-negative", "right-missing",
-        "cycle"])
+        "cycle", "threshold-nan", "threshold-inf"])
 def test_loaded_malformed_tree_is_refused(nodes):
     with pytest.raises(InvalidModelFile):
         RegressionTree.from_json_obj({"n_features": 2, "params": {}, "nodes": nodes})
+
+
+def test_non_finite_threshold_names_its_node():
+    nodes = [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2}, {"kind": "leaf"},
+             {"kind": "split", "feature": 1, "threshold": float("inf"), "left": 3, "right": 4}] + [{"kind": "leaf"}] * 2
+    with pytest.raises(InvalidModelFile, match="node 2 threshold is not finite: inf"):
+        RegressionTree(2, TreeParams(), nodes)
 
 
 def _route_one(tree, x):
@@ -265,35 +274,22 @@ def test_blockwise_walk_matches_per_level_walk(n_rows):
         assert tree.predict_batch(np.asfortranarray(q)).tobytes() == want.tobytes()
 
 
-def _trained_dtr(tree, scaler):
-    report = MetricsReport(0.0, 0.0, 0.0, 0)
-    return TrainedTarget(target="hc_yield", model_kind="dtr", model=tree, scaler_in=scaler, scaler_out=None,
-                         chosen_params=tree.params, cv_rmse=0.0, train_metrics=report, test_metrics=report,
-                         target_mean=0.0, target_std=1.0, seed=0)
-
-
 @pytest.mark.parametrize("mean", [1e-6, -1.0, 1e6, -1e6])
 @pytest.mark.parametrize("std", [1e-6, 1.0, 1e6])
 def test_raw_unit_routing_matches_transform(rng, mean, std):
+    """A split compares one feature with a threshold, so a tree fit on raw
+    inputs has the same structure and leaves as one fit on standardized
+    inputs, and routes every training row to the same leaf."""
     d = 3
     scaler = Scaler(means=np.array([mean, 0.5 * mean, 2.0 * mean]), stds=np.array([std, 3.0 * std, 0.25 * std]))
-    # raw cells near zero put thresholds far below the mean's binade, where
-    # many consecutive doubles share one transformed value
     raw = np.vstack([scaler.means + scaler.stds * rng.normal(0, 1, (150, d)), 10.0 ** rng.uniform(-3, 2, (50, d))])
-    tree = fit_tree(scaler.transform(raw), rng.normal(0, 1, 200), TreeParams(max_depth=8))
-    split = ~tree.is_leaf
-    f, t = tree.feature[split], tree.threshold[split]
-    m, s = scaler.means[f], scaler.stds[f]
-    raw_t = scaler.raw_thresholds(f, t)
-    assert np.all((raw_t - m) / s <= t)
-    assert np.all((np.nextafter(raw_t, np.inf) - m) / s > t)
-    # every training row, with one split's feature set to one probe value
-    probes = [raw_t, np.nextafter(raw_t, -np.inf), np.nextafter(raw_t, np.inf), t * s + m, np.full_like(t, np.nan)]
-    x = np.repeat(raw[None], len(f) * len(probes), axis=0)
-    for k, cell in enumerate(np.concatenate(probes)):
-        x[k, :, f[k % len(f)]] = cell
-    x = np.vstack([raw, x.reshape(-1, d)])
-    assert np.array_equal(_trained_dtr(tree, scaler).predict(x), tree.predict_batch(scaler.transform(x)))
+    y = rng.normal(0, 1, 200)
+    for params in (TreeParams(max_depth=8), TreeParams(min_samples_leaf=3)):
+        on_raw = fit_tree(raw, y, params)
+        on_scaled = fit_tree(scaler.transform(raw), y, params)
+        for name in ("feature", "left", "right", "value", "count"):
+            assert getattr(on_raw, name).tobytes() == getattr(on_scaled, name).tobytes(), name
+        assert on_raw.predict_batch(raw).tobytes() == on_scaled.predict_batch(scaler.transform(raw)).tobytes()
 
 
 @settings(max_examples=examples(20))

@@ -92,8 +92,10 @@ def test_train_writes_report_and_models(workdir, capsys):
     assert run("train", "--data", csv, "--out", out, "--seed", 9, "--model", "dtr", "--grid", grid) == 0
     report = json.loads((out / "report.json").read_text())
     assert set(report["models"]["dtr"]) == set(data.TARGET_COLUMNS)
-    models = sorted(p.name for p in out.glob("model_dtr_*.json"))
+    models = sorted(out.glob("model_dtr_*.json"))
     assert len(models) == 10
+    # trees fit on raw inputs, so a tree file carries no scaler
+    assert all(json.loads(p.read_text())["scaler_in"] is None for p in models)
 
 
 def test_train_reports_are_byte_identical(workdir):
@@ -148,8 +150,24 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
         ({"tree_grid": {"max_depth": 4}}, "tree_grid must be a list of entries, got dict"),
         ([], "a grid file must hold a JSON object of tree_grid and svr_grid lists, got list"),
         ({"svr_grid": [{"epsilon": 0.1, "kernel": {"kind": "linear"}}]}, "svr_grid[0] has no field 'c'"),
+        ({"tree_grid": [{"max_dpeth": 2}]}, "tree_grid[0]: unknown field 'max_dpeth'; expected one of max_depth, "
+         "min_samples_split, min_samples_leaf, min_impurity_decrease"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "linear"}, "C": 10.0}]},
+         "svr_grid[0]: unknown field 'C'; expected one of c, epsilon, kernel, tolerance, max_passes"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "rbf", "gama": 0.5}}]},
+         "svr_grid[0]: unknown field 'gama'; expected one of kind, degree, coef0, gamma"),
+        ({"svr_grid": [{"c": True, "epsilon": 0.1, "kernel": {"kind": "linear"}}]},
+         "svr_grid[0]: c must be a number, got True"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": "0.1", "kernel": {"kind": "linear"}}]},
+         "svr_grid[0]: epsilon must be a number, got '0.1'"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "rbf", "gamma": None}}]},
+         "svr_grid[0]: kernel gamma must be a number, got None"),
+        ({"tree_grid": [{"min_impurity_decrease": None}]},
+         "tree_grid[0]: min_impurity_decrease must be a number, got None"),
     ],
-    ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c"],
+    ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c",
+         "tree-unknown-field", "svr-unknown-field", "kernel-unknown-field", "c-bool", "epsilon-string", "gamma-null",
+         "min-impurity-null"],
 )
 def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
     csv = synth_csv(workdir)
@@ -354,9 +372,17 @@ def test_evaluate_without_models_fails(workdir, capsys):
     assert "no model_" in capsys.readouterr().err
 
 
-def _edit_model(out, edit):
-    """Hand-edit the saved hc_yield tree; returns the file's name."""
-    path = out / "model_dtr_hc_yield.json"
+def _train_svr(workdir, seed=4):
+    csv = synth_csv(workdir, n=100, seed=seed)
+    out = workdir / "run"
+    grid = grid_file(workdir, tree_entries=[], svr_entries=[{"c": 10.0, "epsilon": 0.1, "kernel": {"kind": "linear"}}])
+    assert run("train", "--data", csv, "--out", out, "--seed", seed, "--model", "svr", "--grid", grid) == 0
+    return csv, out
+
+
+def _edit_model(out, edit, kind="dtr"):
+    """Hand-edit the saved hc_yield model; returns the file's name."""
+    path = out / f"model_{kind}_hc_yield.json"
     obj = json.loads(path.read_text())
     edit(obj)
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -398,9 +424,9 @@ def test_explain_refuses_unknown_model_schema(workdir, capsys, version):
     ("stds", 0.0), ("stds", -1.0), ("stds", float("nan")), ("stds", float("inf")),
 ])
 def test_evaluate_refuses_invalid_scaler(workdir, capsys, field, value):
-    csv, out = _train_for_optimize(workdir)
-    name = _edit_model(out, lambda obj: obj["scaler_in"][field].__setitem__(10, value))
-    assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", "dtr") == 1
+    csv, out = _train_svr(workdir)
+    name = _edit_model(out, lambda obj: obj["scaler_in"][field].__setitem__(10, value), "svr")
+    assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", "svr") == 1
     err = capsys.readouterr().err
     assert name in err and "water_wt" in err
     assert not (out / "evaluation.json").exists()
@@ -415,17 +441,32 @@ def _drop_last_scaler_column(obj):
         obj["scaler_in"][field].pop()
 
 
-@pytest.mark.parametrize("edit, message", [
-    (_set_root("threshold", float("nan")), "threshold is not finite"),
-    (_set_root("feature", -1), "node 0 splits on feature -1"),
-    (_set_root("feature", 11), "node 0 splits on feature 11"),
-    (_set_root("left", 999), "node 0 has a child outside"),
-    (_drop_last_scaler_column, "tree has 11 features, scaler_in 10"),
-], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler"])
-def test_evaluate_refuses_malformed_tree(workdir, capsys, edit, message):
-    csv, out = _train_for_optimize(workdir)
-    name = _edit_model(out, edit)
-    assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", "dtr") == 1
+def _set(field, value):
+    return lambda obj: obj.__setitem__(field, value)
+
+
+def _widen_scaler_out(obj):
+    for field in ("means", "stds"):
+        obj["scaler_out"][field].append(obj["scaler_out"][field][0])
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("dtr", _set_root("threshold", float("nan")), "node 0 threshold is not finite: nan"),
+    ("dtr", _set_root("feature", -1), "node 0 splits on feature -1"),
+    ("dtr", _set_root("feature", 11), "node 0 splits on feature 11"),
+    ("dtr", _set_root("left", 999), "node 0 has a child outside"),
+    ("svr", _drop_last_scaler_column, "model has 11 features, scaler_in 10"),
+    ("svr", _set("scaler_in", None), "an svr model needs both scaler_in and scaler_out"),
+    ("svr", _set("scaler_out", None), "an svr model needs both scaler_in and scaler_out"),
+    ("svr", _widen_scaler_out, "scaler_out has 2 columns, not 1"),
+    ("svr", _set("model_kind", "rf"), "model_kind 'rf' is neither 'dtr' nor 'svr'"),
+], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
+        "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind"])
+def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
+    """A tree, or a model file around it, that no fit writes is refused, naming the file."""
+    csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)
+    name = _edit_model(out, edit, kind)
+    assert run("evaluate", "--data", csv, "--out", out, "--seed", 4, "--model", kind) == 1
     err = capsys.readouterr().err
     assert name in err and message in err
     assert not (out / "evaluation.json").exists()

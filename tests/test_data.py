@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrochar import data
+from hydrochar.cart import RegressionTree, TreeParams
 from hydrochar.errors import (
     ConstantColumn,
     ConstraintViolation,
@@ -16,6 +17,8 @@ from hydrochar.errors import (
     UnparseableCell,
     ZeroCarbon,
 )
+from hydrochar.pipeline import TrainedTarget
+from hydrochar.stats import MetricsReport
 
 from conftest import examples, valid_row
 
@@ -282,6 +285,9 @@ def _reference_raw_thresholds(scaler, features, thresholds):
 @pytest.mark.parametrize("mean", [1e-6, -1.0, 1e6, -1e6])
 @pytest.mark.parametrize("std", [1e-6, 1.0, 1e6])
 def test_raw_thresholds_match_full_range_bisection(mean, std):
+    """An older tree file holds standardized thresholds t and the scaler they
+    were fit through. Predicting through that scaler sends a raw cell left
+    exactly up to the largest double T whose transform is <= t."""
     r = np.random.default_rng(23)
     scaler = data.Scaler(means=np.array([mean, 0.5 * mean, 2.0 * mean]), stds=np.array([std, 3.0 * std, 0.25 * std]))
     big = np.finfo(float).max
@@ -292,7 +298,20 @@ def test_raw_thresholds_match_full_range_bisection(mean, std):
         np.repeat(edges, 3),
     ])
     f = np.resize(np.arange(3), len(t))
-    assert scaler.raw_thresholds(f, t).tobytes() == _reference_raw_thresholds(scaler, f, t).tobytes()
+    raw_t = _reference_raw_thresholds(scaler, f, t)
+    report = MetricsReport(0.0, 0.0, 0.0, 0)
+    for feature, threshold, cut in zip(f, t, raw_t):
+        tree = RegressionTree(3, TreeParams(), [
+            {"kind": "split", "feature": int(feature), "threshold": float(threshold), "left": 1, "right": 2},
+            {"kind": "leaf", "value": 1.0}, {"kind": "leaf", "value": 2.0},
+        ])
+        trained = TrainedTarget(target="hc_yield", model_kind="dtr", model=tree, scaler_in=scaler, scaler_out=None,
+                                chosen_params=tree.params, cv_rmse=0.0, train_metrics=report, test_metrics=report,
+                                target_mean=0.0, target_std=1.0, seed=0)
+        rows = np.zeros((3, 3))
+        with np.errstate(over="ignore"):  # the edge cells transform to +-inf
+            rows[:, feature] = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]
+            assert trained.predict(rows).tolist() == [1.0, 1.0, 2.0], (feature, threshold, cut)
 
 
 # ------------------------------------------------------------------- split

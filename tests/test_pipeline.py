@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,20 +138,41 @@ def test_train_all_skips_absent_target():
     assert len(res.trained) == 9
 
 
-def test_skip_names_why_every_candidate_failed():
-    base = data.generate_synthetic(60, seed=9)
+def _constant_water(n, seed):
+    base = data.generate_synthetic(n, seed=seed)
     x = base.feature_matrix().copy()
-    x[:, data.FEATURE_COLUMNS.index("water_wt")] = 80.0  # the fold scaler rejects it
-    res = train_all(Dataset(x, base.target_matrix()), tiny_grid(), seed=2, models=("dtr",))
+    x[:, data.FEATURE_COLUMNS.index("water_wt")] = 80.0
+    return Dataset(x, base.target_matrix())
+
+
+def test_skip_names_why_every_candidate_failed():
+    # the SVR fold scaler rejects a constant column
+    res = train_all(_constant_water(60, 9), tiny_grid(), seed=2, models=("svr",))
     reason = "every grid candidate failed cross-validation; first failure: water_wt has fewer than 2 distinct values"
-    assert res.report["skips"]["dtr"] == {t: reason for t in data.TARGET_COLUMNS}
+    assert res.report["skips"]["svr"] == {t: reason for t in data.TARGET_COLUMNS}
+
+
+def test_trees_train_with_a_constant_feature():
+    ds = _constant_water(60, 9)
+    res = train_all(ds, tiny_grid(), seed=2, models=("dtr",))
+    assert res.skips["dtr"] == {}
+    assert sorted(target for _, target in res.trained) == sorted(data.TARGET_COLUMNS)
+    water = data.FEATURE_COLUMNS.index("water_wt")
+    for t in res.trained.values():
+        assert t.scaler_in is None and t.scaler_out is None
+        assert water not in t.model.feature[~t.model.is_leaf]
+    # the column never splits, so dropping it changes no CV score
+    x = np.delete(ds.feature_matrix(), water, axis=1)[res.plan.train_indices]
+    for (_, target), t in res.trained.items():
+        y = ds.target_matrix()[res.plan.train_indices, data.TARGET_COLUMNS.index(target)]
+        assert grid_search(x, y, tiny_grid().tree_grid, fold_ids=res.plan.fold_assignments).cv_rmse == t.cv_rmse
 
 
 def test_no_leakage_scaler_fit_on_train_rows(medium_dataset):
-    res = train_all(medium_dataset, tiny_grid(), seed=4, models=("dtr",))
+    res = train_all(medium_dataset, tiny_grid(), seed=4, models=("svr",))
     plan = res.plan
     x = medium_dataset.feature_matrix()
-    t = res.trained[("dtr", "hc_yield")]
+    t = res.trained[("svr", "hc_yield")]
     train_means = x[plan.train_indices].mean(axis=0)
     full_means = x.mean(axis=0)
     assert np.allclose(t.scaler_in.means, train_means, atol=1e-12)
@@ -160,13 +182,12 @@ def test_no_leakage_scaler_fit_on_train_rows(medium_dataset):
 def test_evaluate_hand_built_tree():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
-    scaler = Scaler.fit(x)
-    tree = fit_tree(scaler.transform(x), y, TreeParams(max_depth=1))
+    tree = fit_tree(x, y, TreeParams(max_depth=1))
     trained = TrainedTarget(
         target="hc_yield",
         model_kind="dtr",
         model=tree,
-        scaler_in=scaler,
+        scaler_in=None,
         scaler_out=None,
         chosen_params=tree.params,
         cv_rmse=0.0,
@@ -216,25 +237,37 @@ def test_trained_target_serialization_roundtrip(medium_dataset):
 def test_grid_search_all_candidates_failing_raises(rng):
     x = rng.uniform(0, 1, (20, 2))
     y = np.full(20, 3.0)  # constant target breaks the SVR target scaler
+    svr = [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.linear())]
     with pytest.raises(HydrocharError):
-        grid_search(x, y, [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.linear())], k=4, seed=0)
-    x[:, 1] = 0.5  # a constant column breaks every fold's input scaler
+        grid_search(x, y, svr, k=4, seed=0)
+    x[:, 1] = 0.5  # a constant column breaks every fold's SVR input scaler
     with pytest.raises(HydrocharError, match="first failure: column 1 has fewer than 2 distinct values"):
-        grid_search(x, y + x[:, 0], [TreeParams(max_depth=2)], k=4, seed=0)
+        grid_search(x, y + x[:, 0], svr, k=4, seed=0)
     with pytest.raises(HydrocharError, match="first failure: time_min has fewer than 2 distinct values"):
-        grid_search(x, y + x[:, 0], [TreeParams(max_depth=2)], k=4, seed=0, columns=("temperature_c", "time_min"))
+        grid_search(x, y + x[:, 0], svr, k=4, seed=0, columns=("temperature_c", "time_min"))
+
+
+def test_grid_search_trees_ignore_a_constant_column():
+    x, y = _synthetic_xy(60, 36)
+    x[:, 5] = 0.25
+    trees = [p for p in _mixed_grid() if isinstance(p, TreeParams)]
+    got = _assert_same_search(x, y, trees, k=5, seed=3)
+    assert got.candidates == grid_search(np.delete(x, 5, axis=1), y, trees, k=5, seed=3).candidates
+    assert all(np.isfinite(score) for _, score in got.candidates)
+    # in a mixed grid the trees still score and every SVR candidate fails
+    got = _assert_same_search(x, y, _mixed_grid(), k=5, seed=3, columns=data.FEATURE_COLUMNS)
+    assert [np.isinf(score) for _, score in got.candidates] == [isinstance(p, SvrParams) for p in _mixed_grid()]
 
 
 def _reference_cv_fold_rmse(x, y, params, trn, val, columns) -> float:
-    scaler = Scaler.fit(x[trn], columns=columns)
-    x_trn = scaler.transform(x[trn])
-    x_val = scaler.transform(x[val])
     if isinstance(params, SvrParams):
+        scaler = Scaler.fit(x[trn], columns=columns)
         y_scaler = Scaler.fit(y[trn][:, None])
         y_trn = y_scaler.transform(y[trn][:, None])[:, 0]
-        pred = y_scaler.inverse_transform(fit_svr(x_trn, y_trn, params).predict_batch(x_val)[:, None])[:, 0]
+        model = fit_svr(scaler.transform(x[trn]), y_trn, params)
+        pred = y_scaler.inverse_transform(model.predict_batch(scaler.transform(x[val]))[:, None])[:, 0]
     else:
-        pred = fit_tree(x_trn, y[trn], params).predict_batch(x_val)
+        pred = fit_tree(x[trn], y[trn], params).predict_batch(x[val])
     return rmse(y[val], pred)
 
 
@@ -306,12 +339,15 @@ def test_grid_search_matches_per_candidate_reference():
 def test_grid_search_matches_reference_when_one_fold_fails():
     x, y = _synthetic_xy(40, 32)
     fold_ids = np.arange(40) % 4
-    # constant on every row outside fold 2: only that fold's training part fails
+    # constant on every row outside fold 2: only that fold's SVR input scaler fails
     x[:, 3] = np.where(fold_ids == 2, x[:, 3], 0.25)
+    got = _assert_same_search(x, y, _mixed_grid(), fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+    assert [np.isinf(score) for _, score in got.candidates] == [isinstance(p, SvrParams) for p in _mixed_grid()]
+    svrs = [p for p in _mixed_grid() if isinstance(p, SvrParams)]
     with pytest.raises(HydrocharError) as got:
-        grid_search(x, y, _mixed_grid(), fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+        grid_search(x, y, svrs, fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
     with pytest.raises(HydrocharError) as want:
-        _reference_grid_search(x, y, _mixed_grid(), fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+        _reference_grid_search(x, y, svrs, fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
     assert str(got.value) == str(want.value)
     assert str(got.value).endswith("first failure: biomass_s has fewer than 2 distinct values")
     # a target constant outside fold 1 fails only the SVR target scaler there
@@ -319,7 +355,6 @@ def test_grid_search_matches_reference_when_one_fold_fails():
     y = np.where(fold_ids == 1, y, 3.0)
     got = _assert_same_search(x, y, _mixed_grid(), fold_ids=fold_ids)
     assert [np.isinf(score) for _, score in got.candidates] == [isinstance(p, SvrParams) for p in _mixed_grid()]
-    svrs = [p for p in _mixed_grid() if isinstance(p, SvrParams)]
     with pytest.raises(HydrocharError) as got:
         grid_search(x, y, svrs, fold_ids=fold_ids)
     with pytest.raises(HydrocharError) as want:
@@ -346,3 +381,23 @@ def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
     grid = HyperGrid.default().tree_grid
     grid_search(x, y, grid, k=5, seed=2)
     assert calls == [p for p in grid for _ in range(5)]
+
+
+_DATA = Path(__file__).parent / "data"
+
+
+def test_schema1_dtr_file_predicts_as_written():
+    """A DTR file written before trees fit on raw inputs holds standardized
+    thresholds and its scaler. It still loads, and at each split's raw
+    threshold T and the doubles on either side of it, it predicts what the
+    writing version predicted, bit for bit."""
+    obj = json.loads((_DATA / "schema1_model_dtr_hc_yield.json").read_text(encoding="utf-8"))
+    probes = json.loads((_DATA / "schema1_probes.json").read_text(encoding="utf-8"))
+    trained = TrainedTarget.from_json_obj(obj)
+    assert obj["schema_version"] == 1 and trained.scaler_in is not None
+    rows = np.array(probes["rows"])
+    assert trained.predict(rows).tobytes() == np.array(probes["predictions"]).tobytes()
+    # each split's three probes: one below T, T itself, one above
+    cuts = rows[np.arange(1, len(rows), 3), trained.model.feature[~trained.model.is_leaf]]
+    assert cuts.tolist() == probes["raw_thresholds"]
+    assert trained.to_json_obj()["scaler_in"] == obj["scaler_in"]
