@@ -215,18 +215,22 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     if gains[f] == -np.inf:
         return None
     p = int(pos[f])
-    thr = 0.5 * (xw[p, f] + xw[p + 1, f])
-    return float(gains[f]), f, float(thr), order[:, f], lo + p
+    a, b = float(xw[p, f]), float(xw[p + 1, f])
+    thr = 0.5 * (a + b)
+    if not a <= thr < b:  # the midpoint overflowed or rounded onto b
+        thr = a
+    return float(gains[f]), f, thr, order[:, f], lo + p
 
 
 def fit_tree(x, y, params: TreeParams) -> RegressionTree:
     """Fit a CART regression tree by greedy SSE reduction.
 
     Thresholds are midpoints between consecutive distinct sorted feature
-    values. A node becomes a leaf when its targets are constant, it is too
-    small to split, the depth cap binds, no candidate respects the leaf-size
-    floor, or the best gain falls below ``min_impurity_decrease``. The fit is
-    fully deterministic.
+    values, or the lower value where the midpoint would not separate them
+    (it overflows, or rounds onto the upper value). A node becomes a leaf
+    when its targets are constant, it is too small to split, the depth cap
+    binds, no candidate respects the leaf-size floor, or the best gain falls
+    below ``min_impurity_decrease``. The fit is fully deterministic.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

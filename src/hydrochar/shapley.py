@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyBackground, EmptyInput, TooManyFeatures
 
 MAX_FEATURES = 20
-_EVAL_CHUNK = 1 << 14  # coalition rows per model call, keeps memory flat
+_EVAL_ROWS = 1 << 14  # model rows per call, unless one mask's background rows alone exceed it
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ def coalition_values(predict_fn, x: np.ndarray, background: np.ndarray) -> np.nd
     d = len(x)
     n_bg = len(background)
     n_masks = 1 << d
-    chunk = min(_EVAL_CHUNK, n_masks)
+    # masks per call: the largest power of two whose rows fit _EVAL_ROWS, at least one
+    chunk = min(n_masks, 1 << max(0, (_EVAL_ROWS // n_bg).bit_length() - 1))
     low_bits = chunk.bit_length() - 1
     rows = np.empty((chunk, n_bg, d))
     values = np.empty(n_masks)

@@ -75,6 +75,8 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
+        if not isinstance(d, dict):
+            raise ValueError(f"kernel must be an object, got {type(d).__name__}")
         require_known_fields(d, ("kind", "degree", "coef0", "gamma"))
         return cls(
             kind=d["kind"],
@@ -142,6 +144,12 @@ def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:
     return np.exp(-kernel.gamma * sq)
 
 
+# Kernel entries per prediction block (8 MiB of float64). Not smaller: with
+# temporaries of a few MB each, malloc hands the heap back to the system and
+# faults it in again on every block.
+_KERNEL_ENTRIES = 1 << 20
+
+
 class SvrModel:
     """Fitted epsilon-SVR: decision function sum(beta_i k(sv_i, x)) + bias."""
 
@@ -161,10 +169,17 @@ class SvrModel:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.n_features:
             raise DimensionMismatch(f"expected {self.n_features} features, got {x.shape[1]}")
-        if len(self.dual_coeffs) == 0:
+        n_sv = len(self.dual_coeffs)
+        if n_sv == 0:
             return np.full(x.shape[0], self.bias)
-        k = kernel_matrix(self.params.kernel, x, self.support_vectors)
-        return k @ self.dual_coeffs + self.bias
+        # Rows go in blocks of a power of two rows whose kernel fits _KERNEL_ENTRIES,
+        # so the kernel and its temporaries stay a few blocks whatever the batch.
+        b = 1 << max(0, (_KERNEL_ENTRIES // n_sv).bit_length() - 1)
+        out = np.empty(x.shape[0])
+        for lo in range(0, x.shape[0], b):
+            k = kernel_matrix(self.params.kernel, x[lo : lo + b], self.support_vectors)
+            out[lo : lo + b] = k @ self.dual_coeffs + self.bias
+        return out
 
     def to_json_obj(self) -> dict:
         return {

@@ -192,6 +192,19 @@ def test_non_finite_threshold_names_its_node():
         RegressionTree(2, TreeParams(), nodes)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.6e308, 1.7e308), (-1.7e308, -1.6e308), (1.0 + 2.0**-52, 1.0 + 2.0**-51)],
+    ids=["overflow", "negative-overflow", "midpoint-rounds-onto-b"],
+)
+def test_threshold_separates_its_two_sides(a, b):
+    """Where the midpoint of a and b is not in [a, b), the split is at a, so
+    the tree routes the split it scored."""
+    tree = fit_tree([[a], [b]], [0.0, 10.0], TreeParams())
+    assert tree.threshold[0] == a
+    assert tree.predict_batch([[a], [b]]).tolist() == [0.0, 10.0]
+
+
 def _route_one(tree, x):
     """Reference walk of one row from the root to its leaf."""
     i = 0

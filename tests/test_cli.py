@@ -164,10 +164,13 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
          "svr_grid[0]: kernel gamma must be a number, got None"),
         ({"tree_grid": [{"min_impurity_decrease": None}]},
          "tree_grid[0]: min_impurity_decrease must be a number, got None"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "linear"}},
+                       {"c": 1.0, "epsilon": 0.1, "kernel": "linear"}]},
+         "svr_grid[1]: kernel must be an object, got str"),
     ],
     ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c",
          "tree-unknown-field", "svr-unknown-field", "kernel-unknown-field", "c-bool", "epsilon-string", "gamma-null",
-         "min-impurity-null"],
+         "min-impurity-null", "kernel-string"],
 )
 def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
     csv = synth_csv(workdir)

@@ -168,6 +168,20 @@ def test_trees_train_with_a_constant_feature():
         assert grid_search(x, y, tiny_grid().tree_grid, fold_ids=res.plan.fold_assignments).cv_rmse == t.cv_rmse
 
 
+def test_trees_train_on_features_near_the_largest_double():
+    """Two temperatures whose sum overflows: every split between them is at
+    the lower one, so no target is skipped for an infinite threshold."""
+    ds = data.generate_synthetic(60, seed=3)
+    x = ds.feature_matrix().copy()
+    temp = data.FEATURE_COLUMNS.index("temperature_c")
+    x[:, temp] = np.where(x[:, temp] <= np.median(x[:, temp]), 1.6e308, 1.7e308)
+    res = train_all(Dataset(x, ds.target_matrix()), tiny_grid(), seed=3, models=("dtr",))
+    assert res.skips["dtr"] == {}
+    splits = [t.model.threshold[(t.model.feature == temp) & ~t.model.is_leaf] for t in res.trained.values()]
+    assert any(len(s) for s in splits)
+    assert all(s.tolist() == [1.6e308] * len(s) for s in splits)
+
+
 def test_no_leakage_scaler_fit_on_train_rows(medium_dataset):
     res = train_all(medium_dataset, tiny_grid(), seed=4, models=("svr",))
     plan = res.plan

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,14 +123,18 @@ def test_monte_carlo_oracle_agreement(rng):
 
 
 def _reference_coalition_values(predict_fn, x, background):
-    """The np.where build of every chunk's rows that coalition_values replaced."""
+    """The np.where build of every chunk's rows that coalition_values replaced,
+    with as many masks per call as fit shapley._EVAL_ROWS rows (at least one)."""
     d = len(x)
     n_bg = len(background)
     n_masks = 1 << d
+    per_call = 1
+    while per_call < n_masks and 2 * per_call * n_bg <= shapley._EVAL_ROWS:
+        per_call *= 2
     bit_cols = np.arange(d)
     values = np.empty(n_masks)
-    for start in range(0, n_masks, shapley._EVAL_CHUNK):
-        masks = np.arange(start, min(start + shapley._EVAL_CHUNK, n_masks))
+    for start in range(0, n_masks, per_call):
+        masks = np.arange(start, min(start + per_call, n_masks))
         bits = ((masks[:, None] >> bit_cols) & 1).astype(bool)
         rows = np.where(bits[:, None, :], x[None, None, :], background[None, :, :])
         preds = np.asarray(predict_fn(rows.reshape(-1, d)), dtype=float)
@@ -137,13 +142,19 @@ def _reference_coalition_values(predict_fn, x, background):
     return values
 
 
-@pytest.mark.parametrize("d", [1, 2, 11, 15, 16])
-def test_coalition_values_match_where_build(d):
-    """Same rows to the model in the same calls, and the same values bit for bit;
-    d = 15 and 16 take two and four chunks, so the high mask bits are set per chunk."""
+@pytest.mark.parametrize(
+    "d, n_bg, calls",
+    [(1, 3, 1), (2, 3, 1), (11, 3, 1), (15, 3, 8), (16, 3, 16), (11, 32, 4), (11, 64, 8), (11, 100, 16),
+     (3, shapley._EVAL_ROWS + 1, 8)],
+    ids=["1", "2", "11", "15", "16", "11-bg32", "11-bg64", "11-bg100", "3-bg-over-budget"],
+)
+def test_coalition_values_match_where_build(d, n_bg, calls):
+    """Same rows to the model in the same calls, and the same values bit for bit.
+    Where a call holds fewer than all masks, its chunk's high mask bits are set
+    per call; a background larger than the row budget takes one mask per call."""
     rng = np.random.default_rng(d)
     x = rng.normal(size=d)
-    background = rng.normal(size=(3, d))
+    background = rng.normal(size=(n_bg, d))
     background[0, 0] = x[0]  # a background cell equal to the explained one
     w = rng.normal(size=d)
 
@@ -157,9 +168,26 @@ def test_coalition_values_match_where_build(d):
     got = coalition_values(recorder(got_calls), x, background)
     want = _reference_coalition_values(recorder(want_calls), x, background)
     assert got.tobytes() == want.tobytes()
-    assert len(got_calls) == len(want_calls) == max(1, (1 << d) // shapley._EVAL_CHUNK)
+    assert len(got_calls) == len(want_calls) == calls
+    assert all(len(rows) <= max(shapley._EVAL_ROWS, n_bg) for rows in got_calls)
     for a, b in zip(got_calls, want_calls):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_coalition_values_memory_is_bounded_by_the_row_budget():
+    """At background 512 all 2^11 coalitions would be a 92 MB block of rows;
+    chunks of _EVAL_ROWS rows keep the peak to about one chunk."""
+    rng = np.random.default_rng(5)
+    d, n_bg = 11, 512
+    x, background, w = rng.normal(size=d), rng.normal(size=(n_bg, d)), rng.normal(size=d)
+    chunk_bytes = shapley._EVAL_ROWS * d * 8
+    tracemalloc.start()
+    try:
+        coalition_values(lambda rows: rows @ w, x, background)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chunk_bytes
 
 
 def _reference_explain_phi(v, d):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrochar import data
+from hydrochar import data, svr
 from hydrochar.data import Scaler
 from hydrochar.errors import ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput
 from hydrochar.pipeline import HyperGrid
@@ -214,6 +215,66 @@ def test_predict_dimension_mismatch():
     model = SvrModel(np.empty((0, 3)), [], 0.0, SvrParams(), n_features=3)
     with pytest.raises(DimensionMismatch):
         model.predict_batch([[1.0, 2.0]])
+
+
+def _block_rows(n_sv):
+    """The largest power of two of rows whose kernel fits svr._KERNEL_ENTRIES."""
+    b = 1
+    while 2 * b * n_sv <= svr._KERNEL_ENTRIES:
+        b *= 2
+    return b
+
+
+@pytest.mark.parametrize(
+    "kern", [Kernel.linear(), Kernel.polynomial(3, 1.0), Kernel.rbf(0.3)], ids=["linear", "polynomial", "rbf"]
+)
+def test_predict_batch_in_kernel_blocks(kern, monkeypatch):
+    """Each block is the one-shot formula on its rows, bit for bit; a batch of
+    one block is exactly the one-shot formula."""
+    rng = np.random.default_rng(8)
+    n_sv, d = 300, 4
+    model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.7, SvrParams(kernel=kern), n_features=d)
+    b = _block_rows(n_sv)
+
+    def one_shot(x):
+        return kernel_matrix(kern, x, model.support_vectors) @ model.dual_coeffs + model.bias
+
+    block_rows = []
+
+    def recording_kernel_matrix(kernel, a, sv):
+        block_rows.append(len(a))
+        return kernel_matrix(kernel, a, sv)
+
+    monkeypatch.setattr(svr, "kernel_matrix", recording_kernel_matrix)
+    x_all = rng.normal(size=(3 * b + 5, d))
+    for n in (b - 1, b, b + 1, 3 * b + 5):
+        x = x_all[:n]
+        block_rows.clear()
+        got = model.predict_batch(x)
+        assert block_rows == [min(b, n - lo) for lo in range(0, n, b)]
+        per_block = np.concatenate([one_shot(x[lo : lo + b]) for lo in range(0, n, b)])
+        assert got.tobytes() == per_block.tobytes()
+        whole = one_shot(x)
+        if n <= b:
+            assert got.tobytes() == whole.tobytes()
+        else:
+            assert np.abs(got - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_predict_batch_memory_is_bounded_by_the_block():
+    """200k rows x 300 support vectors would be a 480 MB kernel in one piece."""
+    rng = np.random.default_rng(9)
+    n_sv, d = 300, 11
+    model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.1,
+                     SvrParams(kernel=Kernel.rbf(0.1)), n_features=d)
+    x = rng.normal(size=(200_000, d))
+    tracemalloc.start()
+    try:
+        model.predict_batch(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 2**20  # four 8 MiB blocks
 
 
 def test_serialization_roundtrip_bit_stable(rng):
