@@ -33,5 +33,5 @@ from .stats import (  # noqa: F401
     spearman_rank_difference,
 )
 from .pipeline import HyperGrid, TrainedTarget, evaluate, grid_search, train_all  # noqa: F401
-from .shapley import ShapExplanation, emit_plot_data, explain, global_importance  # noqa: F401
+from .shapley import ShapExplanation, emit_plot_data, explain  # noqa: F401
 from .genetic import GaConfig, GaResult, ObjectiveProfile, optimize, run_ga, surrogate_objective  # noqa: F401

@@ -124,6 +124,20 @@ class TrainedTarget:
             pred = self.scaler_out.inverse_transform(pred[:, None])[:, 0]
         return pred
 
+    def shapley_values(self, x_raw, background_raw) -> np.ndarray | None:
+        """Exact Shapley values of ``predict`` at one raw row over raw
+        background rows, in target units; None where the model has no closed
+        form (trees, polynomial-kernel SVRs) and coalitions are enumerated.
+
+        The input scaler maps each feature on its own, so a coalition row
+        standardizes to the same coalition of standardized rows; the output
+        scaler is affine, so every value scales by its std.
+        """
+        if self.model_kind != "svr":
+            return None
+        phi = self.model.shapley_values(self.scaler_in.transform(x_raw), self.scaler_in.transform(background_raw))
+        return None if phi is None else phi * self.scaler_out.stds[0]
+
     def to_json_obj(self) -> dict:
         return {
             "schema_version": 1,
@@ -386,6 +400,8 @@ def _build_report(dataset: Dataset, trained, skips, seed: int, models) -> dict:
                 "params": t.chosen_params.to_dict(),
                 "cv_rmse": t.cv_rmse,
             }
+            if kind == "svr":
+                section[target]["converged"] = t.model.converged  # False: the final fit hit max_passes
         model_section[kind] = section
     return {
         "schema_version": 1,

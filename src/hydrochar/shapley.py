@@ -2,8 +2,12 @@
 
 Values use the interventional (marginal) game: a coalition's value is the
 mean model output over background rows with the coalition's features
-replaced by the explained point. All 2^d coalitions are enumerated, so the
-result is exact and the efficiency identity holds to rounding error.
+replaced by the explained point. A model whose bound ``predict`` is given
+and that has a closed form for this game (``shapley_values``: linear and
+RBF SVRs) supplies the attributions itself; for any other function (trees,
+polynomial-kernel SVRs, plain callables) all 2^d coalitions are enumerated.
+Both are exact: the efficiency identity holds to rounding error, and the
+two agree within 1e-9 of the target's training spread.
 """
 
 from __future__ import annotations
@@ -32,14 +36,6 @@ class ShapExplanation:
     @property
     def prediction(self) -> float:
         return self.base_value + float(self.phi.sum())
-
-
-@dataclass(frozen=True)
-class GlobalImportance:
-    """Mean absolute attribution per feature over an explained set."""
-
-    mean_abs_phi: np.ndarray
-    ranking: np.ndarray  # feature indices, most important first
 
 
 def coalition_values(predict_fn, x: np.ndarray, background: np.ndarray) -> np.ndarray:
@@ -92,37 +88,33 @@ def explain(predict_fn, x, background) -> ShapExplanation:
 
     ``predict_fn`` must accept an (m, d) array and return m predictions.
     ``background`` supplies the reference distribution for absent features.
+    When ``predict_fn`` is the bound ``predict`` of a model whose
+    ``shapley_values`` gives a closed form, that form is used; otherwise all
+    2^d coalitions are enumerated, for at most MAX_FEATURES features.
     """
     x = np.asarray(x, dtype=float).ravel()
     background = np.atleast_2d(np.asarray(background, dtype=float))
     d = len(x)
-    if d > MAX_FEATURES:
-        raise TooManyFeatures(f"{d} features exceeds the exact-enumeration cap of {MAX_FEATURES}")
     if background.shape[0] == 0:
         raise EmptyBackground("background matrix has no rows")
     if background.shape[1] != d:
         raise DimensionMismatch(f"background has {background.shape[1]} features, x has {d}")
-    v = coalition_values(predict_fn, x, background)
-    base, with_i, weight = _marginal_tables(d)
-    phi = np.array([float(np.sum(w * (v[a] - v[b]))) for w, a, b in zip(weight, with_i, base)])
+    model = getattr(predict_fn, "__self__", None)
+    phi = None
+    if hasattr(model, "shapley_values") and getattr(model, "predict", None) == predict_fn:
+        phi = model.shapley_values(x, background)
+    if phi is not None:
+        base_value = float(np.mean(predict_fn(background)))
+    else:
+        if d > MAX_FEATURES:
+            raise TooManyFeatures(f"{d} features exceeds the exact-enumeration cap of {MAX_FEATURES}")
+        v = coalition_values(predict_fn, x, background)
+        base, with_i, weight = _marginal_tables(d)
+        phi = np.array([float(np.sum(w * (v[a] - v[b]))) for w, a, b in zip(weight, with_i, base)])
+        base_value = float(v[0])
     phi.setflags(write=False)
     x.setflags(write=False)
-    return ShapExplanation(feature_values=x, phi=phi, base_value=float(v[0]))
-
-
-def global_importance(predict_fn, rows, background) -> GlobalImportance:
-    """Mean |phi| per feature across all given rows, plus the ranking."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[0] == 0:
-        raise EmptyInput("no rows to explain")
-    abs_sum = np.zeros(rows.shape[1])
-    for r in rows:
-        abs_sum += np.abs(explain(predict_fn, r, background).phi)
-    mean_abs = abs_sum / rows.shape[0]
-    ranking = np.argsort(-mean_abs, kind="stable")
-    mean_abs.setflags(write=False)
-    ranking.setflags(write=False)
-    return GlobalImportance(mean_abs_phi=mean_abs, ranking=ranking)
+    return ShapExplanation(feature_values=x, phi=phi, base_value=base_value)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,39 @@ def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:
 # faults it in again on every block.
 _KERNEL_ENTRIES = 1 << 20
 
+# (background row, support vector, feature) entries per block of the RBF
+# closed form in SvrModel.shapley_values: each of its six work arrays is at
+# most 1 MiB, whatever the background.
+_FACTOR_ENTRIES = 1 << 17
+
+
+def _add_rbf_shares(total, a, rows, sv, gamma, nodes, weights) -> None:
+    """Add each background row's (support vector, feature) share of the RBF
+    closed form in SvrModel.shapley_values to ``total``, in row order, so the
+    sum does not depend on how the rows are blocked. ``a`` holds the
+    explained row's kernel factors; the work arrays are (rows, n_sv, d) and
+    freed on return."""
+    c = rows[:, None, :] - sv
+    np.square(c, out=c)
+    c *= -gamma
+    np.exp(c, out=c)
+    gap = a - c
+    integral = np.zeros_like(c)
+    h, loo = np.empty_like(c), np.empty_like(c)
+    suffix = np.empty(c.shape[:-1] + (c.shape[-1] - 1,))
+    for t, w in zip(nodes, weights):
+        np.multiply(gap, 0.5 * (t + 1.0), out=h)  # node t of [-1, 1] mapped to u in [0, 1]
+        h += c
+        loo[..., 0] = 1.0
+        np.cumprod(h[..., :-1], axis=-1, out=loo[..., 1:])
+        np.cumprod(h[..., :0:-1], axis=-1, out=suffix[..., ::-1])
+        loo[..., :-1] *= suffix
+        loo *= 0.5 * w
+        integral += loo
+    gap *= integral
+    for share in gap:
+        total += share
+
 
 class SvrModel:
     """Fitted epsilon-SVR: decision function sum(beta_i k(sv_i, x)) + bias."""
@@ -180,6 +213,41 @@ class SvrModel:
             k = kernel_matrix(self.params.kernel, x[lo : lo + b], self.support_vectors)
             out[lo : lo + b] = k @ self.dual_coeffs + self.bias
         return out
+
+    def shapley_values(self, z, background) -> np.ndarray | None:
+        """Exact interventional Shapley values of the decision function at row
+        ``z`` over ``background`` rows, or None for a polynomial kernel.
+
+        A linear model is additive: phi_i = w_i (z_i - mean_r r_i) with
+        w = sum_s beta_s s. An RBF kernel is a product over features, so for
+        a background row r and a support vector s a coalition's kernel value
+        is prod_j of a_j = k_j(z_j, s_j) where j is in the coalition and
+        c_j = k_j(r_j, s_j) where it is not. By Owen's multilinear extension
+        such a product game has phi_i = (a_i - c_i) times the integral over
+        u in [0, 1] of prod_{j != i} ((1 - u) c_j + u a_j). The integrand is
+        a polynomial of degree d - 1 in u, so ceil(d / 2) Gauss-Legendre
+        nodes integrate it exactly; the products leaving out one j are a
+        prefix times a suffix product over j. No kernel is evaluated through
+        a matrix product, and background rows go in blocks of at most
+        _FACTOR_ENTRIES entries whose shares are added in row order, so the
+        values do not depend on how rows are batched.
+        """
+        z = np.asarray(z, dtype=float).ravel()
+        background = np.atleast_2d(np.asarray(background, dtype=float))
+        kind = self.params.kernel.kind
+        if kind == "linear":
+            return (self.dual_coeffs @ self.support_vectors) * (z - background.mean(axis=0))
+        if kind != "rbf":
+            return None
+        gamma = self.params.kernel.gamma
+        n_sv, d = self.support_vectors.shape
+        a = np.exp(-gamma * (z - self.support_vectors) ** 2)  # (n_sv, d)
+        nodes, weights = np.polynomial.legendre.leggauss((d + 1) // 2)
+        b = max(1, _FACTOR_ENTRIES // max(1, n_sv * d))
+        total = np.zeros((n_sv, d))
+        for lo in range(0, len(background), b):
+            _add_rbf_shares(total, a, background[lo : lo + b], self.support_vectors, gamma, nodes, weights)
+        return self.dual_coeffs @ (total / len(background))
 
     def to_json_obj(self) -> dict:
         return {

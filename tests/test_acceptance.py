@@ -18,7 +18,7 @@ from hydrochar.cart import TreeParams, fit_tree
 from hydrochar.cli import main
 from hydrochar.genetic import GaConfig, run_ga
 from hydrochar.pipeline import HyperGrid, grid_search, train_all
-from hydrochar.shapley import explain, global_importance
+from hydrochar.shapley import emit_plot_data, explain
 from hydrochar.svr import Kernel, SvrParams, check_kkt, fit_svr
 
 from conftest import make_dataset
@@ -299,7 +299,8 @@ def test_criterion_9_conditional_published_dataset():
     x = ds.feature_matrix()
     rng = np.random.default_rng(42)
     bg = x[rng.choice(len(x), size=64, replace=False)]
-    gi = global_importance(yield_model.predict, x[:200], bg)
-    top2 = {data.FEATURE_COLUMNS[i] for i in gi.ranking[:2]}
+    bar = emit_plot_data([explain(yield_model.predict, row, bg) for row in x[:200]],
+                         feature_names=data.FEATURE_COLUMNS).bar
+    top2 = {name for name, _ in bar[:2]}
     assert top2 == {"biomass_ash", "temperature_c"}
     report(9, "published-dataset conditional checks", time.perf_counter() - t0, 3600.0)

@@ -7,7 +7,7 @@ import pytest
 from hydrochar import data, pipeline
 from hydrochar.cart import TreeParams, fit_tree
 from hydrochar.data import Dataset, Scaler
-from hydrochar.errors import HydrocharError, TooFewRows
+from hydrochar.errors import ConvergenceWarning, HydrocharError, TooFewRows
 from hydrochar.pipeline import (
     GridSearchResult,
     HyperGrid,
@@ -235,6 +235,20 @@ def test_svr_metrics_reported_in_original_units(medium_dataset):
     assert t.test_metrics.r2 > 0.5
     plan = res.plan
     assert t.target_mean == pytest.approx(float(y[plan.train_indices].mean()), rel=1e-12)
+
+
+def test_report_says_whether_each_svr_final_fit_converged(small_dataset):
+    """A budget-bound SVR reads converged false in report.json, a converging
+    one true; DTR entries carry no such field."""
+    bound = HyperGrid(tree_grid=[TreeParams(max_depth=6)],
+                      svr_grid=[SvrParams(c=1000.0, epsilon=0.01, kernel=Kernel.linear(), max_passes=1)])
+    with pytest.warns(ConvergenceWarning):
+        res = train_all(small_dataset, bound, seed=3)
+    assert set(res.report["models"]["svr"]) == set(data.TARGET_COLUMNS)
+    assert all(entry["converged"] is False for entry in res.report["models"]["svr"].values())
+    assert all("converged" not in entry for entry in res.report["models"]["dtr"].values())
+    res = train_all(small_dataset, tiny_grid(), seed=3, models=("svr",))
+    assert all(entry["converged"] is True for entry in res.report["models"]["svr"].values())
 
 
 def test_trained_target_serialization_roundtrip(medium_dataset):

@@ -3,23 +3,31 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hydrochar.cart import TreeParams, fit_tree
+from hydrochar.data import Scaler
 from hydrochar.errors import (
     DimensionMismatch,
     EmptyBackground,
     EmptyInput,
     TooManyFeatures,
 )
-from hydrochar import shapley
+from hydrochar import shapley, svr
+from hydrochar.pipeline import TrainedTarget
 from hydrochar.shapley import (
     ShapExplanation,
     coalition_values,
     emit_plot_data,
     explain,
-    global_importance,
     importance_svg,
 )
+from hydrochar.stats import MetricsReport
+from hydrochar.svr import Kernel, SvrModel, SvrParams
+
+from conftest import examples
 
 
 def mc_shapley(predict_fn, x, background, n_perm, seed):
@@ -218,6 +226,154 @@ def test_explain_phi_matches_per_row_bookkeeping(d):
         assert e.base_value == v[0]
 
 
+def _svr_target(kernel, sv, beta, bias, scaler_in, out_mean=0.0, out_std=1.0) -> TrainedTarget:
+    """A TrainedTarget around given support vectors and duals, in raw units."""
+    params = SvrParams(c=10.0, kernel=kernel)
+    report = MetricsReport(0.0, 0.0, 0.0, 0)
+    return TrainedTarget(
+        target="hc_yield", model_kind="svr", model=SvrModel(sv, beta, bias, params, sv.shape[1]),
+        scaler_in=scaler_in, scaler_out=Scaler(np.array([out_mean]), np.array([out_std])), chosen_params=params,
+        cv_rmse=0.0, train_metrics=report, test_metrics=report, target_mean=out_mean, target_std=out_std, seed=0,
+    )
+
+
+def _random_svr_target(rng, kernel, d, n_sv):
+    scaler_in = Scaler(rng.uniform(-100, 100, d), rng.uniform(0.1, 10, d))
+    return _svr_target(kernel, rng.normal(size=(n_sv, d)), rng.uniform(-10, 10, n_sv), rng.normal(), scaler_in,
+                       out_mean=50.0, out_std=7.0)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def svr_explain_cases(draw):
+    """A linear or RBF SVR target (possibly without support vectors), a raw
+    row and a raw background of 1-64 rows, all drawn on standardized scale."""
+    d = draw(st.integers(1, 11))
+    n_sv = draw(st.integers(0, 12))
+    kernel = draw(st.just(Kernel.linear()) | _floats(0.01, 2.0).map(Kernel.rbf))
+    scaler_in = Scaler(draw(hnp.arrays(float, d, elements=_floats(-100, 100))),
+                       draw(hnp.arrays(float, d, elements=_floats(0.01, 100))))
+    target = _svr_target(
+        kernel,
+        draw(hnp.arrays(float, (n_sv, d), elements=_floats(-3, 3))),
+        draw(hnp.arrays(float, n_sv, elements=_floats(-10, 10))),
+        draw(_floats(-5, 5)),
+        scaler_in,
+        out_mean=draw(_floats(-100, 100)),
+        out_std=draw(_floats(0.01, 100)),
+    )
+    x = scaler_in.inverse_transform(draw(hnp.arrays(float, d, elements=_floats(-3, 3))))
+    background = scaler_in.inverse_transform(
+        draw(hnp.arrays(float, (draw(st.integers(1, 64)), d), elements=_floats(-3, 3))))
+    return target, x, background
+
+
+@settings(max_examples=examples(50))
+@given(svr_explain_cases())
+def test_svr_closed_form_matches_enumeration(case):
+    """The bound predict takes the closed form; a plain lambda around the same
+    predict enumerates every coalition. Both agree, and both are efficient,
+    within 1e-9 of the target's spread."""
+    target, x, background = case
+    tol = 1e-9 * target.target_std
+    closed = explain(target.predict, x, background)
+    enumerated = explain(lambda rows: target.predict(rows), x, background)
+    assert np.abs(closed.phi - enumerated.phi).max() <= tol
+    assert abs(closed.base_value - enumerated.base_value) <= tol
+    assert abs(closed.prediction - target.predict(x[None, :])[0]) <= tol
+
+
+def test_trees_and_polynomial_kernels_are_enumerated(monkeypatch, rng):
+    calls = []
+    original = shapley.coalition_values
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(shapley, "coalition_values", counted)
+    x = rng.normal(size=(40, 3))
+    report = MetricsReport(0.0, 0.0, 0.0, 0)
+    tree = TrainedTarget(
+        target="hc_yield", model_kind="dtr", model=fit_tree(x, x[:, 0] * x[:, 1], TreeParams(max_depth=4)),
+        scaler_in=None, scaler_out=None, chosen_params=TreeParams(max_depth=4), cv_rmse=0.0,
+        train_metrics=report, test_metrics=report, target_mean=0.0, target_std=1.0, seed=0,
+    )
+    explain(tree.predict, x[0], x[:8])
+    assert len(calls) == 1
+    explain(_random_svr_target(rng, Kernel.polynomial(2, 1.0), 3, 5).predict, x[0], x[:8])
+    assert len(calls) == 2
+    for kernel in (Kernel.linear(), Kernel.rbf(0.5)):
+        explain(_random_svr_target(rng, kernel, 3, 5).predict, x[0], x[:8])
+    assert len(calls) == 2
+
+
+def test_rbf_closed_form_beyond_the_enumeration_cap_matches_monte_carlo():
+    """At 25 features enumeration is refused, and the closed form agrees with
+    permutation sampling within four standard errors on every feature."""
+    rng = np.random.default_rng(25)
+    d = 25
+    target = _random_svr_target(rng, Kernel.rbf(0.05), d, 10)
+    x = target.scaler_in.inverse_transform(rng.normal(size=d))
+    background = target.scaler_in.inverse_transform(rng.normal(size=(4, d)))
+    e = explain(target.predict, x, background)
+    phi_mc, se = mc_shapley(target.predict, x, background, n_perm=1000, seed=99)
+    assert np.all(np.abs(e.phi - phi_mc) <= 4.0 * np.maximum(se, 1e-12))
+    assert abs(e.prediction - target.predict(x[None, :])[0]) <= 1e-9 * target.target_std
+    with pytest.raises(TooManyFeatures):
+        explain(lambda rows: target.predict(rows), x, background)
+
+
+@pytest.mark.parametrize("kernel", [Kernel.linear(), Kernel.rbf(0.3)], ids=["linear", "rbf"])
+def test_svr_attributions_do_not_depend_on_batch_sizes(monkeypatch, kernel):
+    rng = np.random.default_rng(7)
+    target = _random_svr_target(rng, kernel, 11, 60)
+    rows = target.scaler_in.inverse_transform(rng.normal(size=(5, 11)))
+    background = target.scaler_in.inverse_transform(rng.normal(size=(16, 11)))
+    want = [explain(target.predict, row, background).phi for row in rows]
+    monkeypatch.setattr(shapley, "_EVAL_ROWS", 1)
+    monkeypatch.setattr(svr, "_KERNEL_ENTRIES", 1)
+    monkeypatch.setattr(svr, "_FACTOR_ENTRIES", 1)  # one background row per block
+    got = [explain(target.predict, row, background).phi for row in rows]
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+def test_rbf_closed_form_memory_is_bounded_by_the_factor_budget():
+    """At background 600 and 200 support vectors each work array of one
+    block would be 10.6 MB; blocks of _FACTOR_ENTRIES keep all six to about
+    1 MiB each."""
+    rng = np.random.default_rng(8)
+    d, n_sv, n_bg = 11, 200, 600
+    model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.0, SvrParams(kernel=Kernel.rbf(0.1)), d)
+    x, background = rng.normal(size=d), rng.normal(size=(n_bg, d))
+    block_bytes = svr._FACTOR_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        model.shapley_values(x, background)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * block_bytes
+
+
+@pytest.mark.parametrize("kernel", [Kernel.linear(), Kernel.rbf(0.3)], ids=["linear", "rbf"])
+def test_bound_predict_batch_is_enumerated(kernel):
+    """SvrModel has ``shapley_values`` (on standardized rows) but no
+    ``predict``: its bound ``predict_batch`` is an ordinary batch callable and
+    gets the enumerated values, like a plain lambda around it."""
+    rng = np.random.default_rng(9)
+    d = 4
+    model = SvrModel(rng.normal(size=(6, d)), rng.normal(size=6), 0.5, SvrParams(kernel=kernel), d)
+    x, background = rng.normal(size=d), rng.normal(size=(8, d))
+    got = explain(model.predict_batch, x, background)
+    want = explain(lambda rows: model.predict_batch(rows), x, background)
+    assert got.phi.tobytes() == want.phi.tobytes()
+    assert got.base_value == want.base_value
+
+
 def test_errors():
     f = lambda X: X.sum(axis=1)  # noqa: E731
     with pytest.raises(TooManyFeatures):
@@ -227,30 +383,28 @@ def test_errors():
     with pytest.raises(DimensionMismatch):
         explain(f, np.zeros(3), np.zeros((4, 2)))
     with pytest.raises(EmptyInput):
-        global_importance(f, np.zeros((0, 3)), np.zeros((2, 3)))
-    with pytest.raises(EmptyInput):
         emit_plot_data([])
 
 
-def test_global_importance_ranking(rng):
+def test_plot_bar_ranking(rng):
     x = rng.uniform(0, 1, (60, 3))
     y = np.where(x[:, 0] <= 0.4, 0.0, np.where(x[:, 0] <= 0.7, 5.0, 9.0))
     tree = fit_tree(x, y, TreeParams())
     assert set(tree.feature[~tree.is_leaf].tolist()) == {0}
-    gi = global_importance(tree.predict_batch, x[:12], x[:16])
-    assert gi.ranking[0] == 0
-    assert gi.mean_abs_phi[1] == 0.0 and gi.mean_abs_phi[2] == 0.0
+    bar = emit_plot_data([explain(tree.predict_batch, row, x[:16]) for row in x[:12]]).bar
+    assert bar[0][0] == "x0"
+    assert dict(bar)["x1"] == 0.0 and dict(bar)["x2"] == 0.0
     # zero-importance features rank by index after the used one
-    assert gi.ranking.tolist() == [0, 1, 2]
+    assert [name for name, _ in bar] == ["x0", "x1", "x2"]
 
 
-def test_global_importance_single_row_equals_abs_phi(rng):
+def test_plot_bar_of_one_explained_row_equals_abs_phi(rng):
     f = lambda X: X[:, 0] - 2 * X[:, 1]  # noqa: E731
     bg = rng.uniform(-1, 1, (10, 2))
     row = np.array([0.5, 0.25])
-    gi = global_importance(f, row[None, :], bg)
     e = explain(f, row, bg)
-    assert np.allclose(gi.mean_abs_phi, np.abs(e.phi), atol=1e-12)
+    bar = emit_plot_data([e]).bar
+    assert np.allclose([dict(bar)[name] for name in ("x0", "x1")], np.abs(e.phi), atol=1e-12)
 
 
 def test_plot_data_tables(tmp_path):
