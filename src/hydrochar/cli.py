@@ -230,6 +230,9 @@ def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
     if candidate.suffix == ".json" and candidate.exists():
         with candidate.open(encoding="utf-8") as fh:
             directions = json.load(fh)
+        if not isinstance(directions, dict):
+            raise ValueError(f"profile file {candidate} must hold a JSON object of target directions, "
+                             f"got {type(directions).__name__}")
         return genetic.ObjectiveProfile.from_directions(candidate.stem, directions)
     return genetic.ObjectiveProfile.builtin(application)
 

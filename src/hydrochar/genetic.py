@@ -107,9 +107,6 @@ class ObjectiveProfile:
             raise UnknownApplication(f"unknown application {name!r}; choose one of {choices}, or a .json direction-map file")
         return cls.from_directions(name, _BUILTIN_PROFILES[name])
 
-    def direction(self, target: str) -> str:
-        return dict(self.directions)[target]
-
     def active(self) -> list[tuple[str, float]]:
         """(target, sign) for every non-ignored target."""
         signs = {MAXIMIZE: 1.0, MINIMIZE: -1.0}
@@ -304,18 +301,14 @@ def _blend_crossover(children: np.ndarray, rng: np.random.Generator, prob: float
     children[a + 1] = c_lo + u[:, d:] * (c_hi - c_lo)
 
 
-def optimize(models: dict, profile: ObjectiveProfile, config: GaConfig, target_stats: dict | None = None) -> GaResult:
+def optimize(models: dict, profile: ObjectiveProfile, config: GaConfig) -> GaResult:
     """Search the 11-dimensional input space of the trained surrogates.
 
     ``models`` maps target name to a trained surrogate with ``predict`` and
-    (when ``target_stats`` is omitted) ``target_mean``/``target_std``
-    attributes. Individuals violating the feedstock mass-balance constraints
-    are infeasible.
+    ``target_mean``/``target_std`` attributes. Individuals violating the
+    feedstock mass-balance constraints are infeasible.
     """
-    if target_stats is None:
-        target_stats = {
-            t: (m.target_mean, m.target_std) for t, m in models.items()
-        }
+    target_stats = {t: (m.target_mean, m.target_std) for t, m in models.items()}
     objective = surrogate_objective(models, profile, target_stats)
     best_x, best_f, history, gens = run_ga(objective, config, feasible=mass_balance_ok)
     outputs = {t: float(models[t].predict(best_x.reshape(1, -1))[0]) for t in models}

@@ -116,13 +116,7 @@ class TrainedTarget:
 
     def predict(self, x_raw) -> np.ndarray:
         """Predict on raw (unscaled) feature rows, in original target units."""
-        x = np.atleast_2d(np.asarray(x_raw, dtype=float))
-        if self.scaler_in is not None:
-            x = self.scaler_in.transform(x)
-        pred = self.model.predict_batch(x)
-        if self.scaler_out is not None:
-            pred = self.scaler_out.inverse_transform(pred[:, None])[:, 0]
-        return pred
+        return _predict(self.model, self.scaler_in, self.scaler_out, np.atleast_2d(np.asarray(x_raw, dtype=float)))
 
     def shapley_values(self, x_raw, background_raw) -> np.ndarray | None:
         """Exact Shapley values of ``predict`` at one raw row over raw
@@ -192,58 +186,43 @@ class GridSearchResult:
     candidates: list[tuple[TreeParams | SvrParams, float]]
 
 
-@dataclass(frozen=True)
-class _Fold:
-    """One fold's parts, built once and shared by every candidate.
+def _fit(x, y, params, columns) -> tuple[RegressionTree | SvrModel, Scaler | None, Scaler | None]:
+    """Fit one candidate on raw rows; returns (model, scaler_in, scaler_out).
 
-    Trees fit on the raw slices. ``svr`` is set only when the grid has SVR
-    candidates: the standardized training and validation inputs, the target
-    scaler and the standardized training target. When a scaler cannot be
-    fit, ``svr`` holds its exception, raised again for each SVR candidate
-    that reaches this fold.
+    A tree fits the raw rows and has no scalers. An SVR fits rows and target
+    standardized by scalers fit on these rows; a scaler that cannot be fit
+    raises, naming a column of ``x`` from ``columns`` when given.
     """
+    if not isinstance(params, SvrParams):
+        return fit_tree(x, y, params), None, None
+    scaler_in = Scaler.fit(x, columns=columns)
+    scaler_out = Scaler.fit(y[:, None])
+    return fit_svr(scaler_in.transform(x), scaler_out.transform(y[:, None])[:, 0], params), scaler_in, scaler_out
 
-    x_trn: np.ndarray
-    x_val: np.ndarray
-    y_trn: np.ndarray
-    y_val: np.ndarray
-    svr: tuple[np.ndarray, np.ndarray, Scaler, np.ndarray] | HydrocharError | None
+
+def _predict(model, scaler_in: Scaler | None, scaler_out: Scaler | None, x: np.ndarray) -> np.ndarray:
+    """Predictions of ``_fit``'s result on raw rows, in original target units."""
+    if scaler_in is not None:
+        x = scaler_in.transform(x)
+    pred = model.predict_batch(x)
+    if scaler_out is not None:
+        pred = scaler_out.inverse_transform(pred[:, None])[:, 0]
+    return pred
 
 
-def _prepare_fold(x, y, trn, val, columns, svr: bool) -> _Fold:
-    if len(trn) < 2:
+def _fold_rmse(fold, params, columns) -> float:
+    x_trn, y_trn, x_val, y_val = fold
+    if len(y_trn) < 2:
         raise TooFewRows("fold training part too small")
-    x_trn, y_trn = x[trn], y[trn]
-    svr_part = None
-    if svr:
-        try:
-            scaler = Scaler.fit(x_trn, columns=columns)
-            y_scaler = Scaler.fit(y_trn[:, None])
-            svr_part = (scaler.transform(x_trn), scaler.transform(x[val]), y_scaler, y_scaler.transform(y_trn[:, None])[:, 0])
-        except HydrocharError as exc:
-            svr_part = exc
-    return _Fold(x_trn, x[val], y_trn, y[val], svr_part)
-
-
-def _fold_rmse(fold: _Fold | HydrocharError, params) -> float:
-    if isinstance(fold, HydrocharError):
-        raise fold
-    if isinstance(params, SvrParams):
-        if isinstance(fold.svr, HydrocharError):
-            raise fold.svr
-        x_trn, x_val, y_scaler, y_fit = fold.svr
-        pred = y_scaler.inverse_transform(fit_svr(x_trn, y_fit, params).predict_batch(x_val)[:, None])[:, 0]
-    else:
-        pred = fit_tree(fold.x_trn, fold.y_trn, params).predict_batch(fold.x_val)
-    return rmse(fold.y_val, pred)
+    return rmse(y_val, _predict(*_fit(x_trn, y_trn, params, columns), x_val))
 
 
 def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None, columns=None) -> GridSearchResult:
     """Select the candidate with the lowest mean validation RMSE over k folds.
 
-    Trees fit on raw inputs. For SVR candidates, scalers are re-fit inside
-    every fold on its own training part. Each fold is prepared once and every
-    candidate fits on the same arrays.
+    Every candidate fits through ``_fit`` on each fold's raw training slice,
+    so an SVR candidate fits its scalers on that fold's training part only.
+    The slices are made once and shared by every candidate.
     ``fold_ids`` reuses an existing fold assignment (one per row of ``x``);
     otherwise rows are shuffled with ``seed`` and chunked into k folds. Ties,
     including exact duplicates, go to the earliest grid entry. A candidate
@@ -269,23 +248,18 @@ def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None, colu
         if len(fold_ids) != n:
             raise TooFewRows("fold assignment length does not match row count")
         k = max(k, int(fold_ids.max()) + 1)
-    svr = any(isinstance(p, SvrParams) for p in candidates)
-    folds: list[_Fold | HydrocharError] = []
+    folds = []
     for f in range(k):
         in_fold = fold_ids == f
-        if not in_fold.any():
-            continue
-        try:
-            folds.append(_prepare_fold(x, y, np.flatnonzero(~in_fold), np.flatnonzero(in_fold), columns, svr))
-        except HydrocharError as exc:
-            folds.append(exc)
+        if in_fold.any():
+            folds.append((x[~in_fold], y[~in_fold], x[in_fold], y[in_fold]))
     if len(folds) < 2:
         raise TooFewRows("need at least 2 non-empty folds")
     scored: list[tuple[TreeParams | SvrParams, float]] = []
     first_failure = None
     for params in candidates:
         try:
-            score = float(np.mean([_fold_rmse(fold, params) for fold in folds]))
+            score = float(np.mean([_fold_rmse(fold, params, columns) for fold in folds]))
         except HydrocharError as exc:
             score = np.inf
             first_failure = first_failure or str(exc)
@@ -308,13 +282,7 @@ class TrainResult:
 
 
 def _fit_final(x, y, trn, tst, params, target, kind, cv, seed) -> TrainedTarget:
-    scaler_in = scaler_out = None
-    if isinstance(params, SvrParams):
-        scaler_in = Scaler.fit(x[trn], columns=data_mod.FEATURE_COLUMNS)
-        scaler_out = Scaler.fit(y[trn][:, None])
-        model = fit_svr(scaler_in.transform(x[trn]), scaler_out.transform(y[trn][:, None])[:, 0], params)
-    else:
-        model = fit_tree(x[trn], y[trn], params)
+    model, scaler_in, scaler_out = _fit(x[trn], y[trn], params, data_mod.FEATURE_COLUMNS)
     trained = TrainedTarget(
         target=target,
         model_kind=kind,

@@ -180,49 +180,6 @@ def correlation_matrix(dataset: Dataset, min_joint: int = 3) -> CorrelationMatri
     return CorrelationMatrix(labels=labels, values=out)
 
 
-def jacobi_eigendecomposition(a, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, both in
-    unsorted rotation order. Stops when the off-diagonal Frobenius norm drops
-    below ``tol`` or after ``max_sweeps`` sweeps.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("input must be a symmetric square matrix")
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                arp, arq = a[:, p], a[:, q]
-                new_p = c * arp - s * arq
-                new_q = s * arp + c * arq
-                a[:, p] = a[p, :] = new_p
-                a[:, q] = a[q, :] = new_q
-                # the rotation's own 2x2 block is set in closed form
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    return np.diag(a).copy(), v
-
-
 @dataclass(frozen=True)
 class FactorResult:
     """Eigen-structure of a correlation matrix: eigenvalues in descending
@@ -262,9 +219,11 @@ def factor_analysis(dataset: Dataset, columns) -> FactorResult:
     """Unrotated factor analysis of the selected columns.
 
     Rows incomplete on the selection are dropped; the Pearson correlation
-    matrix of the standardized remainder is eigen-decomposed with Jacobi
-    rotations. Each eigenvector is signed so its largest-magnitude entry is
-    positive.
+    matrix of the standardized remainder is eigen-decomposed by
+    ``numpy.linalg.eigh`` (LAPACK). Eigenvalues are sorted descending, and
+    each eigenvector is signed so its largest-magnitude entry is positive.
+    A repeated eigenvalue, such as the zero eigenvalue of a rank-deficient
+    selection, leaves its eigenvectors free to rotate within their subspace.
     """
     cols = tuple(columns)
     if len(cols) < 2:
@@ -286,7 +245,7 @@ def factor_analysis(dataset: Dataset, columns) -> FactorResult:
     z = (m - means) / stds
     corr = (z.T @ z) / z.shape[0]
     corr = 0.5 * (corr + corr.T)
-    eigvals, eigvecs = jacobi_eigendecomposition(corr)
+    eigvals, eigvecs = np.linalg.eigh(corr)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

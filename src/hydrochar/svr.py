@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, require_int,
-                     require_known_fields, require_real)
+from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, InvalidModelFile,
+                     require_int, require_known_fields, require_real)
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,15 @@ class SvrModel:
         self.n_features = int(n_features)
         self.sv_indices = np.asarray(sv_indices if sv_indices is not None else [], dtype=int)
         self.converged = bool(converged)
+        n_sv = len(self.dual_coeffs)
+        if len(self.support_vectors) != n_sv:
+            raise InvalidModelFile(f"support_vectors has {len(self.support_vectors)} rows, dual_coeffs {n_sv} entries")
+        if len(self.sv_indices) not in (0, n_sv):
+            raise InvalidModelFile(f"sv_indices has {len(self.sv_indices)} entries, dual_coeffs {n_sv}")
+        for name, value in (("support_vectors", self.support_vectors), ("dual_coeffs", self.dual_coeffs),
+                            ("bias", self.bias)):
+            if not np.isfinite(value).all():
+                raise InvalidModelFile(f"{name} holds a value that is not finite")
         for arr in (self.support_vectors, self.dual_coeffs, self.sv_indices):
             arr.setflags(write=False)
 
@@ -271,24 +280,6 @@ class SvrModel:
             sv_indices=obj.get("sv_indices"),
             converged=bool(obj.get("converged", True)),
         )
-
-
-def _bias_interval(u: np.ndarray, f: np.ndarray, y: np.ndarray, c: float, eps: float):
-    """Per-variable feasible-bias candidates implied by the current duals.
-
-    A variable that can still grow puts a lower bound on the bias, one that
-    can still shrink puts an upper bound: value y_i - f_i - eps on the alpha
-    side, y_i - f_i + eps on the alpha* side. Returns (vals_a, vals_s,
-    lower_ok_a, lower_ok_s, upper_ok_a, upper_ok_s).
-    """
-    n = len(y)
-    slack = 1e-10 * c
-    base = y - f
-    vals_a = base - eps
-    vals_s = base + eps
-    u_a = u[:n]
-    u_s = u[n:]
-    return vals_a, vals_s, u_a < c - slack, u_s > slack, u_a > slack, u_s < c - slack
 
 
 def fit_svr(x, y, params: SvrParams) -> SvrModel:
@@ -413,9 +404,13 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
         idx = np.flatnonzero(free)
         bias = float(np.mean([y[i] - f[i] - np.sign(beta[i]) * eps for i in idx]))
     else:
-        vals_a, vals_s, low_a, low_s, up_a, up_s = _bias_interval(u, f, y, c, eps)
-        b_low = float(max(np.where(low_a, vals_a, -np.inf).max(), np.where(low_s, vals_s, -np.inf).max()))
-        b_up = float(min(np.where(up_a, vals_a, np.inf).min(), np.where(up_s, vals_s, np.inf).min()))
+        # the loop's bias bounds at the final duals: a variable that can
+        # still grow bounds the bias below, one that can still shrink above
+        np.subtract(y, f, r)
+        np.subtract(r, eps, vals_a)
+        np.add(r, eps, vals_s)
+        b_low = float(np.add(vals, low_pen, lv).max())
+        b_up = float(np.add(vals, up_pen, uv).min())
         if not np.isfinite(b_low):
             bias = b_up if np.isfinite(b_up) else 0.0
         elif not np.isfinite(b_up):

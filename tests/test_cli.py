@@ -356,6 +356,18 @@ def test_optimize_refuses_unknown_application(workdir, capsys):
     assert not (out / "optimum.json").exists()
 
 
+@pytest.mark.parametrize("content, kind", [("5", "int"), ('["hc_yield"]', "list"), ("null", "NoneType")])
+def test_optimize_refuses_profile_that_is_not_an_object(workdir, capsys, content, kind):
+    csv, out = _train_for_optimize(workdir)
+    profile = workdir / "prof.json"
+    profile.write_text(content, encoding="utf-8")
+    assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", profile) == 1
+    assert capsys.readouterr().err == (
+        f"error: profile file {profile} must hold a JSON object of target directions, got {kind}\n"
+    )
+    assert not (out / "optimum.json").exists()
+
+
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_subcommand(workdir, capsys):
@@ -448,6 +460,10 @@ def _set(field, value):
     return lambda obj: obj.__setitem__(field, value)
 
 
+def _edit_svr(edit):
+    return lambda obj: edit(obj["model"])
+
+
 def _widen_scaler_out(obj):
     for field in ("means", "stds"):
         obj["scaler_out"][field].append(obj["scaler_out"][field][0])
@@ -463,8 +479,16 @@ def _widen_scaler_out(obj):
     ("svr", _set("scaler_out", None), "an svr model needs both scaler_in and scaler_out"),
     ("svr", _widen_scaler_out, "scaler_out has 2 columns, not 1"),
     ("svr", _set("model_kind", "rf"), "model_kind 'rf' is neither 'dtr' nor 'svr'"),
+    ("svr", _edit_svr(lambda m: m["dual_coeffs"].append(0.5)), "support_vectors has "),
+    ("svr", _edit_svr(lambda m: m["sv_indices"].pop()), "sv_indices has "),
+    ("svr", _edit_svr(lambda m: m["support_vectors"][0].__setitem__(0, float("inf"))),
+     "support_vectors holds a value that is not finite"),
+    ("svr", _edit_svr(lambda m: m["dual_coeffs"].__setitem__(0, float("nan"))),
+     "dual_coeffs holds a value that is not finite"),
+    ("svr", _edit_svr(lambda m: m.__setitem__("bias", float("nan"))), "bias holds a value that is not finite"),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
-        "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind"])
+        "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
+        "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)

@@ -300,8 +300,9 @@ def _reference_cv_fold_rmse(x, y, params, trn, val, columns) -> float:
 
 
 def _reference_grid_search(x, y, candidates, k=5, seed=0, fold_ids=None, columns=None) -> GridSearchResult:
-    """Per-candidate loop, with every fold set up again for each candidate,
-    that grid_search's once-per-fold preparation replaces."""
+    """Per-candidate loop that selects every fold's rows again by index and
+    scales SVR folds with its own code: the oracle for grid_search's shared
+    raw fold slices and its one fit/predict path through ``_fit``."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     candidates = list(candidates)

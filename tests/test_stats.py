@@ -299,8 +299,15 @@ def test_factor_eigensum_and_reconstruction(small_dataset):
     assert res.eigenvalues.sum() == pytest.approx(len(cols), abs=1e-8)
     recon = res.loadings @ res.loadings.T
     assert np.allclose(recon, res.correlation, atol=1e-8)
-    assert np.all(np.diff(res.eigenvalues) <= 1e-12)
+    assert np.all(np.diff(res.eigenvalues) <= 0.0)
     assert np.all(res.eigenvalues >= 0.0)
+    # correlation @ v = v lambda and v^T v = I, with each eigenvector v read
+    # back from its loadings where the eigenvalue is not numerically zero
+    assert np.allclose(res.correlation @ res.loadings, res.loadings * res.eigenvalues, rtol=0.0, atol=1e-12)
+    nonzero = res.eigenvalues > 1e-8
+    v = res.loadings[:, nonzero] / np.sqrt(res.eigenvalues[nonzero])
+    assert np.allclose(res.correlation @ v, v * res.eigenvalues[nonzero], rtol=0.0, atol=1e-12)
+    assert np.allclose(v.T @ v, np.eye(v.shape[1]), rtol=0.0, atol=1e-12)
 
 
 def test_factor_sign_convention(small_dataset):
@@ -330,78 +337,3 @@ def test_factor_errors():
     sparse = make_dataset(2, temperature_c=200.0)
     with pytest.raises(TooFewRows):
         stats.factor_analysis(sparse, ["hc_yield", "hc_hhv"])
-
-
-# ------------------------------------------------------------ jacobi solver
-
-def test_jacobi_matches_numpy_eigh(rng):
-    for trial in range(5):
-        m = rng.standard_normal((8, 8))
-        a = (m + m.T) / 2.0
-        vals, vecs = stats.jacobi_eigendecomposition(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.allclose(np.sort(vals), ref, atol=1e-9)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-9)
-        assert np.allclose(vecs @ vecs.T, np.eye(8), atol=1e-9)
-
-
-def _reference_jacobi(a, tol=1e-12, max_sweeps=100):
-    """Cyclic Jacobi with a boolean mask per rotation, the solver's former
-    update, which the slicing in stats.jacobi_eigendecomposition replaces."""
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        if math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0)) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                arp = a[:, p].copy()
-                arq = a[:, q].copy()
-                mask = np.ones(n, dtype=bool)
-                mask[[p, q]] = False
-                a[mask, p] = c * arp[mask] - s * arq[mask]
-                a[mask, q] = s * arp[mask] + c * arq[mask]
-                a[p, mask] = a[mask, p]
-                a[q, mask] = a[mask, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    return np.diag(a).copy(), v
-
-
-def _assert_jacobi_matches_reference(a):
-    vals, vecs = stats.jacobi_eigendecomposition(a)
-    ref_vals, ref_vecs = _reference_jacobi(a)
-    assert vals.tobytes() == ref_vals.tobytes()
-    assert vecs.tobytes() == ref_vecs.tobytes()
-
-
-def test_jacobi_matches_masked_rotation_reference(rng):
-    for n in (1, 2, 3, 5, 8, 13):
-        m = rng.standard_normal((n, n))
-        _assert_jacobi_matches_reference((m + m.T) / 2.0)
-
-
-def test_jacobi_matches_masked_rotation_reference_on_factor_correlation():
-    ds = data.generate_synthetic(300, seed=17)
-    cols = list(data.FEATURE_COLUMNS) + list(data.TARGET_COLUMNS)
-    _assert_jacobi_matches_reference(stats.factor_analysis(ds, cols).correlation)
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        stats.jacobi_eigendecomposition(np.array([[1.0, 2.0], [0.0, 1.0]]))
