@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidModelFile, require_int, require_known_fields, require_real
+from .errors import (DimensionMismatch, EmptyInput, InvalidModelFile, require_int, require_known_fields, require_real,
+                     require_type)
 
 _WALK_BLOCK = 8192  # rows per block of the batch tree walk
 
@@ -47,7 +48,8 @@ class TreeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        require_known_fields(d, ("max_depth", "min_samples_split", "min_samples_leaf", "min_impurity_decrease"))
+        require_known_fields(require_type("tree params", d, dict),
+                             ("max_depth", "min_samples_split", "min_samples_leaf", "min_impurity_decrease"))
         return cls(
             max_depth=d.get("max_depth"),
             min_samples_split=d.get("min_samples_split", 2),
@@ -79,6 +81,9 @@ class RegressionTree:
         # row can take the same number of steps; children[2 i + (x <= t)].
         self.feature = np.where(self.is_leaf, 0, [n.get("feature", 0) for n in nodes]).astype(np.intp)
         self.threshold = np.where(self.is_leaf, np.inf, [n.get("threshold", 0.0) for n in nodes])
+        bad = np.flatnonzero(self.is_leaf & ~np.isfinite(self.value))
+        if bad.size:
+            raise InvalidModelFile(f"node {bad[0]} value is not finite: {self.value[bad[0]]}")
         split = ~self.is_leaf
         bad = np.flatnonzero(split & ((self.feature < 0) | (self.feature >= n_features)))
         if bad.size:
@@ -160,11 +165,11 @@ class RegressionTree:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegressionTree":
-        return cls(
-            n_features=int(obj["n_features"]),
-            params=TreeParams.from_dict(obj["params"]),
-            nodes=list(obj["nodes"]),
-        )
+        require_type("model", obj, dict)
+        nodes = require_type("nodes", obj["nodes"], list)
+        for i, node in enumerate(nodes):
+            require_type(f"node {i}", node, dict)
+        return cls(n_features=int(obj["n_features"]), params=TreeParams.from_dict(obj["params"]), nodes=nodes)
 
 
 def _depth(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:

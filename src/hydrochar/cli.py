@@ -36,17 +36,16 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        out = Path(getattr(args, "out", ".")).resolve()
+        out = Path(args.out).resolve()
         out.mkdir(parents=True, exist_ok=True)
-        d = getattr(args, "data", None)
         return cls(
-            data=Path(d).resolve() if d else None,
+            data=Path(args.data).resolve() if args.data else None,
             out=out,
             seed=args.seed,
-            model=getattr(args, "model", "both"),
-            grid=Path(args.grid).resolve() if getattr(args, "grid", None) else None,
-            application=getattr(args, "application", "energy"),
-            background=getattr(args, "background", 64),
+            model=args.model,
+            grid=Path(args.grid).resolve() if args.grid else None,
+            application=args.application,
+            background=args.background,
         )
 
 
@@ -137,7 +136,7 @@ def cmd_train(args) -> int:
     grid = _load_grid(cfg)
     kinds = ("dtr", "svr") if cfg.model == "both" else (cfg.model,)
     result = pipeline.train_all(ds, grid, seed=cfg.seed, models=kinds)
-    _write_json(cfg.out / "report.json", result.report)
+    _write_json(cfg.out / "report.json", {**_provenance(cfg.seed), **result.report})
     for (kind, target), trained in sorted(result.trained.items()):
         _write_json(_model_path(cfg.out, kind, target), {**_provenance(cfg.seed), **trained.to_json_obj()})
     print(f"{'model':<6}{'target':<10}{'cv_rmse':>10}{'train_r2':>10}{'test_r2':>10}")
@@ -233,7 +232,10 @@ def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
         if not isinstance(directions, dict):
             raise ValueError(f"profile file {candidate} must hold a JSON object of target directions, "
                              f"got {type(directions).__name__}")
-        return genetic.ObjectiveProfile.from_directions(candidate.stem, directions)
+        try:
+            return genetic.ObjectiveProfile.from_directions(candidate.stem, directions)
+        except ValueError as exc:
+            raise ValueError(f"profile file {candidate}: {exc}") from exc
     return genetic.ObjectiveProfile.builtin(application)
 
 
@@ -254,7 +256,7 @@ def cmd_optimize(args) -> int:
     config = genetic.GaConfig(bounds=bounds, seed=cfg.seed)
     result = genetic.optimize(models, profile, config)
     rep = genetic.report(result, profile, config)
-    _write_json(cfg.out / "optimum.json", rep)
+    _write_json(cfg.out / "optimum.json", {**_provenance(cfg.seed), **rep})
     print(genetic.render_table(rep))
     return 0
 

@@ -25,6 +25,7 @@ from .errors import (
     TooFewRows,
     UnparseableCell,
     ZeroCarbon,
+    require_type,
 )
 
 FEATURE_COLUMNS = (
@@ -196,7 +197,7 @@ def load_csv(path) -> Dataset:
         header = next(reader, None)
         if header is None:
             raise EmptyDataset(f"{path}: file is empty")
-        header = tuple(h.strip() for h in header)
+        header = tuple(h.lstrip("\ufeff").strip() for h in header)  # Excel's "CSV UTF-8" starts with a BOM
         if header != CSV_HEADER:
             missing = [c for c in CSV_HEADER if c not in header]
             if missing:
@@ -292,11 +293,13 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        means = np.array(d["means"], dtype=float)
+        means = np.array(require_type("scaler", d, dict)["means"], dtype=float)
         stds = np.array(d["stds"], dtype=float)
         cols = d.get("columns")
         if means.ndim != 1 or means.shape != stds.shape:
             raise InvalidModelFile(f"scaler has {means.size} means and {stds.size} stds")
+        if cols is not None and len(require_type("scaler columns", cols, list)) != means.size:
+            raise InvalidModelFile(f"scaler has {means.size} means and {len(cols)} columns")
         for j in range(len(means)):
             if not np.isfinite(means[j]):
                 raise InvalidModelFile(f"scaler {_column_name(cols, j)}: mean {means[j]} is not finite")
@@ -339,12 +342,11 @@ def split(dataset: Dataset, test_fraction: float = 0.2, k: int = 5, seed: int = 
     perm = np.random.default_rng(seed).permutation(n)
     test = np.sort(perm[:n_test])
     train_shuffled = perm[n_test:]
-    fold_of = {}
+    fold_of = np.empty(n, dtype=int)
     for fold_id, chunk in enumerate(np.array_split(train_shuffled, k)):
-        for row in chunk:
-            fold_of[int(row)] = fold_id
+        fold_of[chunk] = fold_id
     train = np.sort(train_shuffled)
-    folds = np.array([fold_of[int(r)] for r in train], dtype=int)
+    folds = fold_of[train]
     for arr in (train, test, folds):
         arr.setflags(write=False)
     return SplitPlan(train_indices=train, test_indices=test, fold_assignments=folds)

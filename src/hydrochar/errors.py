@@ -126,6 +126,13 @@ def require_real(name: str, value) -> float:
     return float(value)
 
 
+def require_type(name: str, value, kind: type):
+    """Read a JSON object (``dict``) or array (``list``); any other JSON value is refused, naming it."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {'an object' if kind is dict else 'a list'}, got {type(value).__name__}")
+    return value
+
+
 def require_known_fields(d: dict, known) -> None:
     """Refuse a field nothing reads, so a misspelt one is never ignored."""
     unknown = [k for k in d if k not in known]

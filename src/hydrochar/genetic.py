@@ -18,7 +18,7 @@ enough spread to walk off the flat plateaus a tree surrogate produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -141,18 +141,6 @@ class GaConfig:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):  # lo == hi pins the gene
                 raise ValueError(f"invalid gene bounds ({lo}, {hi})")
 
-    def to_dict(self) -> dict:
-        return {
-            "bounds": [[lo, hi] for lo, hi in self.bounds],
-            "population": self.population,
-            "crossover_prob": self.crossover_prob,
-            "mutation_prob": self.mutation_prob,
-            "generations": self.generations,
-            "elitism": self.elitism,
-            "stagnation_limit": self.stagnation_limit,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class GaResult:
@@ -163,13 +151,13 @@ class GaResult:
     generations_run: int
 
 
-def surrogate_objective(models: dict, profile: ObjectiveProfile, target_stats: dict):
+def surrogate_objective(models: dict, profile: ObjectiveProfile):
     """Batch fitness: maps an (m, 11) array of raw inputs to m values.
 
     Each value is the signed standardized-prediction sum over the profile's
     active targets. ``models`` maps target name to an object with a batch
-    ``predict(rows)``; ``target_stats`` maps target name to (mean, std) of
-    its training data. A missing model raises MissingModel up front.
+    ``predict(rows)`` and the ``target_mean``/``target_std`` of its training
+    data. A missing model raises MissingModel up front.
     """
     active = profile.active()
     for target, _ in active:
@@ -179,8 +167,8 @@ def surrogate_objective(models: dict, profile: ObjectiveProfile, target_stats: d
     def objective(pop: np.ndarray) -> np.ndarray:
         total = np.zeros(pop.shape[0])
         for target, sign in active:
-            mean, std = target_stats[target]
-            total += sign * (models[target].predict(pop) - mean) / std
+            model = models[target]
+            total += sign * (model.predict(pop) - model.target_mean) / model.target_std
         return total
 
     return objective
@@ -308,8 +296,7 @@ def optimize(models: dict, profile: ObjectiveProfile, config: GaConfig) -> GaRes
     ``target_mean``/``target_std`` attributes. Individuals violating the
     feedstock mass-balance constraints are infeasible.
     """
-    target_stats = {t: (m.target_mean, m.target_std) for t, m in models.items()}
-    objective = surrogate_objective(models, profile, target_stats)
+    objective = surrogate_objective(models, profile)
     best_x, best_f, history, gens = run_ga(objective, config, feasible=mass_balance_ok)
     outputs = {t: float(models[t].predict(best_x.reshape(1, -1))[0]) for t in models}
     return GaResult(
@@ -323,13 +310,8 @@ def optimize(models: dict, profile: ObjectiveProfile, config: GaConfig) -> GaRes
 
 def report(result: GaResult, profile: ObjectiveProfile, config: GaConfig) -> dict:
     """JSON-ready optimization report: optimum inputs, predicted outputs,
-    the direction map, and the full configuration."""
-    from . import __version__
-
+    the direction map, and the full configuration; the CLI adds provenance."""
     return {
-        "schema_version": 1,
-        "tool_version": __version__,
-        "seed": config.seed,
         "application": profile.name,
         "directions": profile.as_dict(),
         "best_inputs": {name: float(v) for name, v in zip(FEATURE_COLUMNS, result.best_inputs)},
@@ -337,13 +319,13 @@ def report(result: GaResult, profile: ObjectiveProfile, config: GaConfig) -> dic
         "best_fitness": result.best_fitness,
         "generations_run": result.generations_run,
         "history": [float(v) for v in result.history],
-        "config": config.to_dict(),
+        "config": asdict(config),
     }
 
 
 def render_table(rep: dict) -> str:
     """Human-readable two-column table of an optimization report."""
-    lines = [f"application: {rep['application']}   seed: {rep['seed']}"]
+    lines = [f"application: {rep['application']}   seed: {rep['config']['seed']}"]
     lines.append(f"best fitness: {rep['best_fitness']:.6g} after {rep['generations_run']} generations")
     lines.append("")
     lines.append(f"{'optimum inputs':<28}{'value':>12}")

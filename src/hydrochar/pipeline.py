@@ -18,7 +18,7 @@ import numpy as np
 from . import data as data_mod
 from .cart import RegressionTree, TreeParams, fit_tree
 from .data import Dataset, Scaler, SplitPlan
-from .errors import HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, UnsupportedSchema
+from .errors import HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, UnsupportedSchema, require_type
 from .stats import MetricsReport, metrics_report, rmse
 from .svr import Kernel, SvrModel, SvrParams, fit_svr
 
@@ -46,7 +46,7 @@ class HyperGrid:
             TreeParams(max_depth=d, min_samples_leaf=leaf)
             for d, leaf in itertools.product(DEFAULT_TREE_DEPTHS, DEFAULT_TREE_MIN_LEAF)
         ]
-        kernels = [Kernel.linear()] + [Kernel.rbf(g) for g in DEFAULT_SVR_GAMMAS]
+        kernels = [Kernel("linear")] + [Kernel("rbf", gamma=g) for g in DEFAULT_SVR_GAMMAS]
         svrs = [
             SvrParams(c=c, epsilon=e, kernel=k)
             for c, e, k in itertools.product(DEFAULT_SVR_C, DEFAULT_SVR_EPSILON, kernels)
@@ -78,8 +78,6 @@ def _grid_entries(obj: dict, key: str, parse) -> list:
         raise InvalidGrid(f"{key} must be a list of entries, got {type(entries).__name__}")
     parsed = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise InvalidGrid(f"{key}[{i}] must be an object, got {type(entry).__name__}")
         try:
             parsed.append(parse(entry))
         except KeyError as exc:
@@ -104,9 +102,12 @@ class TrainedTarget:
     test_metrics: MetricsReport
     target_mean: float
     target_std: float
-    seed: int
 
     def __post_init__(self):
+        if not np.isfinite(self.target_mean):
+            raise InvalidModelFile(f"target_mean {self.target_mean} is not finite")
+        if not (np.isfinite(self.target_std) and self.target_std > 0.0):
+            raise InvalidModelFile(f"target_std {self.target_std} is not finite and > 0")
         if self.model_kind == "svr" and (self.scaler_in is None or self.scaler_out is None):
             raise InvalidModelFile("an svr model needs both scaler_in and scaler_out")
         if self.scaler_in is not None and self.scaler_in.means.size != self.model.n_features:
@@ -137,7 +138,6 @@ class TrainedTarget:
             "schema_version": 1,
             "target": self.target,
             "model_kind": self.model_kind,
-            "seed": self.seed,
             "params": self.chosen_params.to_dict(),
             "cv_rmse": self.cv_rmse,
             "scaler_in": self.scaler_in.to_dict() if self.scaler_in is not None else None,
@@ -151,7 +151,7 @@ class TrainedTarget:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TrainedTarget":
-        version = obj.get("schema_version")
+        version = require_type("a model file", obj, dict).get("schema_version")
         if version != 1:
             raise UnsupportedSchema(f"model file schema_version {version!r} is not supported; expected 1")
         kind = obj["model_kind"]
@@ -171,11 +171,10 @@ class TrainedTarget:
             scaler_out=Scaler.from_dict(obj["scaler_out"]) if obj.get("scaler_out") else None,
             chosen_params=params,
             cv_rmse=float(obj["cv_rmse"]),
-            train_metrics=MetricsReport(**obj["train_metrics"]),
-            test_metrics=MetricsReport(**obj["test_metrics"]),
+            train_metrics=MetricsReport.from_dict(obj["train_metrics"]),
+            test_metrics=MetricsReport.from_dict(obj["test_metrics"]),
             target_mean=float(obj["target_mean"]),
             target_std=float(obj["target_std"]),
-            seed=int(obj.get("seed", 0)),
         )
 
 
@@ -217,39 +216,29 @@ def _fold_rmse(fold, params, columns) -> float:
     return rmse(y_val, _predict(*_fit(x_trn, y_trn, params, columns), x_val))
 
 
-def grid_search(x, y, candidates, k: int = 5, seed: int = 0, fold_ids=None, columns=None) -> GridSearchResult:
-    """Select the candidate with the lowest mean validation RMSE over k folds.
+def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
+    """Select the candidate with the lowest mean validation RMSE over the folds.
 
-    Every candidate fits through ``_fit`` on each fold's raw training slice,
-    so an SVR candidate fits its scalers on that fold's training part only.
-    The slices are made once and shared by every candidate.
-    ``fold_ids`` reuses an existing fold assignment (one per row of ``x``);
-    otherwise rows are shuffled with ``seed`` and chunked into k folds. Ties,
-    including exact duplicates, go to the earliest grid entry. A candidate
-    that fails on any fold scores infinity; when every candidate fails, the
-    raised error carries the first failure's message, which names a column
-    of ``x`` from ``columns`` when given.
+    ``fold_ids`` gives each row of ``x`` its fold, as ``data.split`` assigns
+    them; the folds are the non-empty ids in ``range(max + 1)``. Every
+    candidate fits through ``_fit`` on each fold's raw training slice, so an
+    SVR candidate fits its scalers on that fold's training part only. The
+    slices are made once and shared by every candidate. Ties, including
+    exact duplicates, go to the earliest grid entry. A candidate that fails
+    on any fold scores infinity; when every candidate fails, the raised
+    error carries the first failure's message, which names a column of
+    ``x`` from ``columns`` when given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list is empty")
-    n = len(y)
-    if fold_ids is None:
-        if n < k:
-            raise TooFewRows(f"{n} rows cannot form {k} folds")
-        perm = np.random.default_rng(seed).permutation(n)
-        fold_ids = np.empty(n, dtype=int)
-        for fold, chunk in enumerate(np.array_split(perm, k)):
-            fold_ids[chunk] = fold
-    else:
-        fold_ids = np.asarray(fold_ids, dtype=int)
-        if len(fold_ids) != n:
-            raise TooFewRows("fold assignment length does not match row count")
-        k = max(k, int(fold_ids.max()) + 1)
+    fold_ids = np.asarray(fold_ids, dtype=int)
+    if len(fold_ids) != len(y):
+        raise TooFewRows("fold assignment length does not match row count")
     folds = []
-    for f in range(k):
+    for f in range(int(fold_ids.max()) + 1):
         in_fold = fold_ids == f
         if in_fold.any():
             folds.append((x[~in_fold], y[~in_fold], x[in_fold], y[in_fold]))
@@ -281,7 +270,7 @@ class TrainResult:
     plan: SplitPlan
 
 
-def _fit_final(x, y, trn, tst, params, target, kind, cv, seed) -> TrainedTarget:
+def _fit_final(x, y, trn, tst, params, target, kind, cv) -> TrainedTarget:
     model, scaler_in, scaler_out = _fit(x[trn], y[trn], params, data_mod.FEATURE_COLUMNS)
     trained = TrainedTarget(
         target=target,
@@ -295,7 +284,6 @@ def _fit_final(x, y, trn, tst, params, target, kind, cv, seed) -> TrainedTarget:
         test_metrics=MetricsReport(0.0, 0.0, 0.0, 0),
         target_mean=float(np.mean(y[trn])),
         target_std=float(np.std(y[trn])),
-        seed=seed,
     )
     trained.train_metrics = evaluate(trained, x[trn], y[trn])
     trained.test_metrics = evaluate(trained, x[tst], y[tst])
@@ -341,20 +329,15 @@ def train_all(dataset: Dataset, grid: HyperGrid, seed: int, models=("dtr", "svr"
                 skips[kind][target] = "training target is constant"
                 continue
             try:
-                gs = grid_search(x[trn], y[trn], candidates, k=plan.k, seed=seed, fold_ids=folds,
-                                 columns=data_mod.FEATURE_COLUMNS)
-                trained[(kind, target)] = _fit_final(
-                    x, y, trn, tst, gs.chosen_params, target, kind, gs.cv_rmse, seed
-                )
+                gs = grid_search(x[trn], y[trn], candidates, folds, columns=data_mod.FEATURE_COLUMNS)
+                trained[(kind, target)] = _fit_final(x, y, trn, tst, gs.chosen_params, target, kind, gs.cv_rmse)
             except HydrocharError as exc:
                 skips[kind][target] = str(exc)
-    report = _build_report(dataset, trained, skips, seed, models)
+    report = _build_report(dataset, trained, skips, models)
     return TrainResult(trained=trained, report=report, skips=skips, plan=plan)
 
 
-def _build_report(dataset: Dataset, trained, skips, seed: int, models) -> dict:
-    from . import __version__
-
+def _build_report(dataset: Dataset, trained, skips, models) -> dict:
     model_section: dict = {}
     for kind in models:
         section = {}
@@ -372,9 +355,6 @@ def _build_report(dataset: Dataset, trained, skips, seed: int, models) -> dict:
                 section[target]["converged"] = t.model.converged  # False: the final fit hit max_passes
         model_section[kind] = section
     return {
-        "schema_version": 1,
-        "tool_version": __version__,
-        "seed": seed,
         "n_rows": dataset.n_rows,
         "dataset_fingerprint": dataset.fingerprint(),
         "models": model_section,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,8 @@ from .errors import (
     LengthMismatch,
     SingularInput,
     TooFewRows,
+    require_known_fields,
+    require_type,
 )
 
 
@@ -28,6 +31,11 @@ class MetricsReport:
 
     def as_dict(self) -> dict:
         return {"r2": self.r2, "rmse": self.rmse, "mae": self.mae, "n": self.n}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MetricsReport":
+        require_known_fields(require_type("metrics", d, dict), ("r2", "rmse", "mae", "n"))
+        return cls(r2=d["r2"], rmse=d["rmse"], mae=d["mae"], n=d["n"])
 
 
 def _paired(actual, predicted, min_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +230,11 @@ def factor_analysis(dataset: Dataset, columns) -> FactorResult:
     matrix of the standardized remainder is eigen-decomposed by
     ``numpy.linalg.eigh`` (LAPACK). Eigenvalues are sorted descending, and
     each eigenvector is signed so its largest-magnitude entry is positive.
-    A repeated eigenvalue, such as the zero eigenvalue of a rank-deficient
-    selection, leaves its eigenvectors free to rotate within their subspace.
+    An eigenvalue no larger in magnitude than p * eps * (largest eigenvalue),
+    numpy's ``matrix_rank`` cut for p columns, is rounding noise of a
+    rank-deficient selection: it and its loadings are written as exactly 0.
+    A repeated eigenvalue leaves its eigenvectors free to rotate within their
+    subspace.
     """
     cols = tuple(columns)
     if len(cols) < 2:
@@ -249,7 +260,7 @@ def factor_analysis(dataset: Dataset, columns) -> FactorResult:
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    eigvals[(eigvals < 0.0) & (eigvals >= -1e-10)] = 0.0
+    eigvals[np.abs(eigvals) <= len(cols) * sys.float_info.epsilon * eigvals[0]] = 0.0
     for j in range(eigvecs.shape[1]):
         lead = np.argmax(np.abs(eigvecs[:, j]))
         if eigvecs[lead, j] < 0.0:

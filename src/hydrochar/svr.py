@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, InvalidModelFile,
-                     require_int, require_known_fields, require_real)
+                     require_int, require_known_fields, require_real, require_type)
 
 
 @dataclass(frozen=True)
@@ -49,18 +49,6 @@ class Kernel:
         if self.kind == "rbf" and not self.gamma > 0.0:
             raise ValueError("rbf gamma must be > 0")
 
-    @classmethod
-    def linear(cls) -> "Kernel":
-        return cls(kind="linear")
-
-    @classmethod
-    def polynomial(cls, degree: int, coef0: float = 0.0) -> "Kernel":
-        return cls(kind="polynomial", degree=degree, coef0=coef0)
-
-    @classmethod
-    def rbf(cls, gamma: float) -> "Kernel":
-        return cls(kind="rbf", gamma=gamma)
-
     def __str__(self) -> str:
         return " ".join([self.kind] + [f"{k}={v!r}" for k, v in self.to_dict().items() if k != "kind"])
 
@@ -75,9 +63,7 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
-        if not isinstance(d, dict):
-            raise ValueError(f"kernel must be an object, got {type(d).__name__}")
-        require_known_fields(d, ("kind", "degree", "coef0", "gamma"))
+        require_known_fields(require_type("kernel", d, dict), ("kind", "degree", "coef0", "gamma"))
         return cls(
             kind=d["kind"],
             degree=d.get("degree", 3),
@@ -90,7 +76,7 @@ class Kernel:
 class SvrParams:
     c: float = 1.0
     epsilon: float = 0.1
-    kernel: Kernel = field(default_factory=Kernel.linear)
+    kernel: Kernel = Kernel("linear")
     tolerance: float = 1e-3
     max_passes: int = 200
 
@@ -119,7 +105,7 @@ class SvrParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvrParams":
-        require_known_fields(d, ("c", "epsilon", "kernel", "tolerance", "max_passes"))
+        require_known_fields(require_type("svr params", d, dict), ("c", "epsilon", "kernel", "tolerance", "max_passes"))
         return cls(
             c=require_real("c", d["c"]),
             epsilon=require_real("epsilon", d["epsilon"]),
@@ -271,8 +257,9 @@ class SvrModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SvrModel":
+        require_type("model", obj, dict)
         return cls(
-            support_vectors=np.array(obj["support_vectors"], dtype=float).reshape(-1, int(obj["n_features"])),
+            support_vectors=obj["support_vectors"],
             dual_coeffs=obj["dual_coeffs"],
             bias=obj["bias"],
             params=SvrParams.from_dict(obj["params"]),

@@ -19,6 +19,15 @@ def examples(n: int) -> int:
     return n * settings.default.max_examples // 100
 
 
+def shuffled_folds(n, k, seed):
+    """Fold ids for n rows: a seeded permutation chunked into k folds of
+    near-equal size, as ``data.split`` assigns its training rows."""
+    fold_ids = np.empty(n, dtype=int)
+    for fold, chunk in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
+        fold_ids[chunk] = fold
+    return fold_ids
+
+
 @pytest.fixture(scope="session")
 def small_dataset():
     return data.generate_synthetic(80, seed=101)

@@ -21,7 +21,7 @@ from hydrochar.pipeline import HyperGrid, grid_search, train_all
 from hydrochar.shapley import emit_plot_data, explain
 from hydrochar.svr import Kernel, SvrParams, check_kkt, fit_svr
 
-from conftest import make_dataset
+from conftest import make_dataset, shuffled_folds
 from test_shapley import mc_shapley
 
 
@@ -77,15 +77,15 @@ def _svr_problem(seed: int):
     r = np.random.default_rng(1000 + seed)
     kind = seed % 3
     if kind == 0:
-        kernel = Kernel.linear()
+        kernel = Kernel("linear")
         n = int(r.integers(40, 161))
         c, passes = 10.0, 2000
     elif kind == 1:
-        kernel = Kernel.polynomial(2, coef0=1.0)
+        kernel = Kernel("polynomial", degree=2, coef0=1.0)
         n = int(r.integers(40, 101))
         c, passes = 1.0, 3000
     else:
-        kernel = Kernel.rbf(float(r.uniform(0.2, 1.0)))
+        kernel = Kernel("rbf", gamma=float(r.uniform(0.2, 1.0)))
         n = int(r.integers(60, 201))
         c, passes = 10.0, 500
     d = int(r.integers(1, 5))
@@ -108,7 +108,7 @@ def test_criterion_3_svr_kkt_audit():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, (25, 2))
     y = x[:, 0] ** 2 + 0.5 * x[:, 1]
-    params = SvrParams(c=10.0, epsilon=0.05, kernel=Kernel.rbf(0.7), tolerance=1e-8, max_passes=3000)
+    params = SvrParams(c=10.0, epsilon=0.05, kernel=Kernel("rbf", gamma=0.7), tolerance=1e-8, max_passes=3000)
     single = fit_svr(x, y, params)
     doubled = fit_svr(np.vstack([x, x]), np.concatenate([y, y]), params)
     q = rng.uniform(-1, 1, (50, 2))
@@ -203,7 +203,7 @@ def test_criterion_6_protocol_fidelity():
     y = noisy.target_matrix()[:, 0]
     unlimited = TreeParams(max_depth=None, min_samples_leaf=1)
     limited = TreeParams(max_depth=5, min_samples_leaf=10)
-    gs = grid_search(x, y, [unlimited, limited], k=5, seed=3)
+    gs = grid_search(x, y, [unlimited, limited], shuffled_folds(400, 5, 3))
     assert gs.chosen_params is limited
     assert gs.candidates[1][1] < gs.candidates[0][1]
     report(6, "noiseless DTR test R^2 >= 0.95 on all targets; noise picks pruned tree", time.perf_counter() - t0, 300.0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hydrochar import data
+from hydrochar import __version__, data
 from hydrochar.cli import main
 from hydrochar.pipeline import TrainedTarget
 
@@ -167,10 +167,11 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
         ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "linear"}},
                        {"c": 1.0, "epsilon": 0.1, "kernel": "linear"}]},
          "svr_grid[1]: kernel must be an object, got str"),
+        ({"tree_grid": [{"max_depth": 6}, 5]}, "tree_grid[1]: tree params must be an object, got int"),
     ],
     ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c",
          "tree-unknown-field", "svr-unknown-field", "kernel-unknown-field", "c-bool", "epsilon-string", "gamma-null",
-         "min-impurity-null", "kernel-string"],
+         "min-impurity-null", "kernel-string", "tree-entry-int"],
 )
 def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
     csv = synth_csv(workdir)
@@ -356,6 +357,21 @@ def test_optimize_refuses_unknown_application(workdir, capsys):
     assert not (out / "optimum.json").exists()
 
 
+@pytest.mark.parametrize("directions, message", [
+    ({"hc_yield": "maximize"}, "profile missing directions for ['hc_hhv', "),
+    ({**{t: "ignore" for t in data.TARGET_COLUMNS}, "hc_yield": "maximize", "hc_k": "maximize"},
+     "profile names unknown targets ['hc_k']"),
+    ({**{t: "ignore" for t in data.TARGET_COLUMNS}, "hc_yield": "upward"}, "unknown direction 'upward' for hc_yield"),
+], ids=["missing-targets", "unknown-target", "unknown-direction"])
+def test_optimize_refusal_of_a_profile_names_the_file(workdir, capsys, directions, message):
+    csv, out = _train_for_optimize(workdir)
+    profile = workdir / "prof.json"
+    profile.write_text(json.dumps(directions), encoding="utf-8")
+    assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", profile) == 1
+    assert capsys.readouterr().err.startswith(f"error: profile file {profile}: {message}")
+    assert not (out / "optimum.json").exists()
+
+
 @pytest.mark.parametrize("content, kind", [("5", "int"), ('["hc_yield"]', "list"), ("null", "NoneType")])
 def test_optimize_refuses_profile_that_is_not_an_object(workdir, capsys, content, kind):
     csv, out = _train_for_optimize(workdir)
@@ -464,6 +480,16 @@ def _edit_svr(edit):
     return lambda obj: edit(obj["model"])
 
 
+def _set_first_leaf(field, value):
+    def edit(obj):
+        next(n for n in obj["model"]["nodes"] if n["kind"] == "leaf")[field] = value
+    return edit
+
+
+def _set_model(field, value):
+    return lambda obj: obj["model"].__setitem__(field, value)
+
+
 def _widen_scaler_out(obj):
     for field in ("means", "stds"):
         obj["scaler_out"][field].append(obj["scaler_out"][field][0])
@@ -486,9 +512,26 @@ def _widen_scaler_out(obj):
     ("svr", _edit_svr(lambda m: m["dual_coeffs"].__setitem__(0, float("nan"))),
      "dual_coeffs holds a value that is not finite"),
     ("svr", _edit_svr(lambda m: m.__setitem__("bias", float("nan"))), "bias holds a value that is not finite"),
+    ("dtr", _set_first_leaf("value", float("nan")), "value is not finite: nan"),
+    ("dtr", _set("target_mean", float("nan")), "target_mean nan is not finite"),
+    ("dtr", _set("target_std", 0.0), "target_std 0.0 is not finite and > 0"),
+    ("dtr", _set("target_std", float("inf")), "target_std inf is not finite and > 0"),
+    ("dtr", _set("model", []), "model must be an object, got list"),
+    ("dtr", _set_model("nodes", 5), "nodes must be a list, got int"),
+    ("dtr", lambda obj: obj["model"]["nodes"].__setitem__(0, 5), "node 0 must be an object, got int"),
+    ("dtr", _set_model("params", [6]), "tree params must be an object, got list"),
+    ("dtr", lambda obj: obj["train_metrics"].__setitem__("r3", 1.0),
+     "unknown field 'r3'; expected one of r2, rmse, mae, n"),
+    ("dtr", _set("test_metrics", None), "metrics must be an object, got NoneType"),
+    ("svr", lambda obj: obj["scaler_in"]["columns"].pop(), "scaler has 11 means and 10 columns"),
+    ("svr", _set("scaler_out", 5), "scaler must be an object, got int"),
+    ("svr", _set("model", "svr"), "model must be an object, got str"),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
         "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
-        "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan"])
+        "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan", "leaf-value-nan", "target-mean-nan",
+        "target-std-zero", "target-std-inf", "model-list", "nodes-int", "node-int", "tree-params-list",
+        "metrics-unknown-field", "metrics-null", "short-scaler-columns", "scaler-out-int",
+        "svr-model-string"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)
@@ -497,3 +540,27 @@ def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     err = capsys.readouterr().err
     assert name in err and message in err
     assert not (out / "evaluation.json").exists()
+
+
+def test_optimize_refuses_a_model_with_zero_target_std(workdir, capsys):
+    """A target_std no fit writes is refused as input, naming the file, not
+    left to divide by zero in the GA's fitness."""
+    csv, out = _train_for_optimize(workdir)
+    name = _edit_model(out, _set("target_std", 0.0))
+    assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", "energy") == 1
+    err = capsys.readouterr().err
+    assert name in err and "target_std 0.0 is not finite and > 0" in err
+    assert not (out / "optimum.json").exists()
+
+
+def test_every_json_artifact_carries_provenance(workdir):
+    """The CLI stamps schema_version, tool_version and seed on every JSON it writes."""
+    csv, out = _train_for_optimize(workdir, seed=5)
+    for argv in (("stats",), ("evaluate", "--model", "dtr"), ("optimize",)):
+        assert run(argv[0], "--data", csv, "--out", out, "--seed", 5, *argv[1:]) == 0
+    names = ["report.json", "optimum.json", "evaluation.json", "factors.json", "correlation_matrix.json"]
+    models = sorted(p.name for p in out.glob("model_*.json"))
+    assert len(models) == 10
+    for name in names + models:
+        obj = json.loads((out / name).read_text())
+        assert (obj["schema_version"], obj["tool_version"], obj["seed"]) == (1, __version__, 5), name

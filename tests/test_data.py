@@ -82,6 +82,15 @@ def test_missing_feature_cell_rejected(csv_factory):
         data.load_csv(path)
 
 
+def test_byte_order_mark_is_not_part_of_the_header(csv_factory):
+    """Excel's "CSV UTF-8" starts the file with a byte-order mark."""
+    path = csv_factory([valid_row(), valid_row(hc_yield="")])
+    plain = data.load_csv(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    marked = data.load_csv(path)
+    assert marked.fingerprint() == plain.fingerprint()
+
+
 def test_empty_target_cells_become_absent(csv_factory):
     ds = data.load_csv(csv_factory([valid_row(hc_yield="", hc_s="")]))
     y = dict(zip(data.TARGET_COLUMNS, ds.target_matrix()[0]))
@@ -307,7 +316,7 @@ def test_raw_thresholds_match_full_range_bisection(mean, std):
         ])
         trained = TrainedTarget(target="hc_yield", model_kind="dtr", model=tree, scaler_in=scaler, scaler_out=None,
                                 chosen_params=tree.params, cv_rmse=0.0, train_metrics=report, test_metrics=report,
-                                target_mean=0.0, target_std=1.0, seed=0)
+                                target_mean=0.0, target_std=1.0)
         rows = np.zeros((3, 3))
         with np.errstate(over="ignore"):  # the edge cells transform to +-inf
             rows[:, feature] = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]

@@ -90,34 +90,30 @@ def test_profile_validation():
 
 def test_fitness_hand_computed():
     profile = ObjectiveProfile.builtin("soil")
-    models = {t: ConstantModel(v) for t, v in {
-        "hc_n": 4.0, "hc_s": 1.0, "hc_ash": 30.0, "hc_hhv": 20.0, "hc_yield": 60.0,
-    }.items()}
-    stats = {
-        "hc_n": (2.0, 2.0),      # +1.0
-        "hc_s": (0.5, 0.25),     # +2.0
-        "hc_ash": (20.0, 10.0),  # +1.0
-        "hc_hhv": (24.0, 4.0),   # minimize: -(-1.0) = +1.0
-        "hc_yield": (50.0, 20.0),  # +0.5
+    models = {
+        "hc_n": ConstantModel(4.0, 2.0, 2.0),        # +1.0
+        "hc_s": ConstantModel(1.0, 0.5, 0.25),       # +2.0
+        "hc_ash": ConstantModel(30.0, 20.0, 10.0),   # +1.0
+        "hc_hhv": ConstantModel(20.0, 24.0, 4.0),    # minimize: -(-1.0) = +1.0
+        "hc_yield": ConstantModel(60.0, 50.0, 20.0),  # +0.5
     }
     pop = np.zeros((3, 11))
-    assert surrogate_objective(models, profile, stats)(pop) == pytest.approx([5.5] * 3, abs=1e-12)
+    assert surrogate_objective(models, profile)(pop) == pytest.approx([5.5] * 3, abs=1e-12)
 
 
 def test_fitness_missing_model():
     profile = ObjectiveProfile.builtin("soil")
     with pytest.raises(MissingModel):
-        surrogate_objective({"hc_n": ConstantModel(1.0)}, profile, {"hc_n": (0.0, 1.0)})
+        surrogate_objective({"hc_n": ConstantModel(1.0)}, profile)
 
 
 def test_fitness_monotone_in_maximized_prediction(rng):
     directions = {t: "ignore" for t in data.TARGET_COLUMNS}
     directions["hc_yield"] = "maximize"
     profile = ObjectiveProfile.from_directions("only-yield", directions)
-    stats = {"hc_yield": (50.0, 10.0)}
     pop = np.zeros((1, 11))
-    lo = surrogate_objective({"hc_yield": ConstantModel(40.0)}, profile, stats)(pop)
-    hi = surrogate_objective({"hc_yield": ConstantModel(70.0)}, profile, stats)(pop)
+    lo = surrogate_objective({"hc_yield": ConstantModel(40.0, 50.0, 10.0)}, profile)(pop)
+    hi = surrogate_objective({"hc_yield": ConstantModel(70.0, 50.0, 10.0)}, profile)(pop)
     assert hi[0] > lo[0]
 
 

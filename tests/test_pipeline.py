@@ -19,11 +19,13 @@ from hydrochar.pipeline import (
 from hydrochar.stats import MetricsReport, rmse
 from hydrochar.svr import Kernel, SvrParams, fit_svr
 
+from conftest import shuffled_folds
+
 
 def tiny_grid():
     return HyperGrid(
         tree_grid=[TreeParams(max_depth=6, min_samples_leaf=2)],
-        svr_grid=[SvrParams(c=10.0, epsilon=0.1, kernel=Kernel.rbf(0.1))],
+        svr_grid=[SvrParams(c=10.0, epsilon=0.1, kernel=Kernel("rbf", gamma=0.1))],
     )
 
 
@@ -46,13 +48,10 @@ def test_grid_search_single_entry_honest_cv(rng):
     x = rng.uniform(0, 1, (40, 3))
     y = 3.0 * x[:, 0] + rng.normal(0, 0.1, 40)
     params = TreeParams(max_depth=3, min_samples_leaf=2)
-    res = grid_search(x, y, [params], k=4, seed=7)
+    fold_ids = shuffled_folds(40, 4, 7)
+    res = grid_search(x, y, [params], fold_ids)
     assert res.chosen_params is params
-    # replicate the documented fold construction and scoring independently
-    perm = np.random.default_rng(7).permutation(40)
-    fold_ids = np.empty(40, dtype=int)
-    for fold, chunk in enumerate(np.array_split(perm, 4)):
-        fold_ids[chunk] = fold
+    # replicate the documented scoring independently
     scores = []
     for fold in range(4):
         val = np.flatnonzero(fold_ids == fold)
@@ -68,7 +67,7 @@ def test_grid_search_duplicate_candidates_first_wins(rng):
     y = x[:, 0] + rng.normal(0, 0.05, 30)
     a = TreeParams(max_depth=4)
     b = TreeParams(max_depth=4)
-    res = grid_search(x, y, [a, b], k=3, seed=1)
+    res = grid_search(x, y, [a, b], shuffled_folds(30, 3, 1))
     assert res.chosen_params is a
     assert res.candidates[0][1] == res.candidates[1][1]
 
@@ -80,7 +79,7 @@ def test_grid_search_recovers_generating_depth(rng):
     x = rng.choice(lattice, size=(200, 2))
     y = np.where(x[:, 0] <= 0.5, 5.0, np.where(x[:, 1] <= 0.3, 1.0, 9.0))
     cands = [TreeParams(max_depth=d) for d in (1, 2, 4)]
-    res = grid_search(x, y, cands, k=5, seed=3)
+    res = grid_search(x, y, cands, shuffled_folds(200, 5, 3))
     assert res.chosen_params.max_depth == 2  # ties go to the earliest entry
     assert res.cv_rmse <= 1e-9
     assert res.candidates[0][1] > res.candidates[1][1]
@@ -90,7 +89,7 @@ def test_grid_search_chosen_is_minimal(rng):
     x = rng.uniform(0, 1, (60, 3))
     y = np.sin(4 * x[:, 0]) + rng.normal(0, 0.2, 60)
     cands = [TreeParams(max_depth=d, min_samples_leaf=leaf) for d in (2, 6, None) for leaf in (1, 5)]
-    res = grid_search(x, y, cands, k=5, seed=11)
+    res = grid_search(x, y, cands, shuffled_folds(60, 5, 11))
     assert res.cv_rmse == min(s for _, s in res.candidates)
 
 
@@ -100,7 +99,7 @@ def test_grid_search_depth_limited_beats_overfit_on_noise():
     y = ds.target_matrix()[:, 0]
     unlimited = TreeParams(max_depth=None, min_samples_leaf=1)
     limited = TreeParams(max_depth=5, min_samples_leaf=10)
-    res = grid_search(x, y, [unlimited, limited], k=5, seed=3)
+    res = grid_search(x, y, [unlimited, limited], shuffled_folds(400, 5, 3))
     assert res.chosen_params is limited
     assert res.candidates[1][1] < res.candidates[0][1]
 
@@ -110,8 +109,7 @@ def test_train_all_structure(medium_dataset):
     assert len(res.trained) == 10
     assert res.skips == {"dtr": {}}
     rep = res.report
-    assert rep["schema_version"] == 1
-    assert rep["seed"] == 4
+    assert not {"schema_version", "tool_version", "seed"} & set(rep)  # the CLI stamps provenance
     assert rep["n_rows"] == 300
     assert set(rep["models"]["dtr"]) == set(data.TARGET_COLUMNS)
     for section in rep["models"]["dtr"].values():
@@ -165,7 +163,7 @@ def test_trees_train_with_a_constant_feature():
     x = np.delete(ds.feature_matrix(), water, axis=1)[res.plan.train_indices]
     for (_, target), t in res.trained.items():
         y = ds.target_matrix()[res.plan.train_indices, data.TARGET_COLUMNS.index(target)]
-        assert grid_search(x, y, tiny_grid().tree_grid, fold_ids=res.plan.fold_assignments).cv_rmse == t.cv_rmse
+        assert grid_search(x, y, tiny_grid().tree_grid, res.plan.fold_assignments).cv_rmse == t.cv_rmse
 
 
 def test_trees_train_on_features_near_the_largest_double():
@@ -209,7 +207,6 @@ def test_evaluate_hand_built_tree():
         test_metrics=MetricsReport(1.0, 0.0, 0.0, 4),
         target_mean=float(y.mean()),
         target_std=float(y.std()),
-        seed=0,
     )
     perfect = evaluate(trained, x, y)
     assert perfect.r2 == 1.0 and perfect.rmse == 0.0 and perfect.mae == 0.0
@@ -241,7 +238,7 @@ def test_report_says_whether_each_svr_final_fit_converged(small_dataset):
     """A budget-bound SVR reads converged false in report.json, a converging
     one true; DTR entries carry no such field."""
     bound = HyperGrid(tree_grid=[TreeParams(max_depth=6)],
-                      svr_grid=[SvrParams(c=1000.0, epsilon=0.01, kernel=Kernel.linear(), max_passes=1)])
+                      svr_grid=[SvrParams(c=1000.0, epsilon=0.01, kernel=Kernel("linear"), max_passes=1)])
     with pytest.warns(ConvergenceWarning):
         res = train_all(small_dataset, bound, seed=3)
     assert set(res.report["models"]["svr"]) == set(data.TARGET_COLUMNS)
@@ -265,25 +262,27 @@ def test_trained_target_serialization_roundtrip(medium_dataset):
 def test_grid_search_all_candidates_failing_raises(rng):
     x = rng.uniform(0, 1, (20, 2))
     y = np.full(20, 3.0)  # constant target breaks the SVR target scaler
-    svr = [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.linear())]
+    svr = [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear"))]
+    folds = shuffled_folds(20, 4, 0)
     with pytest.raises(HydrocharError):
-        grid_search(x, y, svr, k=4, seed=0)
+        grid_search(x, y, svr, folds)
     x[:, 1] = 0.5  # a constant column breaks every fold's SVR input scaler
     with pytest.raises(HydrocharError, match="first failure: column 1 has fewer than 2 distinct values"):
-        grid_search(x, y + x[:, 0], svr, k=4, seed=0)
+        grid_search(x, y + x[:, 0], svr, folds)
     with pytest.raises(HydrocharError, match="first failure: time_min has fewer than 2 distinct values"):
-        grid_search(x, y + x[:, 0], svr, k=4, seed=0, columns=("temperature_c", "time_min"))
+        grid_search(x, y + x[:, 0], svr, folds, columns=("temperature_c", "time_min"))
 
 
 def test_grid_search_trees_ignore_a_constant_column():
     x, y = _synthetic_xy(60, 36)
     x[:, 5] = 0.25
     trees = [p for p in _mixed_grid() if isinstance(p, TreeParams)]
-    got = _assert_same_search(x, y, trees, k=5, seed=3)
-    assert got.candidates == grid_search(np.delete(x, 5, axis=1), y, trees, k=5, seed=3).candidates
+    folds = shuffled_folds(60, 5, 3)
+    got = _assert_same_search(x, y, trees, folds)
+    assert got.candidates == grid_search(np.delete(x, 5, axis=1), y, trees, folds).candidates
     assert all(np.isfinite(score) for _, score in got.candidates)
     # in a mixed grid the trees still score and every SVR candidate fails
-    got = _assert_same_search(x, y, _mixed_grid(), k=5, seed=3, columns=data.FEATURE_COLUMNS)
+    got = _assert_same_search(x, y, _mixed_grid(), folds, columns=data.FEATURE_COLUMNS)
     assert [np.isinf(score) for _, score in got.candidates] == [isinstance(p, SvrParams) for p in _mixed_grid()]
 
 
@@ -299,7 +298,7 @@ def _reference_cv_fold_rmse(x, y, params, trn, val, columns) -> float:
     return rmse(y[val], pred)
 
 
-def _reference_grid_search(x, y, candidates, k=5, seed=0, fold_ids=None, columns=None) -> GridSearchResult:
+def _reference_grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     """Per-candidate loop that selects every fold's rows again by index and
     scales SVR folds with its own code: the oracle for grid_search's shared
     raw fold slices and its one fit/predict path through ``_fit``."""
@@ -307,15 +306,8 @@ def _reference_grid_search(x, y, candidates, k=5, seed=0, fold_ids=None, columns
     y = np.asarray(y, dtype=float).ravel()
     candidates = list(candidates)
     n = len(y)
-    if fold_ids is None:
-        perm = np.random.default_rng(seed).permutation(n)
-        fold_ids = np.empty(n, dtype=int)
-        for fold, chunk in enumerate(np.array_split(perm, k)):
-            fold_ids[chunk] = fold
-    else:
-        fold_ids = np.asarray(fold_ids, dtype=int)
-        k = max(k, int(fold_ids.max()) + 1)
-    folds = [np.flatnonzero(fold_ids == f) for f in range(k)]
+    fold_ids = np.asarray(fold_ids, dtype=int)
+    folds = [np.flatnonzero(fold_ids == f) for f in range(int(fold_ids.max()) + 1)]
     nonempty = [f for f in folds if len(f)]
     scored = []
     first_failure = None
@@ -341,7 +333,8 @@ def _reference_grid_search(x, y, candidates, k=5, seed=0, fold_ids=None, columns
 
 def _mixed_grid():
     trees = [TreeParams(max_depth=d, min_samples_leaf=leaf) for d in (2, 6, None) for leaf in (1, 5)]
-    svrs = [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.linear()), SvrParams(c=10.0, epsilon=0.1, kernel=Kernel.rbf(0.1))]
+    svrs = [SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")),
+            SvrParams(c=10.0, epsilon=0.1, kernel=Kernel("rbf", gamma=0.1))]
     return trees[:3] + svrs[:1] + trees[3:] + svrs[1:]
 
 
@@ -361,7 +354,7 @@ def _synthetic_xy(n, seed, target=0):
 
 def test_grid_search_matches_per_candidate_reference():
     x, y = _synthetic_xy(60, 31)
-    got = _assert_same_search(x, y, _mixed_grid(), k=5, seed=4, columns=data.FEATURE_COLUMNS)
+    got = _assert_same_search(x, y, _mixed_grid(), shuffled_folds(60, 5, 4), columns=data.FEATURE_COLUMNS)
     assert all(np.isfinite(score) for _, score in got.candidates)
 
 
@@ -370,24 +363,24 @@ def test_grid_search_matches_reference_when_one_fold_fails():
     fold_ids = np.arange(40) % 4
     # constant on every row outside fold 2: only that fold's SVR input scaler fails
     x[:, 3] = np.where(fold_ids == 2, x[:, 3], 0.25)
-    got = _assert_same_search(x, y, _mixed_grid(), fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+    got = _assert_same_search(x, y, _mixed_grid(), fold_ids, columns=data.FEATURE_COLUMNS)
     assert [np.isinf(score) for _, score in got.candidates] == [isinstance(p, SvrParams) for p in _mixed_grid()]
     svrs = [p for p in _mixed_grid() if isinstance(p, SvrParams)]
     with pytest.raises(HydrocharError) as got:
-        grid_search(x, y, svrs, fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+        grid_search(x, y, svrs, fold_ids, columns=data.FEATURE_COLUMNS)
     with pytest.raises(HydrocharError) as want:
-        _reference_grid_search(x, y, svrs, fold_ids=fold_ids, columns=data.FEATURE_COLUMNS)
+        _reference_grid_search(x, y, svrs, fold_ids, columns=data.FEATURE_COLUMNS)
     assert str(got.value) == str(want.value)
     assert str(got.value).endswith("first failure: biomass_s has fewer than 2 distinct values")
     # a target constant outside fold 1 fails only the SVR target scaler there
     x, y = _synthetic_xy(40, 33)
     y = np.where(fold_ids == 1, y, 3.0)
-    got = _assert_same_search(x, y, _mixed_grid(), fold_ids=fold_ids)
+    got = _assert_same_search(x, y, _mixed_grid(), fold_ids)
     assert [np.isinf(score) for _, score in got.candidates] == [isinstance(p, SvrParams) for p in _mixed_grid()]
     with pytest.raises(HydrocharError) as got:
-        grid_search(x, y, svrs, fold_ids=fold_ids)
+        grid_search(x, y, svrs, fold_ids)
     with pytest.raises(HydrocharError) as want:
-        _reference_grid_search(x, y, svrs, fold_ids=fold_ids)
+        _reference_grid_search(x, y, svrs, fold_ids)
     assert str(got.value) == str(want.value)
     assert str(got.value).endswith("first failure: column 0 has fewer than 2 distinct values")
 
@@ -395,7 +388,7 @@ def test_grid_search_matches_reference_when_one_fold_fails():
 def test_grid_search_matches_reference_with_an_empty_fold():
     x, y = _synthetic_xy(36, 34)
     fold_ids = np.array([0, 1, 3, 4] * 9)  # fold 2 has no rows
-    _assert_same_search(x, y, _mixed_grid(), k=5, fold_ids=fold_ids)
+    _assert_same_search(x, y, _mixed_grid(), fold_ids)
 
 
 def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
@@ -408,7 +401,7 @@ def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
 
     monkeypatch.setattr(pipeline, "fit_tree", counting_fit_tree)
     grid = HyperGrid.default().tree_grid
-    grid_search(x, y, grid, k=5, seed=2)
+    grid_search(x, y, grid, shuffled_folds(50, 5, 2))
     assert calls == [p for p in grid for _ in range(5)]
 
 

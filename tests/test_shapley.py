@@ -233,7 +233,7 @@ def _svr_target(kernel, sv, beta, bias, scaler_in, out_mean=0.0, out_std=1.0) ->
     return TrainedTarget(
         target="hc_yield", model_kind="svr", model=SvrModel(sv, beta, bias, params, sv.shape[1]),
         scaler_in=scaler_in, scaler_out=Scaler(np.array([out_mean]), np.array([out_std])), chosen_params=params,
-        cv_rmse=0.0, train_metrics=report, test_metrics=report, target_mean=out_mean, target_std=out_std, seed=0,
+        cv_rmse=0.0, train_metrics=report, test_metrics=report, target_mean=out_mean, target_std=out_std,
     )
 
 
@@ -253,7 +253,7 @@ def svr_explain_cases(draw):
     row and a raw background of 1-64 rows, all drawn on standardized scale."""
     d = draw(st.integers(1, 11))
     n_sv = draw(st.integers(0, 12))
-    kernel = draw(st.just(Kernel.linear()) | _floats(0.01, 2.0).map(Kernel.rbf))
+    kernel = draw(st.just(Kernel("linear")) | _floats(0.01, 2.0).map(lambda g: Kernel("rbf", gamma=g)))
     scaler_in = Scaler(draw(hnp.arrays(float, d, elements=_floats(-100, 100))),
                        draw(hnp.arrays(float, d, elements=_floats(0.01, 100))))
     target = _svr_target(
@@ -300,13 +300,13 @@ def test_trees_and_polynomial_kernels_are_enumerated(monkeypatch, rng):
     tree = TrainedTarget(
         target="hc_yield", model_kind="dtr", model=fit_tree(x, x[:, 0] * x[:, 1], TreeParams(max_depth=4)),
         scaler_in=None, scaler_out=None, chosen_params=TreeParams(max_depth=4), cv_rmse=0.0,
-        train_metrics=report, test_metrics=report, target_mean=0.0, target_std=1.0, seed=0,
+        train_metrics=report, test_metrics=report, target_mean=0.0, target_std=1.0,
     )
     explain(tree.predict, x[0], x[:8])
     assert len(calls) == 1
-    explain(_random_svr_target(rng, Kernel.polynomial(2, 1.0), 3, 5).predict, x[0], x[:8])
+    explain(_random_svr_target(rng, Kernel("polynomial", degree=2, coef0=1.0), 3, 5).predict, x[0], x[:8])
     assert len(calls) == 2
-    for kernel in (Kernel.linear(), Kernel.rbf(0.5)):
+    for kernel in (Kernel("linear"), Kernel("rbf", gamma=0.5)):
         explain(_random_svr_target(rng, kernel, 3, 5).predict, x[0], x[:8])
     assert len(calls) == 2
 
@@ -316,7 +316,7 @@ def test_rbf_closed_form_beyond_the_enumeration_cap_matches_monte_carlo():
     permutation sampling within four standard errors on every feature."""
     rng = np.random.default_rng(25)
     d = 25
-    target = _random_svr_target(rng, Kernel.rbf(0.05), d, 10)
+    target = _random_svr_target(rng, Kernel("rbf", gamma=0.05), d, 10)
     x = target.scaler_in.inverse_transform(rng.normal(size=d))
     background = target.scaler_in.inverse_transform(rng.normal(size=(4, d)))
     e = explain(target.predict, x, background)
@@ -327,7 +327,7 @@ def test_rbf_closed_form_beyond_the_enumeration_cap_matches_monte_carlo():
         explain(lambda rows: target.predict(rows), x, background)
 
 
-@pytest.mark.parametrize("kernel", [Kernel.linear(), Kernel.rbf(0.3)], ids=["linear", "rbf"])
+@pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.3)], ids=["linear", "rbf"])
 def test_svr_attributions_do_not_depend_on_batch_sizes(monkeypatch, kernel):
     rng = np.random.default_rng(7)
     target = _random_svr_target(rng, kernel, 11, 60)
@@ -347,7 +347,8 @@ def test_rbf_closed_form_memory_is_bounded_by_the_factor_budget():
     1 MiB each."""
     rng = np.random.default_rng(8)
     d, n_sv, n_bg = 11, 200, 600
-    model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.0, SvrParams(kernel=Kernel.rbf(0.1)), d)
+    params = SvrParams(kernel=Kernel("rbf", gamma=0.1))
+    model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.0, params, d)
     x, background = rng.normal(size=d), rng.normal(size=(n_bg, d))
     block_bytes = svr._FACTOR_ENTRIES * 8
     tracemalloc.start()
@@ -359,7 +360,7 @@ def test_rbf_closed_form_memory_is_bounded_by_the_factor_budget():
     assert peak < 8 * block_bytes
 
 
-@pytest.mark.parametrize("kernel", [Kernel.linear(), Kernel.rbf(0.3)], ids=["linear", "rbf"])
+@pytest.mark.parametrize("kernel", [Kernel("linear"), Kernel("rbf", gamma=0.3)], ids=["linear", "rbf"])
 def test_bound_predict_batch_is_enumerated(kernel):
     """SvrModel has ``shapley_values`` (on standardized rows) but no
     ``predict``: its bound ``predict_batch`` is an ordinary batch callable and

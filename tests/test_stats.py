@@ -293,6 +293,20 @@ def test_factor_perfectly_correlated_pair():
     assert res.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-10)
 
 
+def test_factor_rank_cut_writes_exact_zeros():
+    """Noise-free synthetic rows make the 21-column correlation matrix rank
+    11: the ten eigenvalues past the rank, and their loadings, are exactly 0,
+    not rounding noise; a full-rank selection keeps every eigenvalue."""
+    cols = list(data.FEATURE_COLUMNS) + list(data.TARGET_COLUMNS)
+    res = stats.factor_analysis(data.generate_synthetic(120, seed=9), cols)
+    assert np.linalg.matrix_rank(res.correlation) == 11
+    assert np.all(res.eigenvalues[:11] > 0.0)
+    assert res.eigenvalues[11:].tolist() == [0.0] * 10
+    assert np.all(res.loadings[:, 11:] == 0.0)
+    noisy = stats.factor_analysis(data.generate_synthetic(120, seed=9, noise_sd=0.5), cols)
+    assert noisy.eigenvalues.min() > 0.05
+
+
 def test_factor_eigensum_and_reconstruction(small_dataset):
     cols = list(data.FEATURE_COLUMNS) + list(data.TARGET_COLUMNS)
     res = stats.factor_analysis(small_dataset, cols)

@@ -27,28 +27,28 @@ from conftest import examples
 # ----------------------------------------------------------------- kernels
 
 def test_kernel_matrix_examples():
-    assert kernel_matrix(Kernel.rbf(0.7), [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == 1.0
-    assert kernel_matrix(Kernel.linear(), [[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == 11.0
-    assert kernel_matrix(Kernel.polynomial(2, coef0=1.0), [[1.0]], [[1.0]])[0, 0] == 4.0
+    assert kernel_matrix(Kernel("rbf", gamma=0.7), [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == 1.0
+    assert kernel_matrix(Kernel("linear"), [[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == 11.0
+    assert kernel_matrix(Kernel("polynomial", degree=2, coef0=1.0), [[1.0]], [[1.0]])[0, 0] == 4.0
 
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        Kernel.rbf(0.0)
+        Kernel("rbf", gamma=0.0)
     with pytest.raises(ValueError):
-        Kernel.polynomial(0)
+        Kernel("polynomial", degree=0)
     with pytest.raises(ValueError):
         Kernel(kind="sigmoid")
 
 
 def test_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        kernel_matrix(Kernel.linear(), [[1.0, 2.0]], [[1.0]])
+        kernel_matrix(Kernel("linear"), [[1.0, 2.0]], [[1.0]])
 
 
 def test_kernel_matrix_symmetric(rng):
     x = rng.uniform(-1, 1, (20, 3))
-    for kern in (Kernel.linear(), Kernel.polynomial(2, 1.0), Kernel.rbf(0.5)):
+    for kern in (Kernel("linear"), Kernel("polynomial", degree=2, coef0=1.0), Kernel("rbf", gamma=0.5)):
         k = kernel_matrix(kern, x, x)
         assert np.allclose(k, k.T, atol=1e-12)
 
@@ -57,7 +57,7 @@ def test_kernel_matrix_symmetric(rng):
 
 def test_constant_target_inside_tube():
     x = np.linspace(0, 1, 12)[:, None]
-    model = fit_svr(x, np.full(12, 3.3), SvrParams(c=1.0, epsilon=0.1, kernel=Kernel.rbf(1.0)))
+    model = fit_svr(x, np.full(12, 3.3), SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("rbf", gamma=1.0)))
     assert len(model.dual_coeffs) == 0
     assert model.bias == pytest.approx(3.3, abs=1e-12)
     assert model.predict_batch([[0.77]])[0] == pytest.approx(3.3, abs=1e-12)
@@ -66,7 +66,7 @@ def test_constant_target_inside_tube():
 def test_linear_fit_tracks_targets(rng):
     x = rng.uniform(-1, 1, 30)[:, None]
     y = 2.0 * x[:, 0]
-    model = fit_svr(x, y, SvrParams(c=1000.0, epsilon=0.01, kernel=Kernel.linear()))
+    model = fit_svr(x, y, SvrParams(c=1000.0, epsilon=0.01, kernel=Kernel("linear")))
     assert model.converged
     pred = model.predict_batch(x)
     assert np.abs(pred - y).max() <= 0.02
@@ -74,7 +74,7 @@ def test_linear_fit_tracks_targets(rng):
 
 @pytest.mark.parametrize(
     "kern",
-    [Kernel.linear(), Kernel.polynomial(2, coef0=1.0), Kernel.rbf(0.5)],
+    [Kernel("linear"), Kernel("polynomial", degree=2, coef0=1.0), Kernel("rbf", gamma=0.5)],
     ids=["linear", "poly", "rbf"],
 )
 def test_kkt_audit_passes(kern, rng):
@@ -93,7 +93,7 @@ def test_kkt_audit_passes(kern, rng):
 def test_duplicate_rows_leave_predictions_unchanged(rng):
     x = rng.uniform(-1, 1, (25, 2))
     y = x[:, 0] ** 2 + 0.5 * x[:, 1]
-    params = SvrParams(c=10.0, epsilon=0.05, kernel=Kernel.rbf(0.7), tolerance=1e-8)
+    params = SvrParams(c=10.0, epsilon=0.05, kernel=Kernel("rbf", gamma=0.7), tolerance=1e-8)
     single = fit_svr(x, y, params)
     doubled = fit_svr(np.vstack([x, x]), np.concatenate([y, y]), params)
     q = rng.uniform(-1, 1, (40, 2))
@@ -105,7 +105,7 @@ def test_rbf_translation_covariance(rng):
     x = rng.uniform(-1, 1, (30, 2))
     y = np.cos(x[:, 0]) + x[:, 1]
     shift = np.array([5.0, -3.0])
-    params = SvrParams(c=5.0, epsilon=0.05, kernel=Kernel.rbf(0.4), tolerance=1e-10, max_passes=2000)
+    params = SvrParams(c=5.0, epsilon=0.05, kernel=Kernel("rbf", gamma=0.4), tolerance=1e-10, max_passes=2000)
     a = fit_svr(x, y, params)
     b = fit_svr(x + shift, y, params)
     q = rng.uniform(-1, 1, (20, 2))
@@ -115,7 +115,7 @@ def test_rbf_translation_covariance(rng):
 def test_target_shift_absorbed_by_bias(rng):
     x = rng.uniform(-1, 1, (30, 2))
     y = np.sin(2 * x[:, 0]) - x[:, 1]
-    params = SvrParams(c=5.0, epsilon=0.05, kernel=Kernel.rbf(0.5), tolerance=1e-8, max_passes=2000)
+    params = SvrParams(c=5.0, epsilon=0.05, kernel=Kernel("rbf", gamma=0.5), tolerance=1e-8, max_passes=2000)
     a = fit_svr(x, y, params)
     b = fit_svr(x, y + 7.5, params)
     q = rng.uniform(-1, 1, (20, 2))
@@ -125,7 +125,7 @@ def test_target_shift_absorbed_by_bias(rng):
 def test_no_convergence_flag(rng):
     x = rng.uniform(-2, 2, (80, 3))
     y = np.sin(3 * x[:, 0]) * np.cos(x[:, 1]) + x[:, 2]
-    params = SvrParams(c=100.0, epsilon=0.001, kernel=Kernel.rbf(2.0), max_passes=1)
+    params = SvrParams(c=100.0, epsilon=0.001, kernel=Kernel("rbf", gamma=2.0), max_passes=1)
     expected = (r"budget of 80 steps \(max_passes=1 x 80 rows\).*"
                 r"C=100\.0, epsilon=0\.001, kernel=rbf gamma=2\.0, tolerance=0\.001")
     with pytest.warns(ConvergenceWarning, match=expected):
@@ -140,8 +140,8 @@ def test_no_convergence_flag(rng):
         (lambda v: SvrParams(c=v), "c"),
         (lambda v: SvrParams(epsilon=v), "epsilon"),
         (lambda v: SvrParams(tolerance=v), "tolerance"),
-        (lambda v: Kernel.rbf(v), "gamma"),
-        (lambda v: Kernel.polynomial(2, coef0=v), "coef0"),
+        (lambda v: Kernel("rbf", gamma=v), "gamma"),
+        (lambda v: Kernel("polynomial", degree=2, coef0=v), "coef0"),
     ],
     ids=["c", "epsilon", "tolerance", "gamma", "coef0"],
 )
@@ -156,7 +156,7 @@ def test_non_integer_counts_rejected(value):
     with pytest.raises(ValueError, match=f"max_passes must be an integer, got {value!r}"):
         SvrParams(max_passes=value)
     with pytest.raises(ValueError, match=f"kernel degree must be an integer, got {value!r}"):
-        Kernel.polynomial(value)
+        Kernel("polynomial", degree=value)
 
 
 def test_fit_errors():
@@ -186,7 +186,7 @@ def test_single_support_vector_at_itself():
         support_vectors=sv,
         dual_coeffs=[2.0],
         bias=0.3,
-        params=SvrParams(kernel=Kernel.rbf(1.0)),
+        params=SvrParams(kernel=Kernel("rbf", gamma=1.0)),
         n_features=2,
     )
     # k(sv, sv) = 1, so prediction = coeff + bias
@@ -196,7 +196,7 @@ def test_single_support_vector_at_itself():
 def test_prediction_linear_in_dual_coeffs(rng):
     x = rng.uniform(-1, 1, (15, 2))
     y = x[:, 0] + x[:, 1]
-    model = fit_svr(x, y, SvrParams(c=5.0, epsilon=0.02, kernel=Kernel.rbf(0.5)))
+    model = fit_svr(x, y, SvrParams(c=5.0, epsilon=0.02, kernel=Kernel("rbf", gamma=0.5)))
     doubled = SvrModel(
         support_vectors=model.support_vectors,
         dual_coeffs=model.dual_coeffs * 2.0,
@@ -226,7 +226,8 @@ def _block_rows(n_sv):
 
 
 @pytest.mark.parametrize(
-    "kern", [Kernel.linear(), Kernel.polynomial(3, 1.0), Kernel.rbf(0.3)], ids=["linear", "polynomial", "rbf"]
+    "kern", [Kernel("linear"), Kernel("polynomial", degree=3, coef0=1.0), Kernel("rbf", gamma=0.3)],
+    ids=["linear", "polynomial", "rbf"],
 )
 def test_predict_batch_in_kernel_blocks(kern, monkeypatch):
     """Each block is the one-shot formula on its rows, bit for bit; a batch of
@@ -266,7 +267,7 @@ def test_predict_batch_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(9)
     n_sv, d = 300, 11
     model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.1,
-                     SvrParams(kernel=Kernel.rbf(0.1)), n_features=d)
+                     SvrParams(kernel=Kernel("rbf", gamma=0.1)), n_features=d)
     x = rng.normal(size=(200_000, d))
     tracemalloc.start()
     try:
@@ -280,7 +281,7 @@ def test_predict_batch_memory_is_bounded_by_the_block():
 def test_serialization_roundtrip_bit_stable(rng):
     x = rng.uniform(-1, 1, (40, 2))
     y = np.sin(x[:, 0]) + x[:, 1] ** 2
-    model = fit_svr(x, y, SvrParams(c=10.0, epsilon=0.05, kernel=Kernel.rbf(0.8)))
+    model = fit_svr(x, y, SvrParams(c=10.0, epsilon=0.05, kernel=Kernel("rbf", gamma=0.8)))
     back = SvrModel.from_json_obj(json.loads(json.dumps(model.to_json_obj())))
     q = rng.uniform(-1, 1, (30, 2))
     assert np.abs(model.predict_batch(q) - back.predict_batch(q)).max() <= 1e-12
@@ -441,9 +442,9 @@ def _assert_same_fit(x, y, params):
 
 
 KERNELS = st.one_of(
-    st.just(Kernel.linear()),
-    st.floats(0.05, 2.0).map(Kernel.rbf),
-    st.builds(Kernel.polynomial, st.integers(1, 3), st.floats(0.0, 1.0)),
+    st.just(Kernel("linear")),
+    st.floats(0.05, 2.0).map(lambda g: Kernel("rbf", gamma=g)),
+    st.builds(Kernel, st.just("polynomial"), st.integers(1, 3), st.floats(0.0, 1.0)),
 )
 
 
@@ -478,9 +479,10 @@ def test_fit_matches_reference_bit_for_bit(problem):
     "x, y, params",
     [
         ([[0.3]], [1.0], SvrParams(c=1.0, epsilon=0.0)),
-        ([[0.3], [0.3], [0.3], [1.0]], [1.0, 2.0, 1.0, 0.0], SvrParams(c=10.0, epsilon=0.0, kernel=Kernel.rbf(1.0))),
+        ([[0.3], [0.3], [0.3], [1.0]], [1.0, 2.0, 1.0, 0.0],
+         SvrParams(c=10.0, epsilon=0.0, kernel=Kernel("rbf", gamma=1.0))),
         ([[float(v % 3)] for v in range(12)], [0.5 * (v % 4) for v in range(12)],
-         SvrParams(c=100.0, epsilon=0.0, kernel=Kernel.polynomial(2, 1.0), max_passes=3)),
+         SvrParams(c=100.0, epsilon=0.0, kernel=Kernel("polynomial", degree=2, coef0=1.0), max_passes=3)),
         ([[float(v), float(-v)] for v in range(-4, 5)] * 2, [float(abs(v)) for v in range(-4, 5)] * 2,
          SvrParams(c=1000.0, epsilon=0.01, max_passes=30)),
     ],
