@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyInput, InvalidModelFile, require_int, require_known_fields, require_real,
-                     require_type)
+from .errors import DimensionMismatch, EmptyInput, InvalidModelFile, read_fields, require_int, require_real, require_type
 
 _WALK_BLOCK = 8192  # rows per block of the batch tree walk
 
@@ -39,23 +39,12 @@ class TreeParams:
             raise ValueError("min_impurity_decrease must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "min_impurity_decrease": self.min_impurity_decrease,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        require_known_fields(require_type("tree params", d, dict),
-                             ("max_depth", "min_samples_split", "min_samples_leaf", "min_impurity_decrease"))
-        return cls(
-            max_depth=d.get("max_depth"),
-            min_samples_split=d.get("min_samples_split", 2),
-            min_samples_leaf=d.get("min_samples_leaf", 1),
-            min_impurity_decrease=require_real("min_impurity_decrease", d.get("min_impurity_decrease", 0.0)),
-        )
+        return read_fields(cls, "tree params", d,
+                           {"min_impurity_decrease": partial(require_real, "min_impurity_decrease")})
 
 
 class RegressionTree:
@@ -169,7 +158,8 @@ class RegressionTree:
         nodes = require_type("nodes", obj["nodes"], list)
         for i, node in enumerate(nodes):
             require_type(f"node {i}", node, dict)
-        return cls(n_features=int(obj["n_features"]), params=TreeParams.from_dict(obj["params"]), nodes=nodes)
+        return cls(n_features=require_int("n_features", obj["n_features"]), params=TreeParams.from_dict(obj["params"]),
+                   nodes=nodes)
 
 
 def _depth(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:

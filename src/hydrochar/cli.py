@@ -148,11 +148,15 @@ def cmd_train(args) -> int:
     return 0 if result.trained else 1
 
 
-def _read_model(path: Path) -> pipeline.TrainedTarget:
-    """Load one saved model; a refusal names the file."""
+def _read_model(path: Path, kind: str, target: str) -> pipeline.TrainedTarget:
+    """Load the saved ``kind`` model of ``target``; a refusal names the file."""
     try:
         with path.open(encoding="utf-8") as fh:
-            return pipeline.TrainedTarget.from_json_obj(json.load(fh))
+            trained = pipeline.TrainedTarget.from_json_obj(json.load(fh))
+        if (trained.kind, trained.target) != (kind, target):
+            raise InvalidModelFile(f"holds the {trained.kind} model of {trained.target!r}, not the {kind} model of "
+                                   f"{target!r} its name says")
+        return trained
     except (HydrocharError, KeyError, ValueError) as exc:
         raise InvalidModelFile(f"model file {path}: {exc}") from exc
 
@@ -162,7 +166,7 @@ def _load_models(cfg: RunConfig, kind: str) -> dict[str, pipeline.TrainedTarget]
     for target in data.TARGET_COLUMNS:
         path = _model_path(cfg.out, kind, target)
         if path.exists():
-            models[target] = _read_model(path)
+            models[target] = _read_model(path, kind, target)
     return models
 
 
@@ -204,7 +208,7 @@ def cmd_explain(args) -> int:
     path = _model_path(cfg.out, kind, args.target)
     if not path.exists():
         raise MissingModelFile(f"{path} not found; run train first")
-    model = _read_model(path)
+    model = _read_model(path, kind, args.target)
     ds = data.load_csv(cfg.data)
     plan = data.split(ds, seed=cfg.seed)
     x = ds.feature_matrix()

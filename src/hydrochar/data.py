@@ -293,8 +293,8 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        means = np.array(require_type("scaler", d, dict)["means"], dtype=float)
-        stds = np.array(d["stds"], dtype=float)
+        means = np.array(require_type("scaler means", require_type("scaler", d, dict)["means"], list), dtype=float)
+        stds = np.array(require_type("scaler stds", d["stds"], list), dtype=float)
         cols = d.get("columns")
         if means.ndim != 1 or means.shape != stds.shape:
             raise InvalidModelFile(f"scaler has {means.size} means and {stds.size} stds")

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers of saved JSON values."""
 
 from __future__ import annotations
+
+import dataclasses
 
 
 class HydrocharError(Exception):
@@ -113,10 +115,11 @@ class ConvergenceWarning(UserWarning):
     """Solver hit its iteration budget; the returned model is best-effort."""
 
 
-def require_int(name: str, value) -> None:
-    """Refuse a count that is not an integer; a bool or a float is refused, never truncated."""
+def require_int(name: str, value) -> int:
+    """Read a count; a bool or a float is refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def require_real(name: str, value) -> float:
@@ -126,15 +129,29 @@ def require_real(name: str, value) -> float:
     return float(value)
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", bool: "true or false"}
+
+
 def require_type(name: str, value, kind: type):
-    """Read a JSON object (``dict``) or array (``list``); any other JSON value is refused, naming it."""
+    """Read a JSON object (``dict``), array (``list``) or bool; any other JSON value is refused, naming it."""
     if not isinstance(value, kind):
-        raise ValueError(f"{name} must be {'an object' if kind is dict else 'a list'}, got {type(value).__name__}")
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
 
 
-def require_known_fields(d: dict, known) -> None:
-    """Refuse a field nothing reads, so a misspelt one is never ignored."""
-    unknown = [k for k in d if k not in known]
+def read_fields(cls, name: str, d, parsers: dict, required=()):
+    """Build dataclass ``cls`` from the JSON object ``d``, in field order, each field through ``parsers`` if
+    named there. An unknown field is refused; an absent one takes the class default, or raises
+    KeyError(field) when it has none or is in ``required``."""
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    unknown = [k for k in require_type(name, d, dict) if k not in names]
     if unknown:
-        raise ValueError(f"unknown field {unknown[0]!r}; expected one of {', '.join(known)}")
+        raise ValueError(f"unknown field {unknown[0]!r}; expected one of {', '.join(names)}")
+    values = {}
+    for f in fields:
+        if f.name in d:
+            values[f.name] = parsers[f.name](d[f.name]) if f.name in parsers else d[f.name]
+        elif f.name in required or f.default is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**values)

@@ -53,12 +53,6 @@ class HyperGrid:
         ]
         return cls(tree_grid=trees, svr_grid=svrs)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "tree_grid": [p.to_dict() for p in self.tree_grid],
-            "svr_grid": [p.to_dict() for p in self.svr_grid],
-        }
-
     @classmethod
     def from_json_obj(cls, obj) -> "HyperGrid":
         """Read a grid file's JSON; a malformed one raises InvalidGrid naming the entry."""
@@ -92,11 +86,9 @@ class TrainedTarget:
     """One fitted surrogate with its scalers, selection trace, and metrics."""
 
     target: str
-    model_kind: str  # "dtr" | "svr"
     model: RegressionTree | SvrModel
     scaler_in: Scaler | None  # None for a tree, unless an older file stored the scaler it was fit through
     scaler_out: Scaler | None
-    chosen_params: TreeParams | SvrParams
     cv_rmse: float
     train_metrics: MetricsReport
     test_metrics: MetricsReport
@@ -108,12 +100,16 @@ class TrainedTarget:
             raise InvalidModelFile(f"target_mean {self.target_mean} is not finite")
         if not (np.isfinite(self.target_std) and self.target_std > 0.0):
             raise InvalidModelFile(f"target_std {self.target_std} is not finite and > 0")
-        if self.model_kind == "svr" and (self.scaler_in is None or self.scaler_out is None):
+        if self.kind == "svr" and (self.scaler_in is None or self.scaler_out is None):
             raise InvalidModelFile("an svr model needs both scaler_in and scaler_out")
         if self.scaler_in is not None and self.scaler_in.means.size != self.model.n_features:
             raise InvalidModelFile(f"model has {self.model.n_features} features, scaler_in {self.scaler_in.means.size}")
         if self.scaler_out is not None and self.scaler_out.means.size != 1:
             raise InvalidModelFile(f"scaler_out has {self.scaler_out.means.size} columns, not 1")
+
+    @property
+    def kind(self) -> str:
+        return "svr" if isinstance(self.model, SvrModel) else "dtr"
 
     def predict(self, x_raw) -> np.ndarray:
         """Predict on raw (unscaled) feature rows, in original target units."""
@@ -128,7 +124,7 @@ class TrainedTarget:
         standardizes to the same coalition of standardized rows; the output
         scaler is affine, so every value scales by its std.
         """
-        if self.model_kind != "svr":
+        if self.kind != "svr":
             return None
         phi = self.model.shapley_values(self.scaler_in.transform(x_raw), self.scaler_in.transform(background_raw))
         return None if phi is None else phi * self.scaler_out.stds[0]
@@ -137,8 +133,8 @@ class TrainedTarget:
         return {
             "schema_version": 1,
             "target": self.target,
-            "model_kind": self.model_kind,
-            "params": self.chosen_params.to_dict(),
+            "model_kind": self.kind,
+            "params": self.model.params.to_dict(),
             "cv_rmse": self.cv_rmse,
             "scaler_in": self.scaler_in.to_dict() if self.scaler_in is not None else None,
             "scaler_out": self.scaler_out.to_dict() if self.scaler_out is not None else None,
@@ -155,21 +151,17 @@ class TrainedTarget:
         if version != 1:
             raise UnsupportedSchema(f"model file schema_version {version!r} is not supported; expected 1")
         kind = obj["model_kind"]
-        if kind == "dtr":
-            model = RegressionTree.from_json_obj(obj["model"])
-            params = TreeParams.from_dict(obj["params"])
-        elif kind == "svr":
-            model = SvrModel.from_json_obj(obj["model"])
-            params = SvrParams.from_dict(obj["params"])
-        else:
+        if kind not in ("dtr", "svr"):
             raise InvalidModelFile(f"model_kind {kind!r} is neither 'dtr' nor 'svr'")
+        model_cls, params_cls = (RegressionTree, TreeParams) if kind == "dtr" else (SvrModel, SvrParams)
+        model = model_cls.from_json_obj(obj["model"])
+        if params_cls.from_dict(obj["params"]) != model.params:
+            raise InvalidModelFile(f"params {obj['params']} differ from the model's own {model.params.to_dict()}")
         return cls(
             target=obj["target"],
-            model_kind=kind,
             model=model,
             scaler_in=Scaler.from_dict(obj["scaler_in"]) if obj.get("scaler_in") else None,
             scaler_out=Scaler.from_dict(obj["scaler_out"]) if obj.get("scaler_out") else None,
-            chosen_params=params,
             cv_rmse=float(obj["cv_rmse"]),
             train_metrics=MetricsReport.from_dict(obj["train_metrics"]),
             test_metrics=MetricsReport.from_dict(obj["test_metrics"]),
@@ -270,15 +262,13 @@ class TrainResult:
     plan: SplitPlan
 
 
-def _fit_final(x, y, trn, tst, params, target, kind, cv) -> TrainedTarget:
+def _fit_final(x, y, trn, tst, params, target, cv) -> TrainedTarget:
     model, scaler_in, scaler_out = _fit(x[trn], y[trn], params, data_mod.FEATURE_COLUMNS)
     trained = TrainedTarget(
         target=target,
-        model_kind=kind,
         model=model,
         scaler_in=scaler_in,
         scaler_out=scaler_out,
-        chosen_params=params,
         cv_rmse=cv,
         train_metrics=MetricsReport(0.0, 0.0, 0.0, 0),  # placeholders, set below
         test_metrics=MetricsReport(0.0, 0.0, 0.0, 0),
@@ -302,7 +292,7 @@ def train_all(dataset: Dataset, grid: HyperGrid, seed: int, models=("dtr", "svr"
     Per-target failures (too few rows, constant targets, degenerate folds)
     are recorded as skips and never abort the batch.
     """
-    plan = data_mod.split(dataset, test_fraction=0.2, k=5, seed=seed)
+    plan = data_mod.split(dataset, seed=seed)
     x = dataset.feature_matrix()
     ymat = dataset.target_matrix()
     trained: dict[tuple[str, str], TrainedTarget] = {}
@@ -330,7 +320,7 @@ def train_all(dataset: Dataset, grid: HyperGrid, seed: int, models=("dtr", "svr"
                 continue
             try:
                 gs = grid_search(x[trn], y[trn], candidates, folds, columns=data_mod.FEATURE_COLUMNS)
-                trained[(kind, target)] = _fit_final(x, y, trn, tst, gs.chosen_params, target, kind, gs.cv_rmse)
+                trained[(kind, target)] = _fit_final(x, y, trn, tst, gs.chosen_params, target, gs.cv_rmse)
             except HydrocharError as exc:
                 skips[kind][target] = str(exc)
     report = _build_report(dataset, trained, skips, models)
@@ -348,7 +338,7 @@ def _build_report(dataset: Dataset, trained, skips, models) -> dict:
             section[target] = {
                 "train": t.train_metrics.as_dict(),
                 "test": t.test_metrics.as_dict(),
-                "params": t.chosen_params.to_dict(),
+                "params": t.model.params.to_dict(),
                 "cv_rmse": t.cv_rmse,
             }
             if kind == "svr":

@@ -4,20 +4,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, FEATURE_COLUMNS, TARGET_COLUMNS
-from .errors import (
-    DegenerateActual,
-    DegenerateInput,
-    LengthMismatch,
-    SingularInput,
-    TooFewRows,
-    require_known_fields,
-    require_type,
-)
+from .errors import DegenerateActual, DegenerateInput, LengthMismatch, SingularInput, TooFewRows, read_fields
 
 
 @dataclass(frozen=True)
@@ -30,12 +22,11 @@ class MetricsReport:
     n: int
 
     def as_dict(self) -> dict:
-        return {"r2": self.r2, "rmse": self.rmse, "mae": self.mae, "n": self.n}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        require_known_fields(require_type("metrics", d, dict), ("r2", "rmse", "mae", "n"))
-        return cls(r2=d["r2"], rmse=d["rmse"], mae=d["mae"], n=d["n"])
+        return read_fields(cls, "metrics", d, {})
 
 
 def _paired(actual, predicted, min_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, InvalidModelFile,
-                     require_int, require_known_fields, require_real, require_type)
+                     read_fields, require_int, require_real, require_type)
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,7 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
-        require_known_fields(require_type("kernel", d, dict), ("kind", "degree", "coef0", "gamma"))
-        return cls(
-            kind=d["kind"],
-            degree=d.get("degree", 3),
-            coef0=require_real("kernel coef0", d.get("coef0", 0.0)),
-            gamma=require_real("kernel gamma", d.get("gamma", 0.1)),
-        )
+        return read_fields(cls, "kernel", d, {f: partial(require_real, f"kernel {f}") for f in ("coef0", "gamma")})
 
 
 @dataclass(frozen=True)
@@ -95,24 +90,13 @@ class SvrParams:
             raise ValueError("max_passes must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "epsilon": self.epsilon,
-            "kernel": self.kernel.to_dict(),
-            "tolerance": self.tolerance,
-            "max_passes": self.max_passes,
-        }
+        return {**asdict(self), "kernel": self.kernel.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvrParams":
-        require_known_fields(require_type("svr params", d, dict), ("c", "epsilon", "kernel", "tolerance", "max_passes"))
-        return cls(
-            c=require_real("c", d["c"]),
-            epsilon=require_real("epsilon", d["epsilon"]),
-            kernel=Kernel.from_dict(d["kernel"]),
-            tolerance=require_real("tolerance", d.get("tolerance", 1e-3)),
-            max_passes=d.get("max_passes", 200),
-        )
+        """Read a grid entry or a saved model's params; c, epsilon and kernel must be given."""
+        reals = {f: partial(require_real, f) for f in ("c", "epsilon", "tolerance")}
+        return read_fields(cls, "svr params", d, {**reals, "kernel": Kernel.from_dict}, ("c", "epsilon", "kernel"))
 
 
 def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:
@@ -259,13 +243,13 @@ class SvrModel:
     def from_json_obj(cls, obj: dict) -> "SvrModel":
         require_type("model", obj, dict)
         return cls(
-            support_vectors=obj["support_vectors"],
-            dual_coeffs=obj["dual_coeffs"],
-            bias=obj["bias"],
+            support_vectors=require_type("support_vectors", obj["support_vectors"], list),
+            dual_coeffs=require_type("dual_coeffs", obj["dual_coeffs"], list),
+            bias=require_real("bias", obj["bias"]),
             params=SvrParams.from_dict(obj["params"]),
-            n_features=int(obj["n_features"]),
-            sv_indices=obj.get("sv_indices"),
-            converged=bool(obj.get("converged", True)),
+            n_features=require_int("n_features", obj["n_features"]),
+            sv_indices=require_type("sv_indices", obj.get("sv_indices", []), list),
+            converged=require_type("converged", obj.get("converged", True), bool),
         )
 
 

@@ -526,12 +526,22 @@ def _widen_scaler_out(obj):
     ("svr", lambda obj: obj["scaler_in"]["columns"].pop(), "scaler has 11 means and 10 columns"),
     ("svr", _set("scaler_out", 5), "scaler must be an object, got int"),
     ("svr", _set("model", "svr"), "model must be an object, got str"),
+    ("svr", lambda obj: obj["scaler_in"].__setitem__("means", {"a": 1}), "scaler means must be a list, got dict"),
+    ("svr", _set_model("support_vectors", {"a": 1}), "support_vectors must be a list, got dict"),
+    ("svr", _set_model("sv_indices", {"a": 1}), "sv_indices must be a list, got dict"),
+    ("dtr", _set_model("n_features", 11.9), "n_features must be an integer, got 11.9"),
+    ("svr", _set_model("n_features", 11.9), "n_features must be an integer, got 11.9"),
+    ("svr", _set_model("converged", "no"), "converged must be true or false, got str"),
+    ("dtr", lambda obj: obj["params"].__setitem__("max_depth", 2), "params {'max_depth': 2, "),
+    ("svr", _set("params", {"c": 1000.0, "epsilon": 0.1, "kernel": {"kind": "polynomial", "degree": 2, "coef0": 1.0}}),
+     "differ from the model's own {'c': 10.0, "),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
         "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
         "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan", "leaf-value-nan", "target-mean-nan",
         "target-std-zero", "target-std-inf", "model-list", "nodes-int", "node-int", "tree-params-list",
         "metrics-unknown-field", "metrics-null", "short-scaler-columns", "scaler-out-int",
-        "svr-model-string"])
+        "svr-model-string", "scaler-means-object", "svr-sv-object", "svr-sv-indices-object", "dtr-n-features-float",
+        "svr-n-features-float", "svr-converged-string", "dtr-params-differ", "svr-params-differ"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)
@@ -540,6 +550,23 @@ def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     err = capsys.readouterr().err
     assert name in err and message in err
     assert not (out / "evaluation.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+@pytest.mark.parametrize("mismatch", ["kind", "target"])
+def test_refuses_a_model_file_not_holding_the_model_its_name_says(workdir, capsys, command, mismatch):
+    """A model file is read only as the model kind and target its name gives."""
+    csv, out = _train_svr(workdir)
+    if mismatch == "kind":
+        name, kind, message = "model_dtr_hc_yield.json", "dtr", "holds the svr model of 'hc_yield', not the dtr model"
+        (out / name).write_bytes((out / "model_svr_hc_yield.json").read_bytes())
+    else:
+        name, kind, message = _edit_model(out, _set("target", "hc_hhv"), "svr"), "svr", "holds the svr model of 'hc_hhv'"
+    target = ("--target", "hc_yield") if command == "explain" else ()
+    assert run(command, "--data", csv, "--out", out, "--seed", 4, "--model", kind, *target) == 1
+    err = capsys.readouterr().err
+    assert name in err and message in err and "of 'hc_yield' its name says" in err
+    assert not (out / "evaluation.json").exists() and not (out / f"shap_{kind}_hc_yield").exists()
 
 
 def test_optimize_refuses_a_model_with_zero_target_std(workdir, capsys):

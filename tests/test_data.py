@@ -314,9 +314,8 @@ def test_raw_thresholds_match_full_range_bisection(mean, std):
             {"kind": "split", "feature": int(feature), "threshold": float(threshold), "left": 1, "right": 2},
             {"kind": "leaf", "value": 1.0}, {"kind": "leaf", "value": 2.0},
         ])
-        trained = TrainedTarget(target="hc_yield", model_kind="dtr", model=tree, scaler_in=scaler, scaler_out=None,
-                                chosen_params=tree.params, cv_rmse=0.0, train_metrics=report, test_metrics=report,
-                                target_mean=0.0, target_std=1.0)
+        trained = TrainedTarget(target="hc_yield", model=tree, scaler_in=scaler, scaler_out=None, cv_rmse=0.0,
+                                train_metrics=report, test_metrics=report, target_mean=0.0, target_std=1.0)
         rows = np.zeros((3, 3))
         with np.errstate(over="ignore"):  # the edge cells transform to +-inf
             rows[:, feature] = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)]

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrochar import data, pipeline
 from hydrochar.cart import TreeParams, fit_tree
@@ -19,7 +21,7 @@ from hydrochar.pipeline import (
 from hydrochar.stats import MetricsReport, rmse
 from hydrochar.svr import Kernel, SvrParams, fit_svr
 
-from conftest import shuffled_folds
+from conftest import examples, shuffled_folds
 
 
 def tiny_grid():
@@ -37,9 +39,45 @@ def test_default_grid_shape():
     assert kinds == {"linear", "rbf"}
 
 
+_reals = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_kernels = st.one_of(
+    st.just(Kernel("linear")),
+    st.builds(Kernel, st.just("polynomial"), degree=st.integers(1, 5), coef0=st.floats(-10.0, 10.0)),
+    st.builds(Kernel, st.just("rbf"), gamma=_positive),
+)
+_saved_objects = st.one_of(
+    st.builds(TreeParams, max_depth=st.none() | st.integers(0, 40), min_samples_split=st.integers(2, 50),
+              min_samples_leaf=st.integers(1, 50), min_impurity_decrease=_reals),
+    st.builds(SvrParams, c=_positive, epsilon=_reals, kernel=_kernels, tolerance=_positive,
+              max_passes=st.integers(1, 1000)),
+    st.builds(MetricsReport, r2=st.floats(-1e6, 1.0), rmse=_reals, mae=_reals, n=st.integers(0, 10**6)),
+)
+
+
+@given(_saved_objects)
+@settings(max_examples=examples(200))
+def test_saved_objects_roundtrip_through_json(obj):
+    """Hyperparameters and metrics read back from their JSON equal to what was written."""
+    to_dict = obj.as_dict if isinstance(obj, MetricsReport) else obj.to_dict
+    assert type(obj).from_dict(json.loads(json.dumps(to_dict()))) == obj
+
+
+def test_grid_entry_without_optional_fields_takes_the_class_defaults():
+    grid = HyperGrid.from_json_obj({"tree_grid": [{}], "svr_grid": [
+        {"c": 2.0, "epsilon": 0.2, "kernel": {"kind": "polynomial"}},
+        {"c": 2.0, "epsilon": 0.2, "kernel": {"kind": "rbf"}},
+    ]})
+    (tree,), (poly, rbf) = grid.tree_grid, grid.svr_grid
+    assert (tree.max_depth, tree.min_samples_split, tree.min_samples_leaf, tree.min_impurity_decrease) == (None, 2, 1, 0.0)
+    assert (poly.tolerance, poly.max_passes) == (1e-3, 200)
+    assert (poly.kernel.degree, poly.kernel.coef0, rbf.kernel.gamma) == (3, 0.0, 0.1)
+
+
 def test_grid_roundtrips_through_json():
     grid = HyperGrid.default()
-    back = HyperGrid.from_json_obj(json.loads(json.dumps(grid.to_json_obj())))
+    obj = {"tree_grid": [p.to_dict() for p in grid.tree_grid], "svr_grid": [p.to_dict() for p in grid.svr_grid]}
+    back = HyperGrid.from_json_obj(json.loads(json.dumps(obj)))
     assert back.tree_grid == grid.tree_grid
     assert back.svr_grid == grid.svr_grid
 
@@ -197,11 +235,9 @@ def test_evaluate_hand_built_tree():
     tree = fit_tree(x, y, TreeParams(max_depth=1))
     trained = TrainedTarget(
         target="hc_yield",
-        model_kind="dtr",
         model=tree,
         scaler_in=None,
         scaler_out=None,
-        chosen_params=tree.params,
         cv_rmse=0.0,
         train_metrics=MetricsReport(1.0, 0.0, 0.0, 4),
         test_metrics=MetricsReport(1.0, 0.0, 0.0, 4),
@@ -256,7 +292,7 @@ def test_trained_target_serialization_roundtrip(medium_dataset):
         q = medium_dataset.feature_matrix()[:25]
         assert np.abs(back.predict(q) - t.predict(q)).max() <= 1e-12
         assert back.cv_rmse == t.cv_rmse
-        assert back.chosen_params == t.chosen_params
+        assert back.model.params == t.model.params
 
 
 def test_grid_search_all_candidates_failing_raises(rng):

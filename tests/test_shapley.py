@@ -231,8 +231,8 @@ def _svr_target(kernel, sv, beta, bias, scaler_in, out_mean=0.0, out_std=1.0) ->
     params = SvrParams(c=10.0, kernel=kernel)
     report = MetricsReport(0.0, 0.0, 0.0, 0)
     return TrainedTarget(
-        target="hc_yield", model_kind="svr", model=SvrModel(sv, beta, bias, params, sv.shape[1]),
-        scaler_in=scaler_in, scaler_out=Scaler(np.array([out_mean]), np.array([out_std])), chosen_params=params,
+        target="hc_yield", model=SvrModel(sv, beta, bias, params, sv.shape[1]),
+        scaler_in=scaler_in, scaler_out=Scaler(np.array([out_mean]), np.array([out_std])),
         cv_rmse=0.0, train_metrics=report, test_metrics=report, target_mean=out_mean, target_std=out_std,
     )
 
@@ -298,8 +298,8 @@ def test_trees_and_polynomial_kernels_are_enumerated(monkeypatch, rng):
     x = rng.normal(size=(40, 3))
     report = MetricsReport(0.0, 0.0, 0.0, 0)
     tree = TrainedTarget(
-        target="hc_yield", model_kind="dtr", model=fit_tree(x, x[:, 0] * x[:, 1], TreeParams(max_depth=4)),
-        scaler_in=None, scaler_out=None, chosen_params=TreeParams(max_depth=4), cv_rmse=0.0,
+        target="hc_yield", model=fit_tree(x, x[:, 0] * x[:, 1], TreeParams(max_depth=4)),
+        scaler_in=None, scaler_out=None, cv_rmse=0.0,
         train_metrics=report, test_metrics=report, target_mean=0.0, target_std=1.0,
     )
     explain(tree.predict, x[0], x[:8])
