@@ -392,20 +392,6 @@ SYNTHETIC_NOISE_SCALE = {
     "hc_o": 11.0,
 }
 
-_TARGET_CLIP = {
-    "hc_yield": (0.1, 100.0),
-    "hc_hhv": (0.1, 50.0),
-    "hc_vm": (0.0, 100.0),
-    "hc_fc": (0.0, 100.0),
-    "hc_ash": (0.0, 100.0),
-    "hc_c": (0.0, 100.0),
-    "hc_h": (0.0, 100.0),
-    "hc_n": (0.0, 100.0),
-    "hc_s": (0.0, 100.0),
-    "hc_o": (0.0, 100.0),
-}
-
-
 def ground_truth_targets(x) -> np.ndarray:
     """Noise-free synthetic response surface (columns follow TARGET_COLUMNS).
 
@@ -461,8 +447,8 @@ def generate_synthetic(n: int, seed: int, noise_sd: float = 0.0) -> Dataset:
     if noise_sd > 0.0:
         scales = np.array([SYNTHETIC_NOISE_SCALE[t] for t in TARGET_COLUMNS])
         y = y + rng.standard_normal(y.shape) * (noise_sd * scales)
-    for j, t in enumerate(TARGET_COLUMNS):
-        lo, hi = _TARGET_CLIP[t]
+    for j, t in enumerate(TARGET_COLUMNS):  # clipped into the ranges check_rows accepts
+        lo, hi = (0.1, _POSITIVE_TARGETS[t][0]) if t in _POSITIVE_TARGETS else (0.0, 100.0)
         np.clip(y[:, j], lo, hi, out=y[:, j])
     check_rows(x, y)
     return Dataset(x, y)

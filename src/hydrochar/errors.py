@@ -139,10 +139,10 @@ def require_type(name: str, value, kind: type):
     return value
 
 
-def read_fields(cls, name: str, d, parsers: dict, required=()):
+def read_fields(cls, name: str, d, parsers: dict):
     """Build dataclass ``cls`` from the JSON object ``d``, in field order, each field through ``parsers`` if
     named there. An unknown field is refused; an absent one takes the class default, or raises
-    KeyError(field) when it has none or is in ``required``."""
+    KeyError(field) when it has none."""
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     unknown = [k for k in require_type(name, d, dict) if k not in names]
@@ -152,6 +152,6 @@ def read_fields(cls, name: str, d, parsers: dict, required=()):
     for f in fields:
         if f.name in d:
             values[f.name] = parsers[f.name](d[f.name]) if f.name in parsers else d[f.name]
-        elif f.name in required or f.default is dataclasses.MISSING:
+        elif f.default is dataclasses.MISSING:
             raise KeyError(f.name)
     return cls(**values)

@@ -69,9 +69,9 @@ class Kernel:
 
 @dataclass(frozen=True)
 class SvrParams:
-    c: float = 1.0
-    epsilon: float = 0.1
-    kernel: Kernel = Kernel("linear")
+    c: float
+    epsilon: float
+    kernel: Kernel
     tolerance: float = 1e-3
     max_passes: int = 200
 
@@ -94,9 +94,8 @@ class SvrParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SvrParams":
-        """Read a grid entry or a saved model's params; c, epsilon and kernel must be given."""
         reals = {f: partial(require_real, f) for f in ("c", "epsilon", "tolerance")}
-        return read_fields(cls, "svr params", d, {**reals, "kernel": Kernel.from_dict}, ("c", "epsilon", "kernel"))
+        return read_fields(cls, "svr params", d, {**reals, "kernel": Kernel.from_dict})
 
 
 def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:

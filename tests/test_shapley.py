@@ -228,7 +228,7 @@ def test_explain_phi_matches_per_row_bookkeeping(d):
 
 def _svr_target(kernel, sv, beta, bias, scaler_in, out_mean=0.0, out_std=1.0) -> TrainedTarget:
     """A TrainedTarget around given support vectors and duals, in raw units."""
-    params = SvrParams(c=10.0, kernel=kernel)
+    params = SvrParams(c=10.0, epsilon=0.1, kernel=kernel)
     report = MetricsReport(0.0, 0.0, 0.0, 0)
     return TrainedTarget(
         target="hc_yield", model=SvrModel(sv, beta, bias, params, sv.shape[1]),
@@ -347,7 +347,7 @@ def test_rbf_closed_form_memory_is_bounded_by_the_factor_budget():
     1 MiB each."""
     rng = np.random.default_rng(8)
     d, n_sv, n_bg = 11, 200, 600
-    params = SvrParams(kernel=Kernel("rbf", gamma=0.1))
+    params = SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("rbf", gamma=0.1))
     model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.0, params, d)
     x, background = rng.normal(size=d), rng.normal(size=(n_bg, d))
     block_bytes = svr._FACTOR_ENTRIES * 8
@@ -367,7 +367,7 @@ def test_bound_predict_batch_is_enumerated(kernel):
     gets the enumerated values, like a plain lambda around it."""
     rng = np.random.default_rng(9)
     d = 4
-    model = SvrModel(rng.normal(size=(6, d)), rng.normal(size=6), 0.5, SvrParams(kernel=kernel), d)
+    model = SvrModel(rng.normal(size=(6, d)), rng.normal(size=6), 0.5, SvrParams(c=1.0, epsilon=0.1, kernel=kernel), d)
     x, background = rng.normal(size=d), rng.normal(size=(8, d))
     got = explain(model.predict_batch, x, background)
     want = explain(lambda rows: model.predict_batch(rows), x, background)

@@ -137,9 +137,9 @@ def test_no_convergence_flag(rng):
 @pytest.mark.parametrize(
     "make, field",
     [
-        (lambda v: SvrParams(c=v), "c"),
-        (lambda v: SvrParams(epsilon=v), "epsilon"),
-        (lambda v: SvrParams(tolerance=v), "tolerance"),
+        (lambda v: SvrParams(c=v, epsilon=0.1, kernel=Kernel("linear")), "c"),
+        (lambda v: SvrParams(c=1.0, epsilon=v, kernel=Kernel("linear")), "epsilon"),
+        (lambda v: SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear"), tolerance=v), "tolerance"),
         (lambda v: Kernel("rbf", gamma=v), "gamma"),
         (lambda v: Kernel("polynomial", degree=2, coef0=v), "coef0"),
     ],
@@ -154,16 +154,16 @@ def test_non_finite_hyperparameters_rejected(make, field, value):
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"], ids=["fraction", "float", "bool", "string"])
 def test_non_integer_counts_rejected(value):
     with pytest.raises(ValueError, match=f"max_passes must be an integer, got {value!r}"):
-        SvrParams(max_passes=value)
+        SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear"), max_passes=value)
     with pytest.raises(ValueError, match=f"kernel degree must be an integer, got {value!r}"):
         Kernel("polynomial", degree=value)
 
 
 def test_fit_errors():
     with pytest.raises(EmptyInput):
-        fit_svr(np.empty((0, 2)), [], SvrParams())
+        fit_svr(np.empty((0, 2)), [], SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")))
     with pytest.raises(DimensionMismatch):
-        fit_svr([[1.0], [2.0]], [1.0], SvrParams())
+        fit_svr([[1.0], [2.0]], [1.0], SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")))
 
 
 # ----------------------------------------------------------------- predict
@@ -173,7 +173,7 @@ def test_no_support_vectors_predicts_bias():
         support_vectors=np.empty((0, 2)),
         dual_coeffs=[],
         bias=1.25,
-        params=SvrParams(),
+        params=SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")),
         n_features=2,
     )
     assert model.predict_batch([[9.0, 9.0]])[0] == 1.25
@@ -186,7 +186,7 @@ def test_single_support_vector_at_itself():
         support_vectors=sv,
         dual_coeffs=[2.0],
         bias=0.3,
-        params=SvrParams(kernel=Kernel("rbf", gamma=1.0)),
+        params=SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("rbf", gamma=1.0)),
         n_features=2,
     )
     # k(sv, sv) = 1, so prediction = coeff + bias
@@ -212,7 +212,7 @@ def test_prediction_linear_in_dual_coeffs(rng):
 
 
 def test_predict_dimension_mismatch():
-    model = SvrModel(np.empty((0, 3)), [], 0.0, SvrParams(), n_features=3)
+    model = SvrModel(np.empty((0, 3)), [], 0.0, SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")), n_features=3)
     with pytest.raises(DimensionMismatch):
         model.predict_batch([[1.0, 2.0]])
 
@@ -234,7 +234,8 @@ def test_predict_batch_in_kernel_blocks(kern, monkeypatch):
     one block is exactly the one-shot formula."""
     rng = np.random.default_rng(8)
     n_sv, d = 300, 4
-    model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.7, SvrParams(kernel=kern), n_features=d)
+    model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.7, SvrParams(c=1.0, epsilon=0.1, kernel=kern),
+                     n_features=d)
     b = _block_rows(n_sv)
 
     def one_shot(x):
@@ -267,7 +268,7 @@ def test_predict_batch_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(9)
     n_sv, d = 300, 11
     model = SvrModel(rng.normal(size=(n_sv, d)), rng.normal(size=n_sv), 0.1,
-                     SvrParams(kernel=Kernel("rbf", gamma=0.1)), n_features=d)
+                     SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("rbf", gamma=0.1)), n_features=d)
     x = rng.normal(size=(200_000, d))
     tracemalloc.start()
     try:
@@ -478,13 +479,13 @@ def test_fit_matches_reference_bit_for_bit(problem):
 @pytest.mark.parametrize(
     "x, y, params",
     [
-        ([[0.3]], [1.0], SvrParams(c=1.0, epsilon=0.0)),
+        ([[0.3]], [1.0], SvrParams(c=1.0, epsilon=0.0, kernel=Kernel("linear"))),
         ([[0.3], [0.3], [0.3], [1.0]], [1.0, 2.0, 1.0, 0.0],
          SvrParams(c=10.0, epsilon=0.0, kernel=Kernel("rbf", gamma=1.0))),
         ([[float(v % 3)] for v in range(12)], [0.5 * (v % 4) for v in range(12)],
          SvrParams(c=100.0, epsilon=0.0, kernel=Kernel("polynomial", degree=2, coef0=1.0), max_passes=3)),
         ([[float(v), float(-v)] for v in range(-4, 5)] * 2, [float(abs(v)) for v in range(-4, 5)] * 2,
-         SvrParams(c=1000.0, epsilon=0.01, max_passes=30)),
+         SvrParams(c=1000.0, epsilon=0.01, kernel=Kernel("linear"), max_passes=30)),
     ],
     ids=["one-row", "duplicate-rows", "y-lattice-budget-bound", "doubled-lattice"],
 )
