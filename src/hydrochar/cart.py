@@ -61,15 +61,16 @@ class RegressionTree:
             raise InvalidModelFile("a tree has no nodes")
         self.n_features = n_features
         self.params = params
-        self.left = np.array([n.get("left", -1) for n in nodes], dtype=np.intp)
-        self.right = np.array([n.get("right", -1) for n in nodes], dtype=np.intp)
-        self.value = np.array([n.get("value", 0.0) for n in nodes], dtype=float)
-        self.count = np.array([n.get("count", 0) for n in nodes], dtype=np.intp)
-        self.is_leaf = np.array([n["kind"] == "leaf" for n in nodes], dtype=bool)
+        leaves = [n["kind"] == "leaf" for n in nodes]
+        self.is_leaf = np.array(leaves, dtype=bool)
+        self.value = np.array([n["value"] if leaf else 0.0 for n, leaf in zip(nodes, leaves)], dtype=float)
+        self.count = np.array([n["count"] if leaf else 0 for n, leaf in zip(nodes, leaves)], dtype=np.intp)
         # A leaf tests feature 0 against +inf and loops to itself, so every
         # row can take the same number of steps; children[2 i + (x <= t)].
-        self.feature = np.where(self.is_leaf, 0, [n.get("feature", 0) for n in nodes]).astype(np.intp)
-        self.threshold = np.where(self.is_leaf, np.inf, [n.get("threshold", 0.0) for n in nodes])
+        self.feature = np.array([0 if leaf else n["feature"] for n, leaf in zip(nodes, leaves)], dtype=np.intp)
+        self.threshold = np.array([np.inf if leaf else n["threshold"] for n, leaf in zip(nodes, leaves)], dtype=float)
+        self.left = np.array([-1 if leaf else n["left"] for n, leaf in zip(nodes, leaves)], dtype=np.intp)
+        self.right = np.array([-1 if leaf else n["right"] for n, leaf in zip(nodes, leaves)], dtype=np.intp)
         bad = np.flatnonzero(self.is_leaf & ~np.isfinite(self.value))
         if bad.size:
             raise InvalidModelFile(f"node {bad[0]} value is not finite: {self.value[bad[0]]}")
@@ -157,7 +158,11 @@ class RegressionTree:
         require_type("model", obj, dict)
         nodes = require_type("nodes", obj["nodes"], list)
         for i, node in enumerate(nodes):
-            require_type(f"node {i}", node, dict)
+            leaf = require_type(f"node {i}", node, dict)["kind"] == "leaf"
+            for name in ("value", "count") if leaf else ("feature", "threshold", "left", "right"):
+                if name not in node:
+                    raise InvalidModelFile(f"node {i} has no {name!r}")
+                (require_real if name in ("value", "threshold") else require_int)(f"node {i} {name}", node[name])
         return cls(n_features=require_int("n_features", obj["n_features"]), params=TreeParams.from_dict(obj["params"]),
                    nodes=nodes)
 

@@ -137,10 +137,9 @@ def cmd_train(args) -> int:
     kinds = ("dtr", "svr") if cfg.model == "both" else (cfg.model,)
     result = pipeline.train_all(ds, grid, seed=cfg.seed, models=kinds)
     _write_json(cfg.out / "report.json", {**_provenance(cfg.seed), **result.report})
-    for (kind, target), trained in sorted(result.trained.items()):
-        _write_json(_model_path(cfg.out, kind, target), {**_provenance(cfg.seed), **trained.to_json_obj()})
     print(f"{'model':<6}{'target':<10}{'cv_rmse':>10}{'train_r2':>10}{'test_r2':>10}")
     for (kind, target), t in sorted(result.trained.items()):
+        _write_json(_model_path(cfg.out, kind, target), {**_provenance(cfg.seed), **t.to_json_obj()})
         print(f"{kind:<6}{target:<10}{t.cv_rmse:>10.4g}{t.train_metrics.r2:>10.4f}{t.test_metrics.r2:>10.4f}")
     for kind in kinds:
         for target, reason in result.skips[kind].items():
@@ -324,7 +323,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (HydrocharError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (HydrocharError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

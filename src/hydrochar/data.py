@@ -25,6 +25,7 @@ from .errors import (
     TooFewRows,
     UnparseableCell,
     ZeroCarbon,
+    require_reals,
     require_type,
 )
 
@@ -57,6 +58,14 @@ CSV_HEADER = FEATURE_COLUMNS + TARGET_COLUMNS
 
 # Measurement slack allowed on reported wt% sums.
 SUM_TOLERANCE = 1.0
+
+# Feedstock mass balance: each group's wt% features sum to at most _MASS_LIMIT.
+_MASS_BALANCE = (("biomass C+H+N+S+O", slice(0, 5)), ("biomass VM+FC+ash", slice(5, 8)))
+_MASS_LIMIT = 100.0 + SUM_TOLERANCE
+
+# The held-out share of rows and the cross-validation fold count of every split.
+TEST_FRACTION = 0.2
+FOLDS = 5
 
 # Operating envelope covered by published HTC studies. Values outside it
 # load fine but are flagged, because queries there extrapolate.
@@ -112,16 +121,6 @@ class Dataset:
         """All target rows as an (n, 10) read-only array with NaN for absent."""
         return self._y
 
-    def column(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return (values, present_mask) for a feature or target column."""
-        if label in FEATURE_COLUMNS:
-            vals = self._x[:, FEATURE_COLUMNS.index(label)]
-            return vals, np.ones(len(vals), dtype=bool)
-        if label in TARGET_COLUMNS:
-            vals = self._y[:, TARGET_COLUMNS.index(label)]
-            return vals, ~np.isnan(vals)
-        raise KeyError(label)
-
     def to_csv_text(self) -> str:
         lines = [",".join(CSV_HEADER)]
         for i in range(self.n_rows):
@@ -159,10 +158,9 @@ def check_rows(x: np.ndarray, y: np.ndarray, lines=None, reported=None) -> list[
             rules.append((~((0.0 <= v) & (v <= 100.0)), name, v, "outside [0, 100] wt%"))
     for j in (8, 9):
         rules.append((~(x[:, j] > 0.0), FEATURE_COLUMNS[j], x[:, j], "must be > 0"))
-    limit = 100.0 + SUM_TOLERANCE
-    for label, cols in (("biomass C+H+N+S+O", slice(0, 5)), ("biomass VM+FC+ash", slice(5, 8))):
+    for label, cols in _MASS_BALANCE:
         total = x[:, cols].sum(axis=1)
-        rules.append((total > limit, label, total, f"exceeds {limit:g} wt%"))
+        rules.append((total > _MASS_LIMIT, label, total, f"exceeds {_MASS_LIMIT:g} wt%"))
     for j, name in enumerate(TARGET_COLUMNS):
         v, present = y[:, j], reported[:, j]
         hi, text = _POSITIVE_TARGETS.get(name, (100.0, "[0, 100] wt%"))
@@ -267,8 +265,6 @@ class Scaler:
     @classmethod
     def fit(cls, matrix, columns=None) -> "Scaler":
         m = np.asarray(matrix, dtype=float)
-        if m.ndim == 1:
-            m = m[:, None]
         means = np.nanmean(m, axis=0)
         stds = np.nanstd(m, axis=0)
         for j in range(m.shape[1]):
@@ -293,13 +289,15 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        means = np.array(require_type("scaler means", require_type("scaler", d, dict)["means"], list), dtype=float)
-        stds = np.array(require_type("scaler stds", d["stds"], list), dtype=float)
+        means = require_reals("scaler means", require_type("scaler", d, dict)["means"])
+        stds = require_reals("scaler stds", d["stds"])
         cols = d.get("columns")
         if means.ndim != 1 or means.shape != stds.shape:
             raise InvalidModelFile(f"scaler has {means.size} means and {stds.size} stds")
         if cols is not None and len(require_type("scaler columns", cols, list)) != means.size:
             raise InvalidModelFile(f"scaler has {means.size} means and {len(cols)} columns")
+        for j, c in enumerate(cols or []):
+            require_type(f"scaler columns[{j}]", c, str)
         for j in range(len(means)):
             if not np.isfinite(means[j]):
                 raise InvalidModelFile(f"scaler {_column_name(cols, j)}: mean {means[j]} is not finite")
@@ -322,28 +320,20 @@ class SplitPlan:
     test_indices: np.ndarray
     fold_assignments: np.ndarray  # parallel to train_indices
 
-    @property
-    def k(self) -> int:
-        return int(self.fold_assignments.max()) + 1
 
-
-def split(dataset: Dataset, test_fraction: float = 0.2, k: int = 5, seed: int = 0) -> SplitPlan:
-    """Shuffle rows with a seeded generator, hold out a test fraction, and
-    partition the remaining training rows into k folds of near-equal size."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in (0, 1)")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+def split(dataset: Dataset, seed: int = 0) -> SplitPlan:
+    """Shuffle rows with a seeded generator, hold out TEST_FRACTION of them,
+    and partition the remaining training rows into FOLDS folds of
+    near-equal size."""
     n = dataset.n_rows
-    n_test = int(round(n * test_fraction))
-    n_train = n - n_test
-    if n < k + 1 or n_train < k:
-        raise TooFewRows(f"n={n} cannot support k={k} folds plus a test split")
+    n_test = int(round(n * TEST_FRACTION))
+    if n < FOLDS + 1 or n - n_test < FOLDS:
+        raise TooFewRows(f"n={n} cannot support k={FOLDS} folds plus a test split")
     perm = np.random.default_rng(seed).permutation(n)
     test = np.sort(perm[:n_test])
     train_shuffled = perm[n_test:]
     fold_of = np.empty(n, dtype=int)
-    for fold_id, chunk in enumerate(np.array_split(train_shuffled, k)):
+    for fold_id, chunk in enumerate(np.array_split(train_shuffled, FOLDS)):
         fold_of[chunk] = fold_id
     train = np.sort(train_shuffled)
     folds = fold_of[train]
@@ -363,9 +353,7 @@ def van_krevelen(c_wt: float, h_wt: float, o_wt: float) -> tuple[float, float]:
 def mass_balance_ok(features) -> np.ndarray:
     """Vectorized wt%-sum feasibility check on raw feature rows."""
     f = np.atleast_2d(np.asarray(features, dtype=float))
-    ultimate = f[:, 0:5].sum(axis=1)
-    proximate = f[:, 5:8].sum(axis=1)
-    return (ultimate <= 100.0 + SUM_TOLERANCE) & (proximate <= 100.0 + SUM_TOLERANCE)
+    return np.logical_and.reduce([f[:, cols].sum(axis=1) <= _MASS_LIMIT for _, cols in _MASS_BALANCE])
 
 
 # ---------------------------------------------------------------------------

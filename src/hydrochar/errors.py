@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 
 class HydrocharError(Exception):
     """Base class for all errors raised by this package."""
@@ -129,11 +131,29 @@ def require_real(name: str, value) -> float:
     return float(value)
 
 
-_JSON_KINDS = {dict: "an object", list: "a list", bool: "true or false"}
+def require_reals(name: str, value) -> np.ndarray:
+    """Read a list of numbers, or of equal-length lists of numbers, as a float array; refuse any other entry."""
+    items = require_type(name, value, list)
+    nested = any(isinstance(v, list) for v in items)
+    rows = [require_type(f"{name}[{i}]", v, list) for i, v in enumerate(items)] if nested else [items]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            require_real(f"{name}[{i}][{j}]" if nested else f"{name}[{j}]", v)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{name} holds lists of different lengths")
+    return np.array(items, dtype=float)
+
+
+def require_ints(name: str, value) -> np.ndarray:
+    """Read a list of integers as an int array; a bool, a float, a string, null or an object is refused."""
+    return np.array([require_int(f"{name}[{i}]", v) for i, v in enumerate(require_type(name, value, list))], dtype=int)
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", bool: "true or false", str: "a string"}
 
 
 def require_type(name: str, value, kind: type):
-    """Read a JSON object (``dict``), array (``list``) or bool; any other JSON value is refused, naming it."""
+    """Read a JSON object (``dict``), array (``list``), bool or string; any other JSON value is refused, naming it."""
     if not isinstance(value, kind):
         raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value

@@ -18,7 +18,8 @@ import numpy as np
 from . import data as data_mod
 from .cart import RegressionTree, TreeParams, fit_tree
 from .data import Dataset, Scaler, SplitPlan
-from .errors import HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, UnsupportedSchema, require_type
+from .errors import (HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, UnsupportedSchema, require_real,
+                     require_type)
 from .stats import MetricsReport, metrics_report, rmse
 from .svr import Kernel, SvrModel, SvrParams, fit_svr
 
@@ -162,11 +163,11 @@ class TrainedTarget:
             model=model,
             scaler_in=Scaler.from_dict(obj["scaler_in"]) if obj.get("scaler_in") else None,
             scaler_out=Scaler.from_dict(obj["scaler_out"]) if obj.get("scaler_out") else None,
-            cv_rmse=float(obj["cv_rmse"]),
+            cv_rmse=require_real("cv_rmse", obj["cv_rmse"]),
             train_metrics=MetricsReport.from_dict(obj["train_metrics"]),
             test_metrics=MetricsReport.from_dict(obj["test_metrics"]),
-            target_mean=float(obj["target_mean"]),
-            target_std=float(obj["target_std"]),
+            target_mean=require_real("target_mean", obj["target_mean"]),
+            target_std=require_real("target_std", obj["target_std"]),
         )
 
 
@@ -264,25 +265,21 @@ class TrainResult:
 
 def _fit_final(x, y, trn, tst, params, target, cv) -> TrainedTarget:
     model, scaler_in, scaler_out = _fit(x[trn], y[trn], params, data_mod.FEATURE_COLUMNS)
-    trained = TrainedTarget(
+    return TrainedTarget(
         target=target,
         model=model,
         scaler_in=scaler_in,
         scaler_out=scaler_out,
         cv_rmse=cv,
-        train_metrics=MetricsReport(0.0, 0.0, 0.0, 0),  # placeholders, set below
-        test_metrics=MetricsReport(0.0, 0.0, 0.0, 0),
+        train_metrics=metrics_report(y[trn], _predict(model, scaler_in, scaler_out, x[trn])),
+        test_metrics=metrics_report(y[tst], _predict(model, scaler_in, scaler_out, x[tst])),
         target_mean=float(np.mean(y[trn])),
         target_std=float(np.std(y[trn])),
     )
-    trained.train_metrics = evaluate(trained, x[trn], y[trn])
-    trained.test_metrics = evaluate(trained, x[tst], y[tst])
-    return trained
 
 
 def evaluate(model: TrainedTarget, x, y) -> MetricsReport:
     """Metrics of a trained target on raw rows, in original target units."""
-    y = np.asarray(y, dtype=float).ravel()
     return metrics_report(y, model.predict(x))
 
 
@@ -297,56 +294,45 @@ def train_all(dataset: Dataset, grid: HyperGrid, seed: int, models=("dtr", "svr"
     ymat = dataset.target_matrix()
     trained: dict[tuple[str, str], TrainedTarget] = {}
     skips: dict[str, dict[str, str]] = {m: {} for m in models}
-    for kind in models:
-        candidates = grid.tree_grid if kind == "dtr" else grid.svr_grid
-        for t_idx, target in enumerate(dataset.target_names):
-            if not candidates:
-                skips[kind][target] = "no grid candidates for this model family"
-                continue
-            y = ymat[:, t_idx]
-            present = ~np.isnan(y)
-            keep_train = present[plan.train_indices]
-            trn = plan.train_indices[keep_train]
-            folds = plan.fold_assignments[keep_train]
-            tst = plan.test_indices[present[plan.test_indices]]
-            if len(trn) < plan.k + 1:
-                skips[kind][target] = f"only {len(trn)} training rows with this target"
-                continue
-            if len(tst) < 2:
-                skips[kind][target] = f"only {len(tst)} test rows with this target"
-                continue
-            if np.max(y[trn]) == np.min(y[trn]):
-                skips[kind][target] = "training target is constant"
+    report = {
+        "n_rows": dataset.n_rows,
+        "dataset_fingerprint": dataset.fingerprint(),
+        "models": {m: {} for m in models},
+        "skips": skips,
+    }
+    for t_idx, target in enumerate(dataset.target_names):
+        y = ymat[:, t_idx]
+        present = ~np.isnan(y)
+        keep_train = present[plan.train_indices]
+        trn = plan.train_indices[keep_train]
+        folds = plan.fold_assignments[keep_train]
+        tst = plan.test_indices[present[plan.test_indices]]
+        reason = None
+        if len(trn) < data_mod.FOLDS + 1:
+            reason = f"only {len(trn)} training rows with this target"
+        elif len(tst) < 2:
+            reason = f"only {len(tst)} test rows with this target"
+        elif np.max(y[trn]) == np.min(y[trn]):
+            reason = "training target is constant"
+        for kind in models:
+            candidates = grid.tree_grid if kind == "dtr" else grid.svr_grid
+            skip = reason if candidates else "no grid candidates for this model family"
+            if skip:
+                skips[kind][target] = skip
                 continue
             try:
                 gs = grid_search(x[trn], y[trn], candidates, folds, columns=data_mod.FEATURE_COLUMNS)
-                trained[(kind, target)] = _fit_final(x, y, trn, tst, gs.chosen_params, target, gs.cv_rmse)
+                t = trained[(kind, target)] = _fit_final(x, y, trn, tst, gs.chosen_params, target, gs.cv_rmse)
             except HydrocharError as exc:
                 skips[kind][target] = str(exc)
-    report = _build_report(dataset, trained, skips, models)
-    return TrainResult(trained=trained, report=report, skips=skips, plan=plan)
-
-
-def _build_report(dataset: Dataset, trained, skips, models) -> dict:
-    model_section: dict = {}
-    for kind in models:
-        section = {}
-        for target in dataset.target_names:
-            t = trained.get((kind, target))
-            if t is None:
                 continue
-            section[target] = {
+            entry = {
                 "train": t.train_metrics.as_dict(),
                 "test": t.test_metrics.as_dict(),
                 "params": t.model.params.to_dict(),
                 "cv_rmse": t.cv_rmse,
             }
             if kind == "svr":
-                section[target]["converged"] = t.model.converged  # False: the final fit hit max_passes
-        model_section[kind] = section
-    return {
-        "n_rows": dataset.n_rows,
-        "dataset_fingerprint": dataset.fingerprint(),
-        "models": model_section,
-        "skips": {k: dict(v) for k, v in skips.items()},
-    }
+                entry["converged"] = t.model.converged  # False: the final fit hit max_passes
+            report["models"][kind][target] = entry
+    return TrainResult(trained=trained, report=report, skips=skips, plan=plan)

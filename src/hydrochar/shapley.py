@@ -190,12 +190,11 @@ def _write_plot_files(plot: PlotData, out_dir: Path, provenance: str = "") -> No
     (out_dir / "importance.svg").write_text(svg, encoding="utf-8")
 
 
-def importance_svg(plot: PlotData, width: int = 800, height: int = 400) -> str:
+def importance_svg(plot: PlotData) -> str:
     """Static horizontal bar chart of mean |phi|, most important on top."""
     bars = plot.bar
     n = len(bars)
-    label_w = 170
-    margin = 10
+    width, height, label_w, margin = 800, 400, 170, 10
     chart_w = width - label_w - 2 * margin
     row_h = (height - 2 * margin) / max(n, 1)
     vmax = max((v for _, v in bars), default=0.0) or 1.0

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
-from .data import Dataset, FEATURE_COLUMNS, TARGET_COLUMNS
-from .errors import DegenerateActual, DegenerateInput, LengthMismatch, SingularInput, TooFewRows, read_fields
+from .data import CSV_HEADER, Dataset
+from .errors import (DegenerateActual, DegenerateInput, LengthMismatch, SingularInput, TooFewRows, read_fields,
+                     require_int, require_real)
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,8 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
-        return read_fields(cls, "metrics", d, {})
+        reals = {f: partial(require_real, f) for f in ("r2", "rmse", "mae")}
+        return read_fields(cls, "metrics", d, {**reals, "n": partial(require_int, "n")})
 
 
 def _paired(actual, predicted, min_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,40 +146,44 @@ class CorrelationMatrix:
         }
 
 
-def correlation_matrix(dataset: Dataset, min_joint: int = 3) -> CorrelationMatrix:
+def _table(dataset: Dataset) -> np.ndarray:
+    """The (n, 21) table of features beside targets, columns as CSV_HEADER; NaN marks an absent value."""
+    return np.hstack([dataset.feature_matrix(), dataset.target_matrix()])
+
+
+def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Pairwise Spearman matrix over all 21 input and output variables.
 
     Each pair uses the rows where both variables are present; pairs with
-    fewer than ``min_joint`` joint observations, or with a constant joint
-    subvector, are marked absent (NaN).
+    fewer than 3 joint observations, or with a constant joint subvector,
+    are marked absent (NaN).
     """
+    min_joint = 3
     if dataset.n_rows < min_joint:
         raise TooFewRows(f"need at least {min_joint} rows, got {dataset.n_rows}")
-    labels = tuple(FEATURE_COLUMNS) + tuple(TARGET_COLUMNS)
-    cols = [dataset.column(lab) for lab in labels]
-    # Each column is sorted once. Dropping the rows outside a pair's joint
+    cols = np.ascontiguousarray(_table(dataset).T)  # one row per variable
+    present = ~np.isnan(cols)
+    # Each variable is sorted once. Dropping the rows outside a pair's joint
     # mask from a stable order leaves the stable order of the joint subvector.
-    orders = [np.argsort(v, kind="stable") for v, _ in cols]
-    p = len(labels)
+    orders = np.argsort(cols, axis=1, kind="stable")
+    p = len(CSV_HEADER)
     out = np.full((p, p), np.nan)
     np.fill_diagonal(out, 1.0)
     for i in range(p):
-        vi, mi = cols[i]
         for j in range(i + 1, p):
-            vj, mj = cols[j]
-            joint = mi & mj
+            joint = present[i] & present[j]
             if int(joint.sum()) < min_joint:
                 continue
             pos = np.cumsum(joint) - 1
-            ri = _ranks_in_order(vi[joint], pos[orders[i][joint[orders[i]]]])
-            rj = _ranks_in_order(vj[joint], pos[orders[j][joint[orders[j]]]])
+            ri = _ranks_in_order(cols[i][joint], pos[orders[i][joint[orders[i]]]])
+            rj = _ranks_in_order(cols[j][joint], pos[orders[j][joint[orders[j]]]])
             try:
                 r = _pearson(ri, rj)
             except DegenerateInput:
                 continue
             out[i, j] = out[j, i] = r
     out.setflags(write=False)
-    return CorrelationMatrix(labels=labels, values=out)
+    return CorrelationMatrix(labels=CSV_HEADER, values=out)
 
 
 @dataclass(frozen=True)
@@ -230,15 +237,10 @@ def factor_analysis(dataset: Dataset, columns) -> FactorResult:
     cols = tuple(columns)
     if len(cols) < 2:
         raise ValueError("need at least 2 columns")
-    vals = []
-    mask = np.ones(dataset.n_rows, dtype=bool)
-    for c in cols:
-        v, m = dataset.column(c)
-        vals.append(v)
-        mask &= m
-    if int(mask.sum()) < 3:
-        raise TooFewRows(f"only {int(mask.sum())} rows complete on the selection")
-    m = np.column_stack(vals)[mask]
+    m = _table(dataset)[:, [CSV_HEADER.index(c) for c in cols]]
+    m = m[~np.isnan(m).any(axis=1)]
+    if len(m) < 3:
+        raise TooFewRows(f"only {len(m)} rows complete on the selection")
     means = m.mean(axis=0)
     stds = m.std(axis=0)
     for j, c in enumerate(cols):

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, InvalidModelFile,
-                     read_fields, require_int, require_real, require_type)
+                     read_fields, require_int, require_ints, require_real, require_reals, require_type)
 
 
 @dataclass(frozen=True)
@@ -242,12 +242,12 @@ class SvrModel:
     def from_json_obj(cls, obj: dict) -> "SvrModel":
         require_type("model", obj, dict)
         return cls(
-            support_vectors=require_type("support_vectors", obj["support_vectors"], list),
-            dual_coeffs=require_type("dual_coeffs", obj["dual_coeffs"], list),
+            support_vectors=require_reals("support_vectors", obj["support_vectors"]),
+            dual_coeffs=require_reals("dual_coeffs", obj["dual_coeffs"]),
             bias=require_real("bias", obj["bias"]),
             params=SvrParams.from_dict(obj["params"]),
             n_features=require_int("n_features", obj["n_features"]),
-            sv_indices=require_type("sv_indices", obj.get("sv_indices", []), list),
+            sv_indices=require_ints("sv_indices", obj.get("sv_indices", [])),
             converged=require_type("converged", obj.get("converged", True), bool),
         )
 

@@ -168,16 +168,19 @@ def test_serialization_roundtrip_bit_exact(rng):
     assert back.depth == tree.depth == 7
 
 
+_LEAF = {"kind": "leaf", "value": 1.0, "count": 1}
+
+
 @pytest.mark.parametrize("nodes", [
     [],
-    [{"kind": "split", "feature": -1, "threshold": 0.5, "left": 1, "right": 2}] + [{"kind": "leaf"}] * 2,
-    [{"kind": "split", "feature": 2, "threshold": 0.5, "left": 1, "right": 2}] + [{"kind": "leaf"}] * 2,
-    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 999, "right": 2}] + [{"kind": "leaf"}] * 2,
-    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": -1}] + [{"kind": "leaf"}] * 2,
-    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1}] + [{"kind": "leaf"}] * 2,
-    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 0, "right": 1}, {"kind": "leaf"}],
-    [{"kind": "leaf"}, {"kind": "split", "feature": 1, "threshold": float("nan"), "left": 0, "right": 0}],
-    [{"kind": "split", "feature": 0, "threshold": -float("inf"), "left": 1, "right": 2}] + [{"kind": "leaf"}] * 2,
+    [{"kind": "split", "feature": -1, "threshold": 0.5, "left": 1, "right": 2}] + [_LEAF] * 2,
+    [{"kind": "split", "feature": 2, "threshold": 0.5, "left": 1, "right": 2}] + [_LEAF] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 999, "right": 2}] + [_LEAF] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": -1}] + [_LEAF] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1}] + [_LEAF] * 2,
+    [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 0, "right": 1}, _LEAF],
+    [_LEAF, {"kind": "split", "feature": 1, "threshold": float("nan"), "left": 0, "right": 0}],
+    [{"kind": "split", "feature": 0, "threshold": -float("inf"), "left": 1, "right": 2}] + [_LEAF] * 2,
 ], ids=["no-nodes", "feature-negative", "feature-n_features", "left-past-end", "right-negative", "right-missing",
         "cycle", "threshold-nan", "threshold-inf"])
 def test_loaded_malformed_tree_is_refused(nodes):
@@ -186,8 +189,8 @@ def test_loaded_malformed_tree_is_refused(nodes):
 
 
 def test_non_finite_threshold_names_its_node():
-    nodes = [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2}, {"kind": "leaf"},
-             {"kind": "split", "feature": 1, "threshold": float("inf"), "left": 3, "right": 4}] + [{"kind": "leaf"}] * 2
+    nodes = [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2}, _LEAF,
+             {"kind": "split", "feature": 1, "threshold": float("inf"), "left": 3, "right": 4}] + [_LEAF] * 2
     with pytest.raises(InvalidModelFile, match="node 2 threshold is not finite: inf"):
         RegressionTree(2, TreeParams(), nodes)
 

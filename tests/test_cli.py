@@ -83,6 +83,22 @@ def test_missing_data_flag_is_usage_error(capsys):
     assert "requires --data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--data", "--grid", "--application"])
+def test_a_path_naming_a_directory_is_an_input_error(workdir, capsys, flag):
+    """A directory given where a file is read exits 1 with the path named, not 2."""
+    directory = workdir / "profile.json"  # a .json name, so --application reads it as a file
+    directory.mkdir()
+    command, args = {
+        "--data": ("validate", ("--data", directory)),
+        "--grid": ("train", ("--data", synth_csv(workdir), "--out", workdir / "run", "--grid", directory)),
+        "--application": ("optimize", ("--data", synth_csv(workdir), "--out", workdir / "run",
+                                       "--application", directory)),
+    }[flag]
+    assert run(command, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(directory) in err
+
+
 # ------------------------------------------------------------------- train
 
 def test_train_writes_report_and_models(workdir, capsys):
@@ -535,13 +551,33 @@ def _widen_scaler_out(obj):
     ("dtr", lambda obj: obj["params"].__setitem__("max_depth", 2), "params {'max_depth': 2, "),
     ("svr", _set("params", {"c": 1000.0, "epsilon": 0.1, "kernel": {"kind": "polynomial", "degree": 2, "coef0": 1.0}}),
      "differ from the model's own {'c': 10.0, "),
+    ("svr", lambda obj: obj["scaler_in"]["means"].__setitem__(0, {"a": 1}), "scaler means[0] must be a number, got {'a': 1}"),
+    ("dtr", _set("target_mean", {}), "target_mean must be a number, got {}"),
+    ("svr", _edit_svr(lambda m: m["support_vectors"].__setitem__(0, [{"a": 1}] * 11)),
+     "support_vectors[0][0] must be a number, got {'a': 1}"),
+    ("svr", _edit_svr(lambda m: m["support_vectors"][0].pop()), "support_vectors holds lists of different lengths"),
+    ("dtr", _set_root("threshold", "0.5"), "node 0 threshold must be a number, got '0.5'"),
+    ("dtr", _set_first_leaf("value", {"a": 1}), "value must be a number, got {'a': 1}"),
+    ("dtr", _set("target_mean", "55.0"), "target_mean must be a number, got '55.0'"),
+    ("dtr", _set("cv_rmse", True), "cv_rmse must be a number, got True"),
+    ("svr", _edit_svr(lambda m: m["sv_indices"].__setitem__(0, 1.5)), "sv_indices[0] must be an integer, got 1.5"),
+    ("svr", lambda obj: obj["scaler_in"]["columns"].__setitem__(0, 5), "scaler columns[0] must be a string, got int"),
+    ("svr", lambda obj: obj["scaler_in"]["stds"].__setitem__(0, "1.0"), "scaler stds[0] must be a number, got '1.0'"),
+    ("dtr", _set_root("left", 1.5), "node 0 left must be an integer, got 1.5"),
+    ("dtr", _set_root("feature", 2.7), "node 0 feature must be an integer, got 2.7"),
+    ("dtr", lambda obj: next(n for n in obj["model"]["nodes"] if n["kind"] == "leaf").pop("value"), "has no 'value'"),
+    ("dtr", lambda obj: obj["train_metrics"].__setitem__("r2", "x"), "r2 must be a number, got 'x'"),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
         "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
         "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan", "leaf-value-nan", "target-mean-nan",
         "target-std-zero", "target-std-inf", "model-list", "nodes-int", "node-int", "tree-params-list",
         "metrics-unknown-field", "metrics-null", "short-scaler-columns", "scaler-out-int",
         "svr-model-string", "scaler-means-object", "svr-sv-object", "svr-sv-indices-object", "dtr-n-features-float",
-        "svr-n-features-float", "svr-converged-string", "dtr-params-differ", "svr-params-differ"])
+        "svr-n-features-float", "svr-converged-string", "dtr-params-differ", "svr-params-differ",
+        "scaler-means-entry-object", "target-mean-object", "svr-sv-row-of-objects", "svr-sv-ragged",
+        "threshold-string", "leaf-value-object", "target-mean-string", "cv-rmse-bool", "svr-sv-indices-float",
+        "scaler-columns-int", "scaler-stds-string", "left-float", "feature-float", "leaf-no-value",
+        "metrics-r2-string"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrochar import data
@@ -95,8 +95,7 @@ def test_empty_target_cells_become_absent(csv_factory):
     ds = data.load_csv(csv_factory([valid_row(hc_yield="", hc_s="")]))
     y = dict(zip(data.TARGET_COLUMNS, ds.target_matrix()[0]))
     assert np.isnan(y["hc_yield"]) and np.isnan(y["hc_s"]) and y["hc_hhv"] == 24.0
-    vals, mask = ds.column("hc_yield")
-    assert not mask[0] and np.isnan(vals[0])
+    assert np.isnan(ds.target_matrix()[0, data.TARGET_COLUMNS.index("hc_yield")])
 
 
 # One bad row among good ones: (cell overrides, error type, named column).
@@ -229,7 +228,7 @@ def test_write_then_load_is_identity(tmp_path, small_dataset):
 # ------------------------------------------------------------------ scaler
 
 def test_scaler_hand_values():
-    s = data.Scaler.fit(np.array([1.0, 2.0, 3.0]))
+    s = data.Scaler.fit(np.array([[1.0], [2.0], [3.0]]))
     assert s.means[0] == pytest.approx(2.0, abs=1e-15)
     assert s.stds[0] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
     got = s.transform(np.array([[1.0], [2.0], [3.0]])).ravel()
@@ -238,7 +237,7 @@ def test_scaler_hand_values():
 
 def test_scaler_rejects_constant_column():
     with pytest.raises(ConstantColumn):
-        data.Scaler.fit(np.array([5.0, 5.0, 5.0]))
+        data.Scaler.fit(np.array([[5.0], [5.0], [5.0]]))
 
 
 @given(
@@ -248,7 +247,7 @@ def test_scaler_rejects_constant_column():
 )
 def test_scaler_roundtrip_and_normalization(values):
     col = np.array(values)
-    s = data.Scaler.fit(col)
+    s = data.Scaler.fit(col[:, None])
     z = s.transform(col[:, None])
     assert np.allclose(s.inverse_transform(z).ravel(), col, atol=1e-10 * max(1.0, np.abs(col).max()))
     assert abs(z.mean()) < 1e-10
@@ -312,7 +311,7 @@ def test_raw_thresholds_match_full_range_bisection(mean, std):
     for feature, threshold, cut in zip(f, t, raw_t):
         tree = RegressionTree(3, TreeParams(), [
             {"kind": "split", "feature": int(feature), "threshold": float(threshold), "left": 1, "right": 2},
-            {"kind": "leaf", "value": 1.0}, {"kind": "leaf", "value": 2.0},
+            {"kind": "leaf", "value": 1.0, "count": 1}, {"kind": "leaf", "value": 2.0, "count": 1},
         ])
         trained = TrainedTarget(target="hc_yield", model=tree, scaler_in=scaler, scaler_out=None, cv_rmse=0.0,
                                 train_metrics=report, test_metrics=report, target_mean=0.0, target_std=1.0)
@@ -326,7 +325,7 @@ def test_raw_thresholds_match_full_range_bisection(mean, std):
 
 def test_split_sizes_example():
     ds = data.generate_synthetic(10, seed=0)
-    plan = data.split(ds, test_fraction=0.2, k=5, seed=1)
+    plan = data.split(ds, seed=1)
     assert len(plan.test_indices) == 2
     assert len(plan.train_indices) == 8
     sizes = sorted(np.bincount(plan.fold_assignments, minlength=5), reverse=True)
@@ -345,20 +344,21 @@ def test_split_deterministic():
 def test_split_too_few_rows():
     ds = data.generate_synthetic(4, seed=0)
     with pytest.raises(TooFewRows):
-        data.split(ds, k=5, seed=0)
+        data.split(ds, seed=0)
 
 
 @settings(max_examples=examples(30))
-@given(n=st.integers(7, 60), seed=st.integers(0, 1000), k=st.integers(2, 5))
-def test_split_coverage_invariants(n, seed, k):
+@given(n=st.integers(7, 60), seed=st.integers(0, 1000))
+def test_split_coverage_invariants(n, seed):
     ds = data.generate_synthetic(n, seed=0)
-    plan = data.split(ds, k=k, seed=seed)
+    plan = data.split(ds, seed=seed)
     train = set(plan.train_indices.tolist())
     test = set(plan.test_indices.tolist())
     assert not (train & test)
     assert train | test == set(range(n))
     assert len(plan.test_indices) == int(round(0.2 * n))
-    counts = np.bincount(plan.fold_assignments, minlength=k)
+    counts = np.bincount(plan.fold_assignments, minlength=data.FOLDS)
+    assert len(counts) == data.FOLDS
     assert counts.max() - counts.min() <= 1
 
 
@@ -435,6 +435,25 @@ def test_mass_balance_ok():
     bad = arr.copy()
     bad[0, 0] = 70.0  # CHNSO > 101
     assert not data.mass_balance_ok(bad)[0]
+
+
+@settings(max_examples=examples(100))
+@given(st.lists(st.floats(0.0, 45.0), min_size=8, max_size=8))
+@example([50.5, 50.5, 0.0, 0.0, 0.0, 40.0, 40.0, 21.0])  # both sums exactly 101
+@example([50.5, math.nextafter(50.5, 100.0), 0.0, 0.0, 0.0, 40.0, 40.0, 21.0])
+def test_check_rows_refuses_exactly_the_rows_mass_balance_ok_rejects(wt):
+    """On a row that passes every other rule, check_rows reports an
+    "exceeds 101 wt%" violation exactly when mass_balance_ok is False."""
+    x = np.array([[float(v) for v in valid_row()[:11]]])
+    x[0, :8] = wt
+    y = np.array([[float(v) for v in valid_row()[11:]]])
+    ok = bool(data.mass_balance_ok(x)[0])
+    try:
+        data.check_rows(x, y)
+    except ConstraintViolation as exc:
+        assert not ok and exc.rule.endswith("exceeds 101 wt%")
+    else:
+        assert ok
 
 
 def test_fingerprint_tracks_content(small_dataset):

@@ -174,6 +174,32 @@ def test_train_all_skips_absent_target():
     assert len(res.trained) == 9
 
 
+@pytest.mark.parametrize("svr_grid", [[], [SvrParams(c=10.0, epsilon=0.1, kernel=Kernel("linear"))]],
+                         ids=["no-svr-candidates", "linear-svr"])
+def test_report_entries_match_trained_targets(svr_grid):
+    """Each report entry holds its model's metrics, params, cv_rmse and, for an
+    SVR, whether the final fit converged; a family without grid candidates is
+    skipped for that reason even on a target too sparse to train."""
+    base = data.generate_synthetic(80, seed=9)
+    y = base.target_matrix().copy()
+    y[4:, data.TARGET_COLUMNS.index("hc_s")] = np.nan  # 4 reported cells
+    res = train_all(Dataset(base.feature_matrix(), y), HyperGrid([TreeParams(max_depth=4)], svr_grid), seed=2)
+    assert res.skips["dtr"]["hc_s"].startswith("only ")
+    assert res.skips["svr"]["hc_s"] == ("no grid candidates for this model family" if not svr_grid
+                                         else res.skips["dtr"]["hc_s"])
+    assert res.report["skips"] == res.skips
+    assert sorted(res.trained) == sorted((kind, t) for kind in res.report["models"] for t in res.report["models"][kind])
+    assert len(res.trained) == (9 if not svr_grid else 18)
+    for (kind, target), t in res.trained.items():
+        tst = res.plan.test_indices  # every target but hc_s is reported on every row
+        assert t.test_metrics == evaluate(t, base.feature_matrix()[tst], y[tst, data.TARGET_COLUMNS.index(target)])
+        want = {"train": t.train_metrics.as_dict(), "test": t.test_metrics.as_dict(),
+                "params": t.model.params.to_dict(), "cv_rmse": t.cv_rmse}
+        if kind == "svr":
+            want["converged"] = t.model.converged
+        assert res.report["models"][kind][target] == want
+
+
 def _constant_water(n, seed):
     base = data.generate_synthetic(n, seed=seed)
     x = base.feature_matrix().copy()

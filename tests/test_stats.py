@@ -187,7 +187,8 @@ def test_correlation_pairs_with_too_few_joint_rows_absent():
 def _reference_correlation(dataset, min_joint=3):
     """Per-pair Spearman: reference ranks of each pair's joint subvectors."""
     labels = tuple(data.FEATURE_COLUMNS) + tuple(data.TARGET_COLUMNS)
-    cols = [dataset.column(lab) for lab in labels]
+    table = np.hstack([dataset.feature_matrix(), dataset.target_matrix()])
+    cols = [(v, ~np.isnan(v)) for v in table.T]
     out = np.full((len(labels), len(labels)), np.nan)
     np.fill_diagonal(out, 1.0)
     for i, (vi, mi) in enumerate(cols):
