@@ -8,9 +8,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidModelFile, read_fields, require_int, require_real, require_type
+from .errors import (DimensionMismatch, EmptyInput, InvalidModelFile, read_fields, require_finite, require_int,
+                     require_real, require_type)
 
 _WALK_BLOCK = 8192  # rows per block of the batch tree walk
+_MAX_COUNT = np.iinfo(np.intp).max  # the largest leaf row count a node array holds
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,16 @@ class RegressionTree:
         self.n_features = n_features
         self.params = params
         leaves = [n["kind"] == "leaf" for n in nodes]
+        # Counts and indices are checked as Python ints: one past the C long
+        # range would overflow the arrays below.
+        for i, (n, leaf) in enumerate(zip(nodes, leaves)):
+            if leaf:
+                if not 1 <= n["count"] <= _MAX_COUNT:
+                    raise InvalidModelFile(f"node {i} count {n['count']} is not in 1..{_MAX_COUNT}")
+            elif not 0 <= n["feature"] < n_features:
+                raise InvalidModelFile(f"node {i} splits on feature {n['feature']}, not one of 0..{n_features - 1}")
+            elif not (0 <= n["left"] < len(nodes) and 0 <= n["right"] < len(nodes)):
+                raise InvalidModelFile(f"node {i} has a child outside nodes 0..{len(nodes) - 1}")
         self.is_leaf = np.array(leaves, dtype=bool)
         self.value = np.array([n["value"] if leaf else 0.0 for n, leaf in zip(nodes, leaves)], dtype=float)
         self.count = np.array([n["count"] if leaf else 0 for n, leaf in zip(nodes, leaves)], dtype=np.intp)
@@ -74,17 +86,9 @@ class RegressionTree:
         bad = np.flatnonzero(self.is_leaf & ~np.isfinite(self.value))
         if bad.size:
             raise InvalidModelFile(f"node {bad[0]} value is not finite: {self.value[bad[0]]}")
-        split = ~self.is_leaf
-        bad = np.flatnonzero(split & ((self.feature < 0) | (self.feature >= n_features)))
-        if bad.size:
-            raise InvalidModelFile(f"node {bad[0]} splits on feature {self.feature[bad[0]]}, not one of 0..{n_features - 1}")
-        bad = np.flatnonzero(split & ~np.isfinite(self.threshold))
+        bad = np.flatnonzero(~self.is_leaf & ~np.isfinite(self.threshold))
         if bad.size:
             raise InvalidModelFile(f"node {bad[0]} threshold is not finite: {self.threshold[bad[0]]}")
-        kids_lo, kids_hi = np.minimum(self.left, self.right), np.maximum(self.left, self.right)
-        bad = np.flatnonzero(split & ((kids_lo < 0) | (kids_hi >= self.n_nodes)))
-        if bad.size:
-            raise InvalidModelFile(f"node {bad[0]} has a child outside nodes 0..{self.n_nodes - 1}")
         ids = np.arange(self.n_nodes)
         # The walk state is 2 * node: each table holds a node's entry twice,
         # and state + (x <= t) picks 2 * right or 2 * left from _children.
@@ -238,6 +242,8 @@ def fit_tree(x, y, params: TreeParams) -> RegressionTree:
         raise EmptyInput("no training rows")
     if x.shape[0] != len(y):
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {len(y)} values")
+    require_finite("x", x)
+    require_finite("y", y)
     nodes: list[dict] = [{}]
     # Stack of (node_id, row indices, depth); children are allocated when a
     # split is committed so node ids are stable and deterministic.

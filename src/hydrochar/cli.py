@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,21 +105,22 @@ def cmd_stats(args) -> int:
 
 
 def _write_van_krevelen(ds: data.Dataset, path: Path, comment: str) -> None:
+    """One line per row: biomass then hydrochar atomic H/C and O/C. A pair is
+    blank where carbon is not positive or a mass fraction is unreported."""
+    columns = [[str(i) for i in range(ds.n_rows)]]
+    for m, names, elements in ((ds.feature_matrix(), data.FEATURE_COLUMNS, ("biomass_c", "biomass_h", "biomass_o")),
+                               (ds.target_matrix(), data.TARGET_COLUMNS, ("hc_c", "hc_h", "hc_o"))):
+        c, h, o = (m[:, names.index(e)] for e in elements)
+        ok = (c > 0.0) & ~np.isnan(h) & ~np.isnan(o)
+        rows = np.flatnonzero(ok).tolist()
+        for ratio in data.van_krevelen(c[ok], h[ok], o[ok]):
+            cells = [""] * ds.n_rows
+            for i, r in zip(rows, ratio.tolist()):  # a Python float's repr is its shortest round-trip form
+                cells[i] = repr(r)
+            columns.append(cells)
     lines = [comment, "row,biomass_h_over_c,biomass_o_over_c,hydrochar_h_over_c,hydrochar_o_over_c"]
-    # tolist() yields Python floats, whose repr is the shortest round-trip form
-    biomass = ds.feature_matrix()[:, [data.FEATURE_COLUMNS.index(c) for c in ("biomass_c", "biomass_h", "biomass_o")]]
-    hydrochar = ds.target_matrix()[:, [data.TARGET_COLUMNS.index(c) for c in ("hc_c", "hc_h", "hc_o")]]
-    for i, (b, h) in enumerate(zip(biomass.tolist(), hydrochar.tolist())):
-        lines.append(",".join([str(i)] + _ratio_cells(*b) + _ratio_cells(*h)))
+    lines += map(",".join, zip(*columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _ratio_cells(c_wt: float, h_wt: float, o_wt: float) -> list[str]:
-    """Atomic H/C and O/C, or two blanks when a mass fraction is unreported
-    or carbon is not positive."""
-    if not c_wt > 0.0 or math.isnan(h_wt) or math.isnan(o_wt):
-        return ["", ""]
-    return [repr(r) for r in data.van_krevelen(c_wt, h_wt, o_wt)]
 
 
 def _load_grid(cfg: RunConfig) -> pipeline.HyperGrid:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -191,8 +192,8 @@ def load_csv(path) -> Dataset:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _records(fh)
+        _, header = next(records, (1, None))
         if header is None:
             raise EmptyDataset(f"{path}: file is empty")
         header = tuple(h.lstrip("\ufeff").strip() for h in header)  # Excel's "CSV UTF-8" starts with a BOM
@@ -201,7 +202,7 @@ def load_csv(path) -> Dataset:
             if missing:
                 raise MissingColumn(f"{path}: missing column(s) {missing}")
             raise MissingColumn(f"{path}: header does not match the canonical column order")
-        values, lines, blanks = _parse_records(reader)
+        values, lines, blanks = _parse_records(records)
     if not values:
         raise EmptyDataset(f"{path}: header only, no data rows")
     m = np.array(values, dtype=float)
@@ -213,18 +214,46 @@ def load_csv(path) -> Dataset:
     return Dataset(x, y, warnings)
 
 
-def _parse_records(reader):
-    """Parse data records into float rows.
+def _records(fh):
+    """Yield (line number, cells) for each CSV record of ``fh``, header first.
+
+    A line without a quote character is split at its commas, which is how
+    csv.reader splits it; from the first line with one on, csv.reader reads
+    the rest of the file. A record's line number counts records, blank ones
+    included. A cell longer than csv's field size limit, or any other record
+    csv.reader cannot read, raises UnparseableCell.
+    """
+    limit = csv.field_size_limit()
+    lineno = 0
+    for line in fh:
+        if '"' in line:
+            break
+        lineno += 1
+        cells = line.rstrip("\r\n").split(",")
+        if len(line) > limit and max(map(len, cells)) > limit:
+            raise UnparseableCell(lineno, "(row)", f"field larger than field limit ({limit})")
+        yield lineno, cells
+    else:
+        return
+    try:
+        for lineno, cells in enumerate(csv.reader(itertools.chain([line], fh)), start=lineno + 1):
+            yield lineno, cells
+    except csv.Error as exc:
+        raise UnparseableCell(lineno + 1, "(row)", str(exc)) from None
+
+
+def _parse_records(records):
+    """Parse (line number, cells) data records into float rows.
 
     Returns (rows, CSV line numbers, (row, column) of every blank target
     cell, which parses as NaN). Blank lines are skipped; a wrong cell count,
     a blank feature cell or text that is not a float raises UnparseableCell.
     """
     values, lines, blanks = [], [], []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in records:
         if len(rec) == len(CSV_HEADER):
             try:
-                values.append([float(cell) for cell in rec])
+                values.append(list(map(float, rec)))
                 lines.append(lineno)
                 continue
             except ValueError:
@@ -342,12 +371,16 @@ def split(dataset: Dataset, seed: int = 0) -> SplitPlan:
     return SplitPlan(train_indices=train, test_indices=test, fold_assignments=folds)
 
 
-def van_krevelen(c_wt: float, h_wt: float, o_wt: float) -> tuple[float, float]:
-    """Atomic H/C and O/C ratios from mass fractions (wt%)."""
-    if not c_wt > 0.0:
-        raise ZeroCarbon(f"carbon mass fraction must be positive, got {c_wt}")
-    c_mol = c_wt / _MASS_C
-    return (h_wt / _MASS_H) / c_mol, (o_wt / _MASS_O) / c_mol
+def van_krevelen(c_wt, h_wt, o_wt):
+    """Atomic H/C and O/C ratios from mass fractions (wt%), elementwise over
+    equal-length columns or for one sample."""
+    c = np.asarray(c_wt, dtype=float)
+    bad = ~(c > 0.0)
+    if bad.any():
+        raise ZeroCarbon(f"carbon mass fraction must be positive, got {c[bad].flat[0]}")
+    c_mol = c / _MASS_C
+    h, o = np.asarray(h_wt, dtype=float), np.asarray(o_wt, dtype=float)
+    return (h / _MASS_H) / c_mol, (o / _MASS_O) / c_mol
 
 
 def mass_balance_ok(features) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the readers of saved JSON values."""
+"""Exception types shared across the package, the readers of saved JSON values, and the check that
+training arrays are finite."""
 
 from __future__ import annotations
 
@@ -71,6 +72,10 @@ class EmptyInput(HydrocharError):
     """Operation requires at least one sample."""
 
 
+class NonFiniteInput(HydrocharError):
+    """Training input holds NaN or infinity."""
+
+
 class TooManyFeatures(HydrocharError):
     """Exact coalition enumeration is capped at 20 features."""
 
@@ -115,6 +120,12 @@ class DualConstraintDrift(HydrocharError):
 
 class ConvergenceWarning(UserWarning):
     """Solver hit its iteration budget; the returned model is best-effort."""
+
+
+def require_finite(name: str, a: np.ndarray) -> None:
+    """Refuse the array ``a``, naming it, if it holds NaN or infinity."""
+    if not np.isfinite(a).all():
+        raise NonFiniteInput(f"{name} holds a value that is not finite")
 
 
 def require_int(name: str, value) -> int:

@@ -163,20 +163,29 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
         raise TooFewRows(f"need at least {min_joint} rows, got {dataset.n_rows}")
     cols = np.ascontiguousarray(_table(dataset).T)  # one row per variable
     present = ~np.isnan(cols)
+    counts = present.sum(axis=1)
     # Each variable is sorted once. Dropping the rows outside a pair's joint
     # mask from a stable order leaves the stable order of the joint subvector.
     orders = np.argsort(cols, axis=1, kind="stable")
+
+    def joint_ranks(i, joint):
+        pos = np.cumsum(joint) - 1
+        return _ranks_in_order(cols[i][joint], pos[orders[i][joint[orders[i]]]])
+
+    # A pair whose joint rows are all of a variable's present rows reuses that
+    # variable's own ranks: the same inputs give the same bits.
+    own = [joint_ranks(i, present[i]) for i in range(len(cols))]
     p = len(CSV_HEADER)
     out = np.full((p, p), np.nan)
     np.fill_diagonal(out, 1.0)
     for i in range(p):
         for j in range(i + 1, p):
             joint = present[i] & present[j]
-            if int(joint.sum()) < min_joint:
+            n = int(joint.sum())
+            if n < min_joint:
                 continue
-            pos = np.cumsum(joint) - 1
-            ri = _ranks_in_order(cols[i][joint], pos[orders[i][joint[orders[i]]]])
-            rj = _ranks_in_order(cols[j][joint], pos[orders[j][joint[orders[j]]]])
+            ri = own[i] if n == counts[i] else joint_ranks(i, joint)
+            rj = own[j] if n == counts[j] else joint_ranks(j, joint)
             try:
                 r = _pearson(ri, rj)
             except DegenerateInput:

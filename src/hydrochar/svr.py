@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, InvalidModelFile,
-                     read_fields, require_int, require_ints, require_real, require_reals, require_type)
+                     read_fields, require_finite, require_int, require_ints, require_real, require_reals, require_type)
 
 
 @dataclass(frozen=True)
@@ -157,16 +157,21 @@ class SvrModel:
 
     def __init__(self, support_vectors, dual_coeffs, bias, params: SvrParams, n_features: int,
                  sv_indices=None, converged: bool = True):
-        self.support_vectors = np.atleast_2d(np.asarray(support_vectors, dtype=float)).reshape(-1, n_features)
-        self.dual_coeffs = np.asarray(dual_coeffs, dtype=float).ravel()
+        self.support_vectors = np.asarray(support_vectors, dtype=float)
+        self.dual_coeffs = np.asarray(dual_coeffs, dtype=float)
         self.bias = float(bias)
         self.params = params
         self.n_features = int(n_features)
         self.sv_indices = np.asarray(sv_indices if sv_indices is not None else [], dtype=int)
         self.converged = bool(converged)
+        if self.dual_coeffs.ndim != 1:
+            raise InvalidModelFile(f"dual_coeffs has shape {self.dual_coeffs.shape}, not (n_sv,)")
         n_sv = len(self.dual_coeffs)
-        if len(self.support_vectors) != n_sv:
-            raise InvalidModelFile(f"support_vectors has {len(self.support_vectors)} rows, dual_coeffs {n_sv} entries")
+        if self.support_vectors.shape == (0,):  # no support vectors, as an empty JSON list reads
+            self.support_vectors = self.support_vectors.reshape(0, self.n_features)
+        if self.support_vectors.shape != (n_sv, self.n_features):
+            raise InvalidModelFile(f"support_vectors has shape {self.support_vectors.shape}, not "
+                                   f"({n_sv}, {self.n_features}) for {n_sv} dual_coeffs and {self.n_features} features")
         if len(self.sv_indices) not in (0, n_sv):
             raise InvalidModelFile(f"sv_indices has {len(self.sv_indices)} entries, dual_coeffs {n_sv}")
         for name, value in (("support_vectors", self.support_vectors), ("dual_coeffs", self.dual_coeffs),
@@ -269,6 +274,8 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
         raise EmptyInput("no training rows")
     if x.shape[0] != n:
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {n} values")
+    require_finite("x", x)
+    require_finite("y", y)
     c, eps, tol = params.c, params.epsilon, params.tolerance
     gram = kernel_matrix(params.kernel, x, x)
     diag = gram.diagonal().copy()

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from hydrochar import cart, data
 from hydrochar.cart import RegressionTree, TreeParams, fit_tree
 from hydrochar.data import Scaler
-from hydrochar.errors import DimensionMismatch, EmptyInput, InvalidModelFile
+from hydrochar.errors import DimensionMismatch, EmptyInput, InvalidModelFile, NonFiniteInput
 from hydrochar.pipeline import HyperGrid
 from hydrochar.stats import r_squared
 
@@ -156,6 +156,15 @@ def test_errors():
         tree.predict_batch(np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("argument", ["x", "y"])
+def test_fit_refuses_non_finite_input_naming_it(argument, value):
+    x, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    {"x": x, "y": y}[argument][3] = value
+    with pytest.raises(NonFiniteInput, match=f"^{argument} holds a value that is not finite$"):
+        fit_tree(x, y, TreeParams())
+
+
 def test_serialization_roundtrip_bit_exact(rng):
     x = rng.uniform(-5, 5, (70, 4))
     y = rng.normal(0, 2, 70)
@@ -186,6 +195,20 @@ _LEAF = {"kind": "leaf", "value": 1.0, "count": 1}
 def test_loaded_malformed_tree_is_refused(nodes):
     with pytest.raises(InvalidModelFile):
         RegressionTree.from_json_obj({"n_features": 2, "params": {}, "nodes": nodes})
+
+
+@pytest.mark.parametrize("field, message", [
+    ("left", "node 0 has a child outside nodes 0..2"),
+    ("right", "node 0 has a child outside nodes 0..2"),
+    ("feature", f"node 0 splits on feature {10**30}, not one of 0..1"),
+    ("count", f"node 1 count {10**30} is not in 1.."),
+])
+def test_integer_past_the_c_long_range_is_refused_naming_its_node(field, message):
+    """An index or count that would overflow the node arrays is refused before they are built."""
+    nodes = [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2}, dict(_LEAF), dict(_LEAF)]
+    nodes[1 if field == "count" else 0][field] = 10**30
+    with pytest.raises(InvalidModelFile, match=message):
+        RegressionTree.from_json_obj(json.loads(json.dumps({"n_features": 2, "params": {}, "nodes": nodes})))
 
 
 def test_non_finite_threshold_names_its_node():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ def test_validate_reports_envelope_warnings(workdir, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run("validate", "--data", path) == 0
     assert "warnings: 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_validate_refuses_a_cell_over_the_csv_field_limit(workdir, capsys, quoted):
+    big = "1" * 131073
+    path = workdir / "big.csv"
+    lines = [",".join(data.CSV_HEADER), ",".join(str(c) for c in valid_row(hc_o=f'"{big}"' if quoted else big))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("validate", "--data", path) == 1
+    assert "error: row 2, column '(row)': cannot parse 'field larger than field limit" in capsys.readouterr().err
 
 
 def test_missing_data_flag_is_usage_error(capsys):
@@ -233,6 +244,36 @@ def test_stats_without_hydrochar_ultimate_columns(workdir):
         assert cells[3] == "" and cells[4] == ""  # hydrochar ratios absent
     factors = json.loads((out / "factors.json").read_text())
     assert len(factors["labels"]) == 11  # falls back to the input columns
+
+
+def _reference_ratio_cells(c_wt, h_wt, o_wt):
+    """One row's H/C and O/C cells, computed in Python floats."""
+    if not c_wt > 0.0 or math.isnan(h_wt) or math.isnan(o_wt):
+        return ["", ""]
+    c_mol = c_wt / data._MASS_C
+    return [repr((h_wt / data._MASS_H) / c_mol), repr((o_wt / data._MASS_O) / c_mol)]
+
+
+def test_van_krevelen_table_matches_per_row_ratios(workdir):
+    """Whole-column ratios write the same cells as a per-row loop, blank
+    where carbon is 0 or a mass fraction is unreported."""
+    ds = data.generate_synthetic(30, seed=12)
+    x, y = ds.feature_matrix().copy(), ds.target_matrix().copy()
+    x[[2, 7], 0] = 0.0
+    y[[3, 7], data.TARGET_COLUMNS.index("hc_c")] = [0.0, np.nan]
+    y[[5, 9], data.TARGET_COLUMNS.index("hc_h")] = np.nan
+    y[[9, 11], data.TARGET_COLUMNS.index("hc_o")] = np.nan
+    path = workdir / "zeros.csv"
+    data.write_csv(data.Dataset(x, y), path)
+    out = workdir / "stats"
+    assert run("stats", "--data", path, "--out", out, "--seed", 1) == 0
+    ds = data.load_csv(path)
+    cols = [ds.feature_matrix()[:, [data.FEATURE_COLUMNS.index(c) for c in ("biomass_c", "biomass_h", "biomass_o")]],
+            ds.target_matrix()[:, [data.TARGET_COLUMNS.index(c) for c in ("hc_c", "hc_h", "hc_o")]]]
+    expect = [",".join([str(i)] + _reference_ratio_cells(*b) + _reference_ratio_cells(*h))
+              for i, (b, h) in enumerate(zip(cols[0].tolist(), cols[1].tolist()))]
+    assert (out / "van_krevelen.csv").read_text().splitlines()[2:] == expect
+    assert sum(line.endswith(",,") for line in expect) == 5
 
 
 # ----------------------------------------------------------------- explain
@@ -567,6 +608,13 @@ def _widen_scaler_out(obj):
     ("dtr", _set_root("feature", 2.7), "node 0 feature must be an integer, got 2.7"),
     ("dtr", lambda obj: next(n for n in obj["model"]["nodes"] if n["kind"] == "leaf").pop("value"), "has no 'value'"),
     ("dtr", lambda obj: obj["train_metrics"].__setitem__("r2", "x"), "r2 must be a number, got 'x'"),
+    ("dtr", _set_root("left", 10**30), "node 0 has a child outside"),
+    ("dtr", _set_root("feature", 10**30), f"node 0 splits on feature {10**30}"),
+    ("dtr", _set_first_leaf("count", 10**30), f"count {10**30} is not in 1.."),
+    ("svr", _edit_svr(lambda m: m.__setitem__("support_vectors", sum(m["support_vectors"], []))),
+     "support_vectors has shape ("),
+    ("svr", _edit_svr(lambda m: m.__setitem__("dual_coeffs", [[v] for v in m["dual_coeffs"]])),
+     "dual_coeffs has shape ("),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
         "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
         "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan", "leaf-value-nan", "target-mean-nan",
@@ -577,7 +625,8 @@ def _widen_scaler_out(obj):
         "scaler-means-entry-object", "target-mean-object", "svr-sv-row-of-objects", "svr-sv-ragged",
         "threshold-string", "leaf-value-object", "target-mean-string", "cv-rmse-bool", "svr-sv-indices-float",
         "scaler-columns-int", "scaler-stds-string", "left-float", "feature-float", "leaf-no-value",
-        "metrics-r2-string"])
+        "metrics-r2-string", "left-past-c-long", "feature-past-c-long", "count-past-c-long", "svr-sv-flat",
+        "svr-dual-nested"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -191,6 +192,127 @@ def test_wrong_cell_count_rejected(csv_factory):
     assert err.value.row == 3
 
 
+def _reference_load_csv(path):
+    """load_csv as it read every record through csv.reader; the oracle of its line splitter."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataset(f"{path}: file is empty")
+        header = tuple(h.lstrip("\ufeff").strip() for h in header)
+        if header != data.CSV_HEADER:
+            missing = [c for c in data.CSV_HEADER if c not in header]
+            if missing:
+                raise MissingColumn(f"{path}: missing column(s) {missing}")
+            raise MissingColumn(f"{path}: header does not match the canonical column order")
+        values, lines, blanks = [], [], []
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) == len(data.CSV_HEADER):
+                try:
+                    values.append([float(cell) for cell in rec])
+                    lines.append(lineno)
+                    continue
+                except ValueError:
+                    pass
+            if all(cell.strip() == "" for cell in rec):
+                continue
+            if len(rec) != len(data.CSV_HEADER):
+                raise UnparseableCell(lineno, "(row)", f"expected {len(data.CSV_HEADER)} cells, got {len(rec)}")
+            row = []
+            for j, cell in enumerate(rec):
+                text = cell.strip()
+                if text == "" and j >= len(data.FEATURE_COLUMNS):
+                    blanks.append((len(values), j))
+                    row.append(np.nan)
+                    continue
+                try:
+                    row.append(float(text))
+                except ValueError:
+                    raise UnparseableCell(lineno, data.CSV_HEADER[j], text) from None
+            values.append(row)
+            lines.append(lineno)
+    if not values:
+        raise EmptyDataset(f"{path}: header only, no data rows")
+    m = np.array(values, dtype=float)
+    reported = np.ones((len(m), len(data.TARGET_COLUMNS)), dtype=bool)
+    rows, cols = np.array(blanks, dtype=int).reshape(-1, 2).T
+    reported[rows, cols - len(data.FEATURE_COLUMNS)] = False
+    x, y = m[:, : len(data.FEATURE_COLUMNS)], m[:, len(data.FEATURE_COLUMNS) :]
+    return data.Dataset(x, y, data.check_rows(x, y, lines=lines, reported=reported))
+
+
+# Cell texts a record may hold instead of its valid value: blanks, quoted
+# cells (a comma or a line break inside quotes, a stray quote), text float()
+# refuses, and values outside a column's range or the envelope.
+_CELL_TEXTS = ["", " ", " \t", '""', '" "', '"41.5"', '"4,5"', '"6\n"', '4"2', '"', "nan", "inf", "-inf", "abc",
+               "1e400", "1_0", " 7 ", "+3", "0", "400", "700", "-1"]
+_BREAKS = ["\n", "\r\n", "\r"]
+# (column, text) edits of a valid row: most leave it loadable.
+_CELL_EDITS = st.one_of(
+    st.tuples(st.integers(11, 20), st.sampled_from(["", " ", " \t", '""', '" "'])),  # an unreported target
+    st.tuples(st.sampled_from([8, 9]), st.sampled_from(["400", "700", '"99"'])),  # outside the envelope
+    st.tuples(st.integers(0, 20), st.sampled_from(_CELL_TEXTS)),
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """A canonical-schema CSV text with edits drawn over valid rows."""
+    header = list(data.CSV_HEADER)
+    col, edit = draw(st.integers(0, 20)), draw(st.sampled_from(["quote"] * 2 + ["blank"] + ["none"] * 7))
+    if edit != "none":
+        header[col] = f'"{header[col]}"' if edit == "quote" else ""
+    lines = ["\ufeff" * draw(st.booleans()) + ",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", ",,,", ",", '""'])))
+            continue
+        cells = [str(v) for v in valid_row()]
+        for col, text in draw(st.lists(_CELL_EDITS, max_size=3)):
+            cells[col] = text
+        cells = cells[: draw(st.sampled_from([20] + [21] * 9))] + [""] * draw(st.sampled_from([1] + [0] * 9))
+        lines.append(",".join(cells))
+    breaks = draw(st.lists(st.sampled_from(_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, breaks))[: None if draw(st.booleans()) else -1]
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return ds.feature_matrix().tobytes(), ds.target_matrix().tobytes(), ds.warnings
+
+
+@settings(max_examples=examples(300))
+@given(_csv_texts())
+@example("biomass_c\n")
+@example(",".join(data.CSV_HEADER) + "\r\n" + ",".join(map(str, valid_row(hc_yield=""))) + "\r\n")
+def test_load_csv_matches_csv_reader(tmp_path_factory, text):
+    """Same matrices bit for bit (NaN cells included), warnings, or exception
+    type and message as reading every record through csv.reader."""
+    path = tmp_path_factory.mktemp("oracle") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(data.load_csv, path) == _outcome(_reference_load_csv, path)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("column", ["biomass_c", "hc_o"])
+def test_cell_over_the_csv_field_limit_is_refused_naming_its_line(tmp_path, quoted, column):
+    """csv.reader refuses such a cell with csv.Error; either parse path makes it UnparseableCell."""
+    limit = csv.field_size_limit()
+    big = "1" * (limit + 1)
+    path = tmp_path / "big.csv"
+    lines = [",".join(data.CSV_HEADER), ",".join(map(str, valid_row())), "",
+             ",".join(map(str, valid_row(**{column: f'"{big}"' if quoted else big})))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(UnparseableCell) as err:
+        data.load_csv(path)
+    assert err.value.row == 4
+    assert str(err.value) == f"row 4, column '(row)': cannot parse 'field larger than field limit ({limit})'"
+
+
 def test_dataset_is_two_read_only_matrices(small_dataset):
     x, y = small_dataset.feature_matrix(), small_dataset.target_matrix()
     assert x.shape == (80, 11) and y.shape == (80, 10)
@@ -376,6 +498,15 @@ def test_van_krevelen_hand_case():
     hc, oc = data.van_krevelen(50.0, 6.0, 40.0)
     assert hc == pytest.approx(1.4299, abs=5e-5)
     assert oc == pytest.approx(0.6006, abs=5e-5)
+
+
+def test_van_krevelen_columns_match_python_float_arithmetic(rng):
+    c, h, o = rng.uniform(0.5, 80.0, (3, 50)).tolist()
+    hc, oc = data.van_krevelen(c, h, o)
+    assert hc.tolist() == [(hi / data._MASS_H) / (ci / data._MASS_C) for ci, hi in zip(c, h)]
+    assert oc.tolist() == [(oi / data._MASS_O) / (ci / data._MASS_C) for ci, oi in zip(c, o)]
+    with pytest.raises(ZeroCarbon, match="got -1.0$"):
+        data.van_krevelen([5.0, -1.0, 0.0], h[:3], o[:3])
 
 
 def test_van_krevelen_zero_carbon():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hydrochar import data, svr
 from hydrochar.data import Scaler
-from hydrochar.errors import ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput
+from hydrochar.errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift, EmptyInput, InvalidModelFile,
+                             NonFiniteInput)
 from hydrochar.pipeline import HyperGrid
 from hydrochar.svr import (
     Kernel,
@@ -166,6 +167,15 @@ def test_fit_errors():
         fit_svr([[1.0], [2.0]], [1.0], SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("argument", ["x", "y"])
+def test_fit_refuses_non_finite_input_naming_it(argument, value):
+    x, y = np.linspace(-1.0, 1.0, 12).reshape(6, 2), np.linspace(0.0, 1.0, 6)
+    {"x": x, "y": y}[argument][3] = value
+    with pytest.raises(NonFiniteInput, match=f"^{argument} holds a value that is not finite$"):
+        fit_svr(x, y, SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")))
+
+
 # ----------------------------------------------------------------- predict
 
 def test_no_support_vectors_predicts_bias():
@@ -288,6 +298,35 @@ def test_serialization_roundtrip_bit_stable(rng):
     assert np.abs(model.predict_batch(q) - back.predict_batch(q)).max() <= 1e-12
     assert back.params == model.params
     assert np.array_equal(back.sv_indices, model.sv_indices)
+
+
+def _fitted_json(rng):
+    x = rng.uniform(-1, 1, (30, 3))
+    model = fit_svr(x, x[:, 0] - x[:, 2], SvrParams(c=10.0, epsilon=0.05, kernel=Kernel("rbf", gamma=0.8)))
+    return json.loads(json.dumps(model.to_json_obj()))
+
+
+def test_flat_support_vectors_are_refused(rng):
+    obj = _fitted_json(rng)
+    n_sv = len(obj["dual_coeffs"])
+    obj["support_vectors"] = [v for row in obj["support_vectors"] for v in row]
+    with pytest.raises(InvalidModelFile, match=rf"^support_vectors has shape \({3 * n_sv},\), not \({n_sv}, 3\)"):
+        SvrModel.from_json_obj(obj)
+
+
+def test_nested_dual_coeffs_are_refused(rng):
+    obj = _fitted_json(rng)
+    n_sv = len(obj["dual_coeffs"])
+    obj["dual_coeffs"] = [[v] for v in obj["dual_coeffs"]]
+    with pytest.raises(InvalidModelFile, match=rf"^dual_coeffs has shape \({n_sv}, 1\), not \(n_sv,\)$"):
+        SvrModel.from_json_obj(obj)
+
+
+def test_model_without_support_vectors_round_trips():
+    model = SvrModel(np.empty((0, 3)), [], 0.5, SvrParams(c=1.0, epsilon=0.1, kernel=Kernel("linear")), n_features=3)
+    back = SvrModel.from_json_obj(json.loads(json.dumps(model.to_json_obj())))
+    assert back.support_vectors.shape == (0, 3)
+    assert back.predict_batch(np.ones((2, 3))).tolist() == [0.5, 0.5]
 
 
 # ------------------------------------------------------------------ oracle
