@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__, data, genetic, pipeline, shapley, stats
 from .errors import HydrocharError, InvalidModelFile, MissingModelFile, SingularInput, TooFewRows
-
-SCHEMA_VERSION = 1
+from .pipeline import SCHEMA_VERSION
 
 
 @dataclass
@@ -28,23 +27,19 @@ class RunConfig:
     data: Path | None
     out: Path
     seed: int
-    model: str
-    grid: Path | None
-    application: str
-    background: int
+    model: str | None  # None where the command has no --model
+    background: int | None  # None where the command has no --background
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
         out = Path(args.out).resolve()
         out.mkdir(parents=True, exist_ok=True)
         return cls(
-            data=Path(args.data).resolve() if args.data else None,
+            data=Path(args.data).resolve() if getattr(args, "data", None) is not None else None,
             out=out,
             seed=args.seed,
-            model=args.model,
-            grid=Path(args.grid).resolve() if args.grid else None,
-            application=args.application,
-            background=args.background,
+            model=getattr(args, "model", None),
+            background=getattr(args, "background", None),
         )
 
 
@@ -123,17 +118,17 @@ def _write_van_krevelen(ds: data.Dataset, path: Path, comment: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_grid(cfg: RunConfig) -> pipeline.HyperGrid:
-    if cfg.grid is None:
+def _load_grid(path: str | None) -> pipeline.HyperGrid:
+    if path is None:
         return pipeline.HyperGrid.default()
-    with cfg.grid.open(encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         return pipeline.HyperGrid.from_json_obj(json.load(fh))
 
 
 def cmd_train(args) -> int:
     cfg = RunConfig.from_args(args)
     ds = data.load_csv(cfg.data)
-    grid = _load_grid(cfg)
+    grid = _load_grid(args.grid)
     kinds = ("dtr", "svr") if cfg.model == "both" else (cfg.model,)
     result = pipeline.train_all(ds, grid, seed=cfg.seed, models=kinds)
     _write_json(cfg.out / "report.json", {**_provenance(cfg.seed), **result.report})
@@ -156,7 +151,9 @@ def _read_model(path: Path, kind: str, target: str) -> pipeline.TrainedTarget:
             raise InvalidModelFile(f"holds the {trained.kind} model of {trained.target!r}, not the {kind} model of "
                                    f"{target!r} its name says")
         return trained
-    except (HydrocharError, KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise InvalidModelFile(f"model file {path} has no field {exc.args[0]!r}") from exc
+    except (HydrocharError, ValueError) as exc:
         raise InvalidModelFile(f"model file {path}: {exc}") from exc
 
 
@@ -203,7 +200,7 @@ def cmd_explain(args) -> int:
     if args.background < 1:
         raise HydrocharError(f"--background must be at least 1 row, got {args.background}")
     cfg = RunConfig.from_args(args)
-    kind = cfg.model if cfg.model in ("dtr", "svr") else "dtr"
+    kind = cfg.model
     path = _model_path(cfg.out, kind, args.target)
     if not path.exists():
         raise MissingModelFile(f"{path} not found; run train first")
@@ -244,9 +241,7 @@ def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
 
 def cmd_optimize(args) -> int:
     cfg = RunConfig.from_args(args)
-    if cfg.model == "svr":
-        raise HydrocharError("optimize searches the DTR surrogates only; --model svr is not supported, use dtr or both")
-    profile = _resolve_profile(cfg.application)
+    profile = _resolve_profile(args.application)
     needed = [t for t, _ in profile.active()]
     models = _load_models(cfg, "dtr")
     missing = [t for t in needed if t not in models]
@@ -274,55 +269,48 @@ def cmd_synth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--data", help="input CSV in the canonical 21-column schema")
-    shared.add_argument("--out", default=".", help="output directory (created if absent)")
-    shared.add_argument("--seed", type=int, default=42)
-    shared.add_argument("--model", choices=("dtr", "svr", "both"), default="both")
-    shared.add_argument("--grid", help="JSON file overriding the hyperparameter grids")
-    shared.add_argument("--application", default="energy",
-                        help="energy | soil | adsorption, or a JSON direction-map file")
-    shared.add_argument("--background", type=int, default=64,
-                        help="background rows for attribution")
-
+    """One subcommand per workflow step, each with only the options it reads."""
     parser = argparse.ArgumentParser(prog="hydrochar", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate", parents=[shared], help="check a CSV against the schema")
-    sub.add_parser("stats", parents=[shared], help="correlation, factor, and atomic-ratio artifacts")
-    sub.add_parser("train", parents=[shared], help="grid-searched training for every target")
-    sub.add_parser("evaluate", parents=[shared], help="re-evaluate saved models on a dataset")
-    p = sub.add_parser("explain", parents=[shared], help="Shapley artifacts for one target")
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--data", required=True, help="input CSV in the canonical 21-column schema")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", default=".", help="output directory (created if absent)")
+    writes.add_argument("--seed", type=int, default=42)
+
+    def command(name: str, run, summary: str, reads_data: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[reads, writes] if reads_data else [writes])
+        p.set_defaults(run=run)
+        return p
+
+    command("validate", cmd_validate, "check a CSV against the schema")
+    command("stats", cmd_stats, "correlation, factor, and atomic-ratio artifacts")
+    p = command("train", cmd_train, "grid-searched training for every target")
+    p.add_argument("--model", choices=("dtr", "svr", "both"), default="both")
+    p.add_argument("--grid", help="JSON file overriding the hyperparameter grids")
+    p = command("evaluate", cmd_evaluate, "re-evaluate saved models on a dataset")
+    p.add_argument("--model", choices=("dtr", "svr", "both"), default="both")
+    p = command("explain", cmd_explain, "Shapley artifacts for one target")
+    p.add_argument("--model", choices=("dtr", "svr"), default="dtr")
     p.add_argument("--target", required=True, choices=data.TARGET_COLUMNS)
-    sub.add_parser("optimize", parents=[shared], help="GA search over the trained surrogates")
-    p = sub.add_parser("synth", parents=[shared], help="write a synthetic dataset")
+    p.add_argument("--background", type=int, default=64, help="background rows for attribution")
+    p = command("optimize", cmd_optimize, "GA search over the trained DTR surrogates")
+    p.add_argument("--application", default="energy", help="energy | soil | adsorption, or a JSON direction-map file")
+    p = command("synth", cmd_synth, "write a synthetic dataset", reads_data=False)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--noise", type=float, default=0.0)
-
     return parser
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "stats": cmd_stats,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "explain": cmd_explain,
-    "optimize": cmd_optimize,
-    "synth": cmd_synth,
-}
-
-_NEEDS_DATA = {"validate", "stats", "train", "evaluate", "explain", "optimize"}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command in _NEEDS_DATA and not args.data:
-        print(f"error: {args.command} requires --data", file=sys.stderr)
-        return 1
     try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed --help, --version or a usage error
+        return 0 if exc.code == 0 else 1
+    try:
+        return args.run(args)
     except (HydrocharError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

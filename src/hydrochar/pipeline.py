@@ -23,6 +23,8 @@ from .errors import (HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, 
 from .stats import MetricsReport, metrics_report, rmse
 from .svr import Kernel, SvrModel, SvrParams, fit_svr
 
+SCHEMA_VERSION = 1  # of every file the CLI writes, model files included
+
 DEFAULT_TREE_DEPTHS = (4, 6, 8, 10, 12, 16, None)
 DEFAULT_TREE_MIN_LEAF = (1, 2, 5, 10)
 DEFAULT_SVR_C = (0.1, 1.0, 10.0, 100.0)
@@ -61,6 +63,9 @@ class HyperGrid:
             raise InvalidGrid(
                 f"a grid file must hold a JSON object of tree_grid and svr_grid lists, got {type(obj).__name__}"
             )
+        unknown = [k for k in obj if k not in ("tree_grid", "svr_grid")]
+        if unknown:
+            raise InvalidGrid(f"unknown field {unknown[0]!r}; expected one of tree_grid, svr_grid")
         return cls(
             tree_grid=_grid_entries(obj, "tree_grid", TreeParams.from_dict),
             svr_grid=_grid_entries(obj, "svr_grid", SvrParams.from_dict),
@@ -132,7 +137,7 @@ class TrainedTarget:
 
     def to_json_obj(self) -> dict:
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "target": self.target,
             "model_kind": self.kind,
             "params": self.model.params.to_dict(),
@@ -149,8 +154,9 @@ class TrainedTarget:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TrainedTarget":
         version = require_type("a model file", obj, dict).get("schema_version")
-        if version != 1:
-            raise UnsupportedSchema(f"model file schema_version {version!r} is not supported; expected 1")
+        if version != SCHEMA_VERSION:
+            raise UnsupportedSchema(f"model file schema_version {version!r} is not supported; "
+                                    f"expected {SCHEMA_VERSION}")
         kind = obj["model_kind"]
         if kind not in ("dtr", "svr"):
             raise InvalidModelFile(f"model_kind {kind!r} is neither 'dtr' nor 'svr'")

@@ -64,7 +64,12 @@ class Kernel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
-        return read_fields(cls, "kernel", d, {f: partial(require_real, f"kernel {f}") for f in ("coef0", "gamma")})
+        """Read a kernel, refusing a field its kind does not read (a linear kernel's gamma, say)."""
+        kernel = read_fields(cls, "kernel", d, {f: partial(require_real, f"kernel {f}") for f in ("coef0", "gamma")})
+        unread = [k for k in d if k not in kernel.to_dict()]
+        if unread:
+            raise ValueError(f"kernel kind {kernel.kind!r} does not read field {unread[0]!r}")
+        return kernel
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,46 @@ def test_validate_refuses_a_cell_over_the_csv_field_limit(workdir, capsys, quote
 
 def test_missing_data_flag_is_usage_error(capsys):
     assert run("validate") == 1
-    assert "requires --data" in capsys.readouterr().err
+    assert "the following arguments are required: --data" in capsys.readouterr().err
+
+
+# Every option a command does not read, with a value that command's siblings accept.
+_UNREAD = {
+    "validate": ("--model", "--grid", "--application", "--background"),
+    "stats": ("--model", "--grid", "--application", "--background"),
+    "train": ("--application", "--background"),
+    "evaluate": ("--grid", "--application", "--background"),
+    "explain": ("--grid", "--application"),
+    "optimize": ("--model", "--grid", "--background"),
+    "synth": ("--data", "--model", "--grid", "--application", "--background"),
+}
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c, options in _UNREAD.items() for o in options])
+def test_a_command_refuses_an_option_it_does_not_read(workdir, capsys, command, option):
+    csv = workdir / "data.csv"
+    csv.write_text(",".join(data.CSV_HEADER) + "\n" + ",".join(str(c) for c in valid_row()) + "\n", encoding="utf-8")
+    out = workdir / "run"
+    value = {"--data": csv, "--model": "dtr", "--grid": workdir / "grid.json", "--application": "energy",
+             "--background": 8}[option]
+    needed = {"synth": (), "explain": ("--data", csv, "--target", "hc_yield")}.get(command, ("--data", csv))
+    assert run(command, *needed, "--out", out, option, value) == 1
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explain_refuses_model_both(workdir, capsys):
+    out = workdir / "run"
+    assert run("explain", "--data", workdir / "data.csv", "--out", out, "--target", "hc_yield", "--model", "both") == 1
+    assert "argument --model: invalid choice: 'both'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [(("--help",), 0), (("--version",), 0), ((), 1), (("fit",), 1),
+                                        (("synth", "--n", "many"), 1)])
+def test_argparse_exits_are_returned(capsys, argv, code):
+    """--help and --version return 0 and a usage error returns 1, not argparse's 2."""
+    assert run(*argv) == code
 
 
 @pytest.mark.parametrize("flag", ["--data", "--grid", "--application"])
@@ -195,10 +234,19 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
                        {"c": 1.0, "epsilon": 0.1, "kernel": "linear"}]},
          "svr_grid[1]: kernel must be an object, got str"),
         ({"tree_grid": [{"max_depth": 6}, 5]}, "tree_grid[1]: tree params must be an object, got int"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "linear", "gamma": 0.5}}]},
+         "svr_grid[0]: kernel kind 'linear' does not read field 'gamma'"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "rbf", "gamma": 0.5, "degree": 2}}]},
+         "svr_grid[0]: kernel kind 'rbf' does not read field 'degree'"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "polynomial", "degree": 2, "gamma": 0.5}}]},
+         "svr_grid[0]: kernel kind 'polynomial' does not read field 'gamma'"),
+        ({"tree_grid": [{"max_depth": 6}], "svr_grd": []},
+         "unknown field 'svr_grd'; expected one of tree_grid, svr_grid"),
     ],
     ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c",
          "tree-unknown-field", "svr-unknown-field", "kernel-unknown-field", "c-bool", "epsilon-string", "gamma-null",
-         "min-impurity-null", "kernel-string", "tree-entry-int"],
+         "min-impurity-null", "kernel-string", "tree-entry-int", "linear-gamma", "rbf-degree", "polynomial-gamma",
+         "top-level-unknown-key"],
 )
 def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
     csv = synth_csv(workdir)
@@ -389,7 +437,7 @@ def test_optimize_requires_models(workdir, capsys):
 def test_optimize_rejects_svr_model(workdir, capsys):
     csv, out = _train_for_optimize(workdir)
     assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--model", "svr") == 1
-    assert "DTR surrogates only" in capsys.readouterr().err
+    assert "unrecognized arguments: --model svr" in capsys.readouterr().err
     assert not (out / "optimum.json").exists()
 
 
@@ -615,6 +663,9 @@ def _widen_scaler_out(obj):
      "support_vectors has shape ("),
     ("svr", _edit_svr(lambda m: m.__setitem__("dual_coeffs", [[v] for v in m["dual_coeffs"]])),
      "dual_coeffs has shape ("),
+    ("svr", lambda obj: obj.pop("model_kind"), "has no field 'model_kind'"),
+    ("dtr", lambda obj: obj.pop("target_std"), "has no field 'target_std'"),
+    ("dtr", lambda obj: obj["train_metrics"].pop("rmse"), "has no field 'rmse'"),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
         "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
         "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan", "leaf-value-nan", "target-mean-nan",
@@ -626,7 +677,7 @@ def _widen_scaler_out(obj):
         "threshold-string", "leaf-value-object", "target-mean-string", "cv-rmse-bool", "svr-sv-indices-float",
         "scaler-columns-int", "scaler-stds-string", "left-float", "feature-float", "leaf-no-value",
         "metrics-r2-string", "left-past-c-long", "feature-past-c-long", "count-past-c-long", "svr-sv-flat",
-        "svr-dual-nested"])
+        "svr-dual-nested", "no-model-kind", "no-target-std", "metrics-no-rmse"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)
