@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, data, genetic, pipeline, shapley, stats
-from .errors import HydrocharError, InvalidModelFile, MissingModelFile, SingularInput, TooFewRows
+from .errors import (ConstantColumn, HydrocharError, InvalidGrid, InvalidModelFile, MissingModelFile, TooFewRows,
+                     UnknownApplication, refusing)
 from .pipeline import SCHEMA_VERSION
 
 
@@ -90,8 +91,8 @@ def cmd_stats(args) -> int:
     all_columns = list(ds.feature_names) + list(ds.target_names)
     try:
         factors = stats.factor_analysis(ds, all_columns)
-    except (TooFewRows, SingularInput):
-        # sparse targets can leave too few complete rows; fall back to inputs
+    except (TooFewRows, ConstantColumn) as exc:
+        print(f"factor analysis fell back to the {len(ds.feature_names)} input columns: {exc}")
         factors = stats.factor_analysis(ds, list(ds.feature_names))
     _write_json(cfg.out / "factors.json", {**_provenance(cfg.seed), **factors.to_json_obj()})
     (cfg.out / "factors.csv").write_text(comment + "\n" + factors.to_csv_text(), encoding="utf-8")
@@ -121,7 +122,7 @@ def _write_van_krevelen(ds: data.Dataset, path: Path, comment: str) -> None:
 def _load_grid(path: str | None) -> pipeline.HyperGrid:
     if path is None:
         return pipeline.HyperGrid.default()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, refusing(InvalidGrid, f"grid file {path}"):
         return pipeline.HyperGrid.from_json_obj(json.load(fh))
 
 
@@ -144,17 +145,12 @@ def cmd_train(args) -> int:
 
 def _read_model(path: Path, kind: str, target: str) -> pipeline.TrainedTarget:
     """Load the saved ``kind`` model of ``target``; a refusal names the file."""
-    try:
-        with path.open(encoding="utf-8") as fh:
-            trained = pipeline.TrainedTarget.from_json_obj(json.load(fh))
+    with path.open(encoding="utf-8") as fh, refusing(InvalidModelFile, f"model file {path}"):
+        trained = pipeline.TrainedTarget.from_json_obj(json.load(fh))
         if (trained.kind, trained.target) != (kind, target):
             raise InvalidModelFile(f"holds the {trained.kind} model of {trained.target!r}, not the {kind} model of "
                                    f"{target!r} its name says")
         return trained
-    except KeyError as exc:
-        raise InvalidModelFile(f"model file {path} has no field {exc.args[0]!r}") from exc
-    except (HydrocharError, ValueError) as exc:
-        raise InvalidModelFile(f"model file {path}: {exc}") from exc
 
 
 def _load_models(cfg: RunConfig, kind: str) -> dict[str, pipeline.TrainedTarget]:
@@ -226,17 +222,14 @@ def cmd_explain(args) -> int:
 
 def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
     candidate = Path(application)
-    if candidate.suffix == ".json" and candidate.exists():
-        with candidate.open(encoding="utf-8") as fh:
-            directions = json.load(fh)
+    if candidate.suffix != ".json" or not candidate.exists():
+        return genetic.ObjectiveProfile.builtin(application)
+    with candidate.open(encoding="utf-8") as fh, refusing(UnknownApplication, f"profile file {candidate}"):
+        directions = json.load(fh)
         if not isinstance(directions, dict):
-            raise ValueError(f"profile file {candidate} must hold a JSON object of target directions, "
+            raise ValueError("a profile file must hold a JSON object of target directions, "
                              f"got {type(directions).__name__}")
-        try:
-            return genetic.ObjectiveProfile.from_directions(candidate.stem, directions)
-        except ValueError as exc:
-            raise ValueError(f"profile file {candidate}: {exc}") from exc
-    return genetic.ObjectiveProfile.builtin(application)
+        return genetic.ObjectiveProfile.from_directions(candidate.stem, directions)
 
 
 def cmd_optimize(args) -> int:
@@ -311,10 +304,10 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.run(args)
-    except (HydrocharError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (HydrocharError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # anything else, a stray KeyError included, is a bug
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 2
 

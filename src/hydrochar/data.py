@@ -320,7 +320,7 @@ class Scaler:
     def from_dict(cls, d: dict) -> "Scaler":
         means = require_reals("scaler means", require_type("scaler", d, dict)["means"])
         stds = require_reals("scaler stds", d["stds"])
-        cols = d.get("columns")
+        cols = d["columns"]
         if means.ndim != 1 or means.shape != stds.shape:
             raise InvalidModelFile(f"scaler has {means.size} means and {stds.size} stds")
         if cols is not None and len(require_type("scaler columns", cols, list)) != means.size:
@@ -449,8 +449,8 @@ def generate_synthetic(n: int, seed: int, noise_sd: float = 0.0) -> Dataset:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if noise_sd < 0.0:
-        raise ValueError("noise_sd must be >= 0")
+    if not (np.isfinite(noise_sd) and noise_sd >= 0.0):
+        raise ValueError(f"noise_sd must be finite and >= 0, got {noise_sd!r}")
     rng = np.random.default_rng(seed)
     c = rng.uniform(22.65, 63.82, n)
     h = rng.uniform(2.9, 8.1, n)

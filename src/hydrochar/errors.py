@@ -3,6 +3,7 @@ training arrays are finite."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -37,31 +38,15 @@ class ConstraintViolation(HydrocharError):
 
 
 class ConstantColumn(HydrocharError):
-    """A column selected for scaling has zero variance."""
+    """A column, or a list of values, is constant where a statistic or a scaler needs it to vary."""
 
 
 class TooFewRows(HydrocharError):
-    """Not enough rows for the requested split, fold count, or statistic."""
+    """Not enough rows (or value pairs) for the requested split, fold count, or statistic."""
 
 
 class ZeroCarbon(HydrocharError):
     """Atomic ratios are undefined when the carbon mass fraction is zero."""
-
-
-class LengthMismatch(HydrocharError):
-    """Paired value lists have different lengths."""
-
-
-class DegenerateActual(HydrocharError):
-    """R^2 is undefined when the actual values are all identical."""
-
-
-class DegenerateInput(HydrocharError):
-    """Rank correlation is undefined for a constant vector."""
-
-
-class SingularInput(HydrocharError):
-    """Factor analysis requires non-constant, finite columns."""
 
 
 class DimensionMismatch(HydrocharError):
@@ -69,7 +54,7 @@ class DimensionMismatch(HydrocharError):
 
 
 class EmptyInput(HydrocharError):
-    """Operation requires at least one sample."""
+    """Operation requires at least one sample (a training row, an explanation, a background row)."""
 
 
 class NonFiniteInput(HydrocharError):
@@ -78,10 +63,6 @@ class NonFiniteInput(HydrocharError):
 
 class TooManyFeatures(HydrocharError):
     """Exact coalition enumeration is capped at 20 features."""
-
-
-class EmptyBackground(HydrocharError):
-    """Attribution requires a non-empty background sample."""
 
 
 class MissingModel(HydrocharError):
@@ -95,7 +76,7 @@ class InfeasibleBounds(HydrocharError):
 
 
 class UnknownApplication(HydrocharError):
-    """An objective profile name is neither built in nor a JSON file."""
+    """An objective profile name is neither built in nor a JSON file, or its JSON file is malformed."""
 
 
 class InvalidGrid(HydrocharError):
@@ -107,11 +88,8 @@ class MissingModelFile(HydrocharError):
 
 
 class InvalidModelFile(HydrocharError):
-    """A saved model file cannot be read, or holds values no fit produces."""
-
-
-class UnsupportedSchema(HydrocharError):
-    """A saved file's schema_version is missing or not one this version reads."""
+    """A saved model file cannot be read, is of a schema_version this version does not read, or holds values no
+    fit produces."""
 
 
 class DualConstraintDrift(HydrocharError):
@@ -120,6 +98,18 @@ class DualConstraintDrift(HydrocharError):
 
 class ConvergenceWarning(UserWarning):
     """Solver hit its iteration budget; the returned model is best-effort."""
+
+
+@contextlib.contextmanager
+def refusing(error_cls: type[HydrocharError], source: str):
+    """Re-raise what reading ``source`` refuses as ``error_cls``, naming the source: a missing field (KeyError), a
+    malformed value (ValueError, json.JSONDecodeError included) or any HydrocharError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise error_cls(f"{source} has no field {exc.args[0]!r}") from exc
+    except (HydrocharError, ValueError) as exc:
+        raise error_cls(f"{source}: {exc}") from exc
 
 
 def require_finite(name: str, a: np.ndarray) -> None:

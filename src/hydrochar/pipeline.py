@@ -18,8 +18,7 @@ import numpy as np
 from . import data as data_mod
 from .cart import RegressionTree, TreeParams, fit_tree
 from .data import Dataset, Scaler, SplitPlan
-from .errors import (HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, UnsupportedSchema, require_real,
-                     require_type)
+from .errors import HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, refusing, require_real, require_type
 from .stats import MetricsReport, metrics_report, rmse
 from .svr import Kernel, SvrModel, SvrParams, fit_svr
 
@@ -78,12 +77,8 @@ def _grid_entries(obj: dict, key: str, parse) -> list:
         raise InvalidGrid(f"{key} must be a list of entries, got {type(entries).__name__}")
     parsed = []
     for i, entry in enumerate(entries):
-        try:
+        with refusing(InvalidGrid, f"{key}[{i}]"):
             parsed.append(parse(entry))
-        except KeyError as exc:
-            raise InvalidGrid(f"{key}[{i}] has no field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise InvalidGrid(f"{key}[{i}]: {exc}") from exc
     return parsed
 
 
@@ -155,8 +150,7 @@ class TrainedTarget:
     def from_json_obj(cls, obj: dict) -> "TrainedTarget":
         version = require_type("a model file", obj, dict).get("schema_version")
         if version != SCHEMA_VERSION:
-            raise UnsupportedSchema(f"model file schema_version {version!r} is not supported; "
-                                    f"expected {SCHEMA_VERSION}")
+            raise InvalidModelFile(f"model file schema_version {version!r} is not supported; expected {SCHEMA_VERSION}")
         kind = obj["model_kind"]
         if kind not in ("dtr", "svr"):
             raise InvalidModelFile(f"model_kind {kind!r} is neither 'dtr' nor 'svr'")
@@ -167,8 +161,8 @@ class TrainedTarget:
         return cls(
             target=obj["target"],
             model=model,
-            scaler_in=Scaler.from_dict(obj["scaler_in"]) if obj.get("scaler_in") else None,
-            scaler_out=Scaler.from_dict(obj["scaler_out"]) if obj.get("scaler_out") else None,
+            scaler_in=Scaler.from_dict(obj["scaler_in"]) if obj["scaler_in"] is not None else None,
+            scaler_out=Scaler.from_dict(obj["scaler_out"]) if obj["scaler_out"] is not None else None,
             cv_rmse=require_real("cv_rmse", obj["cv_rmse"]),
             train_metrics=MetricsReport.from_dict(obj["train_metrics"]),
             test_metrics=MetricsReport.from_dict(obj["test_metrics"]),

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyBackground, EmptyInput, TooManyFeatures
+from .errors import DimensionMismatch, EmptyInput, TooManyFeatures
 
 MAX_FEATURES = 20
 _EVAL_ROWS = 1 << 14  # model rows per call, unless one mask's background rows alone exceed it
@@ -96,7 +96,7 @@ def explain(predict_fn, x, background) -> ShapExplanation:
     background = np.atleast_2d(np.asarray(background, dtype=float))
     d = len(x)
     if background.shape[0] == 0:
-        raise EmptyBackground("background matrix has no rows")
+        raise EmptyInput("background matrix has no rows")
     if background.shape[1] != d:
         raise DimensionMismatch(f"background has {background.shape[1]} features, x has {d}")
     model = getattr(predict_fn, "__self__", None)

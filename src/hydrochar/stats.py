@@ -10,8 +10,7 @@ from functools import partial
 import numpy as np
 
 from .data import CSV_HEADER, Dataset
-from .errors import (DegenerateActual, DegenerateInput, LengthMismatch, SingularInput, TooFewRows, read_fields,
-                     require_int, require_real)
+from .errors import ConstantColumn, DimensionMismatch, TooFewRows, read_fields, require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,9 @@ def _paired(actual, predicted, min_len: int) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(actual, dtype=float).ravel()
     p = np.asarray(predicted, dtype=float).ravel()
     if len(a) != len(p):
-        raise LengthMismatch(f"actual has {len(a)} values, predicted has {len(p)}")
+        raise DimensionMismatch(f"actual has {len(a)} values, predicted has {len(p)}")
     if len(a) < min_len:
-        raise LengthMismatch(f"need at least {min_len} pairs, got {len(a)}")
+        raise TooFewRows(f"need at least {min_len} pairs, got {len(a)}")
     return a, p
 
 
@@ -47,7 +46,7 @@ def r_squared(actual, predicted) -> float:
     a, p = _paired(actual, predicted, 2)
     ss_tot = float(np.sum((a - a.mean()) ** 2))
     if ss_tot == 0.0:
-        raise DegenerateActual("actual values are all identical")
+        raise ConstantColumn("actual values are all identical")
     ss_res = float(np.sum((p - a) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -95,7 +94,7 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     sx = math.sqrt(float(np.dot(xc, xc)))
     sy = math.sqrt(float(np.dot(yc, yc)))
     if sx == 0.0 or sy == 0.0:
-        raise DegenerateInput("constant vector has no defined correlation")
+        raise ConstantColumn("constant vector has no defined correlation")
     r = float(np.dot(xc, yc)) / (sx * sy)
     return min(1.0, max(-1.0, r))
 
@@ -118,7 +117,7 @@ def spearman_rank_difference(x, y) -> float:
     """
     a, b = _paired(x, y, 3)
     if len(np.unique(a)) < 2 or len(np.unique(b)) < 2:
-        raise DegenerateInput("constant vector has no defined correlation")
+        raise ConstantColumn("constant vector has no defined correlation")
     d = average_ranks(a) - average_ranks(b)
     n = len(a)
     return 1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1))
@@ -188,7 +187,7 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
             rj = own[j] if n == counts[j] else joint_ranks(j, joint)
             try:
                 r = _pearson(ri, rj)
-            except DegenerateInput:
+            except ConstantColumn:
                 continue
             out[i, j] = out[j, i] = r
     out.setflags(write=False)
@@ -254,7 +253,7 @@ def factor_analysis(dataset: Dataset, columns) -> FactorResult:
     stds = m.std(axis=0)
     for j, c in enumerate(cols):
         if not stds[j] > 0.0:
-            raise SingularInput(f"column {c} is constant on the complete rows")
+            raise ConstantColumn(f"column {c} is constant on the complete rows")
     z = (m - means) / stds
     corr = (z.T @ z) / z.shape[0]
     corr = 0.5 * (corr + corr.T)

@@ -257,8 +257,8 @@ class SvrModel:
             bias=require_real("bias", obj["bias"]),
             params=SvrParams.from_dict(obj["params"]),
             n_features=require_int("n_features", obj["n_features"]),
-            sv_indices=require_ints("sv_indices", obj.get("sv_indices", [])),
-            converged=require_type("converged", obj.get("converged", True), bool),
+            sv_indices=require_ints("sv_indices", obj["sv_indices"]),
+            converged=require_type("converged", obj["converged"], bool),
         )
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hydrochar import __version__, data
+from hydrochar import __version__, cli, data
 from hydrochar.cli import main
 from hydrochar.pipeline import TrainedTarget
 
@@ -133,6 +133,16 @@ def test_argparse_exits_are_returned(capsys, argv, code):
     assert run(*argv) == code
 
 
+def test_a_stray_key_error_is_an_internal_error(workdir, capsys, monkeypatch):
+    """Only a refusal exits 1; a KeyError that escapes a command is a bug and exits 2."""
+    def broken(args):
+        raise KeyError("hc_yield")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)  # main builds its parser after this
+    assert run("validate", "--data", workdir / "data.csv") == 2
+    assert capsys.readouterr().err == "internal error: KeyError('hc_yield')\n"
+
+
 @pytest.mark.parametrize("flag", ["--data", "--grid", "--application"])
 def test_a_path_naming_a_directory_is_an_input_error(workdir, capsys, flag):
     """A directory given where a file is read exits 1 with the path named, not 2."""
@@ -242,19 +252,21 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
          "svr_grid[0]: kernel kind 'polynomial' does not read field 'gamma'"),
         ({"tree_grid": [{"max_depth": 6}], "svr_grd": []},
          "unknown field 'svr_grd'; expected one of tree_grid, svr_grid"),
+        ('{"tree_grid": [', "Expecting value: line 1 column 16 (char 15)"),
     ],
     ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c",
          "tree-unknown-field", "svr-unknown-field", "kernel-unknown-field", "c-bool", "epsilon-string", "gamma-null",
          "min-impurity-null", "kernel-string", "tree-entry-int", "linear-gamma", "rbf-degree", "polynomial-gamma",
-         "top-level-unknown-key"],
+         "top-level-unknown-key", "not-json"],
 )
 def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
+    """A grid given as a string is written as it stands, to make a file that is not JSON."""
     csv = synth_csv(workdir)
     out = workdir / "run"
     path = workdir / "grid.json"
-    path.write_text(json.dumps(grid), encoding="utf-8")
+    path.write_text(grid if isinstance(grid, str) else json.dumps(grid), encoding="utf-8")
     assert run("train", "--data", csv, "--out", out, "--seed", 9, "--grid", path) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: grid file {path}: {message}\n"
     assert not (out / "report.json").exists()
 
 
@@ -292,6 +304,24 @@ def test_stats_without_hydrochar_ultimate_columns(workdir):
         assert cells[3] == "" and cells[4] == ""  # hydrochar ratios absent
     factors = json.loads((out / "factors.json").read_text())
     assert len(factors["labels"]) == 11  # falls back to the input columns
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda y: y.__setitem__((np.arange(40), np.arange(40) % 10), np.nan), "only 0 rows complete on the selection"),
+    (lambda y: y.__setitem__((slice(None), 0), 50.0), "column hc_yield is constant on the complete rows"),
+], ids=["no-row-reports-every-target", "constant-target"])
+def test_stats_says_when_factor_analysis_falls_back(workdir, capsys, edit, reason):
+    """Factor analysis falls back to the input columns when it cannot use the targets, and stats says why."""
+    ds = data.generate_synthetic(40, seed=6)
+    y = ds.target_matrix().copy()
+    edit(y)
+    path = workdir / "sparse.csv"
+    data.write_csv(data.Dataset(ds.feature_matrix(), y), path)
+    assert run("stats", "--data", path, "--out", workdir / "stats", "--seed", 1) == 0
+    assert f"factor analysis fell back to the 11 input columns: {reason}\n" in capsys.readouterr().out
+    assert len(json.loads((workdir / "stats" / "factors.json").read_text())["labels"]) == 11
+    assert run("stats", "--data", synth_csv(workdir), "--out", workdir / "full", "--seed", 1) == 0
+    assert "fell back" not in capsys.readouterr().out
 
 
 def _reference_ratio_cells(c_wt, h_wt, o_wt):
@@ -467,11 +497,13 @@ def test_optimize_refuses_unknown_application(workdir, capsys):
     ({**{t: "ignore" for t in data.TARGET_COLUMNS}, "hc_yield": "maximize", "hc_k": "maximize"},
      "profile names unknown targets ['hc_k']"),
     ({**{t: "ignore" for t in data.TARGET_COLUMNS}, "hc_yield": "upward"}, "unknown direction 'upward' for hc_yield"),
-], ids=["missing-targets", "unknown-target", "unknown-direction"])
+    ('{"hc_yield": ', "Expecting value: line 1 column 14 (char 13)"),
+], ids=["missing-targets", "unknown-target", "unknown-direction", "not-json"])
 def test_optimize_refusal_of_a_profile_names_the_file(workdir, capsys, directions, message):
+    """Directions given as a string are written as they stand, to make a file that is not JSON."""
     csv, out = _train_for_optimize(workdir)
     profile = workdir / "prof.json"
-    profile.write_text(json.dumps(directions), encoding="utf-8")
+    profile.write_text(directions if isinstance(directions, str) else json.dumps(directions), encoding="utf-8")
     assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", profile) == 1
     assert capsys.readouterr().err.startswith(f"error: profile file {profile}: {message}")
     assert not (out / "optimum.json").exists()
@@ -484,7 +516,7 @@ def test_optimize_refuses_profile_that_is_not_an_object(workdir, capsys, content
     profile.write_text(content, encoding="utf-8")
     assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", profile) == 1
     assert capsys.readouterr().err == (
-        f"error: profile file {profile} must hold a JSON object of target directions, got {kind}\n"
+        f"error: profile file {profile}: a profile file must hold a JSON object of target directions, got {kind}\n"
     )
     assert not (out / "optimum.json").exists()
 
@@ -666,6 +698,14 @@ def _widen_scaler_out(obj):
     ("svr", lambda obj: obj.pop("model_kind"), "has no field 'model_kind'"),
     ("dtr", lambda obj: obj.pop("target_std"), "has no field 'target_std'"),
     ("dtr", lambda obj: obj["train_metrics"].pop("rmse"), "has no field 'rmse'"),
+    ("dtr", lambda obj: obj.pop("scaler_in"), "has no field 'scaler_in'"),
+    ("svr", lambda obj: obj.pop("scaler_out"), "has no field 'scaler_out'"),
+    ("dtr", _set("scaler_in", {}), "has no field 'means'"),
+    ("svr", _set("scaler_out", {}), "has no field 'means'"),
+    ("svr", lambda obj: obj["scaler_in"].pop("columns"), "has no field 'columns'"),
+    ("svr", lambda obj: obj["scaler_out"].pop("columns"), "has no field 'columns'"),
+    ("svr", _edit_svr(lambda m: m.pop("sv_indices")), "has no field 'sv_indices'"),
+    ("svr", _edit_svr(lambda m: m.pop("converged")), "has no field 'converged'"),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
         "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
         "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan", "leaf-value-nan", "target-mean-nan",
@@ -677,7 +717,9 @@ def _widen_scaler_out(obj):
         "threshold-string", "leaf-value-object", "target-mean-string", "cv-rmse-bool", "svr-sv-indices-float",
         "scaler-columns-int", "scaler-stds-string", "left-float", "feature-float", "leaf-no-value",
         "metrics-r2-string", "left-past-c-long", "feature-past-c-long", "count-past-c-long", "svr-sv-flat",
-        "svr-dual-nested", "no-model-kind", "no-target-std", "metrics-no-rmse"])
+        "svr-dual-nested", "no-model-kind", "no-target-std", "metrics-no-rmse", "no-scaler-in", "svr-no-scaler-out-key",
+        "dtr-scaler-in-empty", "svr-scaler-out-empty", "svr-no-scaler-columns", "svr-no-scaler-out-columns",
+        "svr-no-sv-indices", "svr-no-converged"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)

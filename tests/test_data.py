@@ -527,8 +527,9 @@ def test_van_krevelen_scale_invariance(scale):
 def test_synthetic_rejects_bad_args():
     with pytest.raises(ValueError):
         data.generate_synthetic(0, seed=1)
-    with pytest.raises(ValueError):
-        data.generate_synthetic(5, seed=1, noise_sd=-0.1)
+    for noise_sd in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sd must be finite and >= 0"):
+            data.generate_synthetic(5, seed=1, noise_sd=noise_sd)
 
 
 def test_synthetic_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrochar import data, pipeline
+from hydrochar import cli, data, pipeline
 from hydrochar.cart import TreeParams, fit_tree
 from hydrochar.data import Dataset, Scaler
-from hydrochar.errors import ConvergenceWarning, HydrocharError, TooFewRows
+from hydrochar.errors import ConvergenceWarning, HydrocharError, InvalidModelFile, TooFewRows
 from hydrochar.pipeline import (
     GridSearchResult,
     HyperGrid,
@@ -485,3 +486,14 @@ def test_schema1_dtr_file_predicts_as_written():
     cuts = rows[np.arange(1, len(rows), 3), trained.model.feature[~trained.model.is_leaf]]
     assert cuts.tolist() == probes["raw_thresholds"]
     assert trained.to_json_obj()["scaler_in"] == obj["scaler_in"]
+
+
+def test_schema1_dtr_file_without_its_scaler_key_is_refused(tmp_path):
+    """With its scaler_in key renamed, the schema-1 file would load without its scaler and walk raw rows through
+    standardized thresholds; it is refused, naming the missing field and the file."""
+    obj = json.loads((_DATA / "schema1_model_dtr_hc_yield.json").read_text(encoding="utf-8"))
+    obj["scaler"] = obj.pop("scaler_in")
+    path = tmp_path / "model_dtr_hc_yield.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(InvalidModelFile, match=f"^model file {re.escape(str(path))} has no field 'scaler_in'$"):
+        cli._read_model(path, "dtr", "hc_yield")

@@ -11,7 +11,6 @@ from hydrochar.cart import TreeParams, fit_tree
 from hydrochar.data import Scaler
 from hydrochar.errors import (
     DimensionMismatch,
-    EmptyBackground,
     EmptyInput,
     TooManyFeatures,
 )
@@ -379,7 +378,7 @@ def test_errors():
     f = lambda X: X.sum(axis=1)  # noqa: E731
     with pytest.raises(TooManyFeatures):
         explain(f, np.zeros(21), np.zeros((2, 21)))
-    with pytest.raises(EmptyBackground):
+    with pytest.raises(EmptyInput):
         explain(f, np.zeros(3), np.zeros((0, 3)))
     with pytest.raises(DimensionMismatch):
         explain(f, np.zeros(3), np.zeros((4, 2)))

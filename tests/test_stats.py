@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from hydrochar import data, stats
 from hydrochar.errors import (
-    DegenerateActual,
-    DegenerateInput,
-    LengthMismatch,
-    SingularInput,
+    ConstantColumn,
+    DimensionMismatch,
     TooFewRows,
 )
 
@@ -27,9 +25,9 @@ def test_r_squared_examples():
 
 
 def test_r_squared_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         stats.r_squared([1, 2], [1, 2, 3])
-    with pytest.raises(DegenerateActual):
+    with pytest.raises(ConstantColumn):
         stats.r_squared([2, 2, 2], [1, 2, 3])
 
 
@@ -90,9 +88,9 @@ def test_spearman_tie_handling():
 
 
 def test_spearman_errors():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(TooFewRows):
         stats.spearman([1, 2], [1, 2])
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(ConstantColumn):
         stats.spearman([1, 1, 1], [1, 2, 3])
 
 
@@ -199,7 +197,7 @@ def _reference_correlation(dataset, min_joint=3):
                 continue
             try:
                 r = stats._pearson(_reference_average_ranks(vi[joint]), _reference_average_ranks(vj[joint]))
-            except DegenerateInput:
+            except ConstantColumn:
                 continue
             out[i, j] = out[j, i] = r
     return out
@@ -347,7 +345,7 @@ def test_factor_errors():
     with pytest.raises(ValueError):
         stats.factor_analysis(ds, ["temperature_c"])
     const = make_dataset(10, temperature_c=200.0)
-    with pytest.raises(SingularInput):
+    with pytest.raises(ConstantColumn):
         stats.factor_analysis(const, ["temperature_c", "time_min"])
     sparse = make_dataset(2, temperature_c=200.0)
     with pytest.raises(TooFewRows):
