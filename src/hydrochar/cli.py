@@ -33,11 +33,9 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        out = Path(args.out).resolve()
-        out.mkdir(parents=True, exist_ok=True)
         return cls(
             data=Path(args.data).resolve() if getattr(args, "data", None) is not None else None,
-            out=out,
+            out=Path(args.out).resolve(),
             seed=args.seed,
             model=getattr(args, "model", None),
             background=getattr(args, "background", None),
@@ -78,22 +76,19 @@ def cmd_validate(args) -> int:
 def cmd_stats(args) -> int:
     cfg = RunConfig.from_args(args)
     ds = data.load_csv(cfg.data)
-    comment = _provenance_comment(cfg.seed)
-
     corr = stats.correlation_matrix(ds)
-    (cfg.out / "correlation_matrix.csv").write_text(
-        comment + "\n" + corr.to_csv_text(), encoding="utf-8"
-    )
-    _write_json(cfg.out / "correlation_matrix.json", {**_provenance(cfg.seed), **corr.to_json_obj()})
-
-    _write_van_krevelen(ds, cfg.out / "van_krevelen.csv", comment)
-
     all_columns = list(ds.feature_names) + list(ds.target_names)
     try:
         factors = stats.factor_analysis(ds, all_columns)
     except (TooFewRows, ConstantColumn) as exc:
         print(f"factor analysis fell back to the {len(ds.feature_names)} input columns: {exc}")
         factors = stats.factor_analysis(ds, list(ds.feature_names))
+
+    comment = _provenance_comment(cfg.seed)
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    (cfg.out / "correlation_matrix.csv").write_text(comment + "\n" + corr.to_csv_text(), encoding="utf-8")
+    _write_json(cfg.out / "correlation_matrix.json", {**_provenance(cfg.seed), **corr.to_json_obj()})
+    _write_van_krevelen(ds, cfg.out / "van_krevelen.csv", comment)
     _write_json(cfg.out / "factors.json", {**_provenance(cfg.seed), **factors.to_json_obj()})
     (cfg.out / "factors.csv").write_text(comment + "\n" + factors.to_csv_text(), encoding="utf-8")
     print(f"wrote correlation_matrix.csv/.json, factors.json/.csv, van_krevelen.csv to {cfg.out}")
@@ -132,6 +127,7 @@ def cmd_train(args) -> int:
     grid = _load_grid(args.grid)
     kinds = ("dtr", "svr") if cfg.model == "both" else (cfg.model,)
     result = pipeline.train_all(ds, grid, seed=cfg.seed, models=kinds)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out / "report.json", {**_provenance(cfg.seed), **result.report})
     print(f"{'model':<6}{'target':<10}{'cv_rmse':>10}{'train_r2':>10}{'test_r2':>10}")
     for (kind, target), t in sorted(result.trained.items()):
@@ -222,7 +218,7 @@ def cmd_explain(args) -> int:
 
 def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
     candidate = Path(application)
-    if candidate.suffix != ".json" or not candidate.exists():
+    if candidate.suffix != ".json":
         return genetic.ObjectiveProfile.builtin(application)
     with candidate.open(encoding="utf-8") as fh, refusing(UnknownApplication, f"profile file {candidate}"):
         directions = json.load(fh)
@@ -255,6 +251,7 @@ def cmd_optimize(args) -> int:
 def cmd_synth(args) -> int:
     cfg = RunConfig.from_args(args)
     ds = data.generate_synthetic(args.n, seed=cfg.seed, noise_sd=args.noise)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     path = cfg.out / "synthetic.csv"
     data.write_csv(ds, path)
     print(f"wrote {ds.n_rows} rows to {path}")

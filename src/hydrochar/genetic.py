@@ -186,14 +186,12 @@ def run_ga(objective, config: GaConfig, feasible=None) -> tuple[np.ndarray, floa
     span = hi - lo
     d = len(bounds)
     rng = np.random.default_rng(config.seed)
-    pop = lo + rng.random((config.population, d)) * span
-    if feasible is not None and not feasible(pop).any():
-        for _ in range(99):
-            pop = lo + rng.random((config.population, d)) * span
-            if feasible(pop).any():
-                break
-        else:
-            raise InfeasibleBounds("no feasible individual in 100x population draws")
+    for _ in range(100):
+        pop = lo + rng.random((config.population, d)) * span
+        if feasible is None or feasible(pop).any():
+            break
+    else:
+        raise InfeasibleBounds("no feasible individual in 100x population draws")
 
     def evaluate(p: np.ndarray) -> np.ndarray:
         fit = np.asarray(objective(p), dtype=float)
@@ -253,32 +251,12 @@ def run_ga(objective, config: GaConfig, feasible=None) -> tuple[np.ndarray, floa
 def _blend_crossover(children: np.ndarray, rng: np.random.Generator, prob: float) -> None:
     """BLX-alpha on consecutive pairs of the mating pool, in place.
 
-    Consumes ``rng`` exactly as a pair-by-pair loop would: one uniform per
-    pair, then 2d more (child a, then child a + 1) when it crosses. Only
-    the draws still certainly owed are taken, so the stream never runs ahead.
+    Draws one uniform per pair to choose the crossing pairs, then 2d per
+    crossing pair: the first d place child a, the last d child a + 1.
     """
     n_pairs, d = len(children) // 2, children.shape[1]
-    chunks, drawn = [], []  # the uniforms taken, as arrays and as one list to scan
-    crossing, offsets = [], []
-    pos = pair = 0  # stream position of the next pair's decision
-    while True:
-        owed = pos + (n_pairs - pair) - len(drawn)
-        if owed > 0:
-            chunks.append(rng.random(owed))
-            drawn += chunks[-1].tolist()
-        if pair == n_pairs:
-            break
-        while pair < n_pairs and pos < len(drawn):
-            if drawn[pos] < prob:
-                crossing.append(2 * pair)
-                offsets.append(pos + 1)
-                pos += 2 * d
-            pos += 1
-            pair += 1
-    if not crossing:
-        return
-    a = np.array(crossing)
-    u = np.concatenate(chunks)[np.array(offsets)[:, None] + np.arange(2 * d)]
+    a = 2 * np.flatnonzero(rng.random(n_pairs) < prob)
+    u = rng.random((len(a), 2 * d))
     pa, pb = children[a], children[a + 1]
     lo_g = np.minimum(pa, pb)
     hi_g = np.maximum(pa, pb)

@@ -94,6 +94,19 @@ def test_missing_data_flag_is_usage_error(capsys):
     assert "the following arguments are required: --data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("synth", "--noise", "nan"), "noise_sd must be finite and >= 0"),
+    (("validate", "--data", "missing.csv"), "No such file or directory"),
+], ids=["synth-nan-noise", "validate-missing-data"])
+def test_a_refused_command_leaves_no_out(workdir, capsys, monkeypatch, argv, message):
+    """--out is created just before the first write, after every input is read and checked; a refused
+    train is covered by the refusal tests of its grid."""
+    monkeypatch.chdir(workdir)
+    assert run(*argv, "--out", "run") == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "run").exists()
+
+
 # Every option a command does not read, with a value that command's siblings accept.
 _UNREAD = {
     "validate": ("--model", "--grid", "--application", "--background"),
@@ -213,7 +226,7 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
     assert "Infinity" in grid.read_text() or "NaN" in grid.read_text()
     assert run("train", "--data", csv, "--out", out, "--seed", 9, "--grid", grid) == 1
     assert f"{field} must be finite" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -267,7 +280,7 @@ def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
     path.write_text(grid if isinstance(grid, str) else json.dumps(grid), encoding="utf-8")
     assert run("train", "--data", csv, "--out", out, "--seed", 9, "--grid", path) == 1
     assert capsys.readouterr().err == f"error: grid file {path}: {message}\n"
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- stats
@@ -322,6 +335,19 @@ def test_stats_says_when_factor_analysis_falls_back(workdir, capsys, edit, reaso
     assert len(json.loads((workdir / "stats" / "factors.json").read_text())["labels"]) == 11
     assert run("stats", "--data", synth_csv(workdir), "--out", workdir / "full", "--seed", 1) == 0
     assert "fell back" not in capsys.readouterr().out
+
+
+def test_stats_refusing_a_constant_input_column_writes_nothing(workdir, capsys):
+    """Every statistic is computed before --out is made, so a refusal leaves no partial artifacts."""
+    ds = data.generate_synthetic(40, seed=6)
+    x = ds.feature_matrix().copy()
+    x[:, data.FEATURE_COLUMNS.index("water_wt")] = 5.0
+    path = workdir / "constant.csv"
+    data.write_csv(data.Dataset(x, ds.target_matrix()), path)
+    out = workdir / "stats"
+    assert run("stats", "--data", path, "--out", out, "--seed", 1) == 1
+    assert capsys.readouterr().err == "error: column water_wt is constant on the complete rows\n"
+    assert not out.exists()
 
 
 def _reference_ratio_cells(c_wt, h_wt, o_wt):
@@ -401,6 +427,7 @@ def test_explain_requires_model_file(workdir, capsys):
     out = workdir / "nomodels"
     assert run("explain", "--data", csv, "--out", out, "--seed", 4, "--target", "hc_s") == 1
     assert "run train first" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("background", [0, -3])
@@ -462,6 +489,7 @@ def test_optimize_requires_models(workdir, capsys):
     out = workdir / "none"
     assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", "energy") == 1
     assert "missing trained DTR model" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_rejects_svr_model(workdir, capsys):
@@ -489,6 +517,16 @@ def test_optimize_refuses_unknown_application(workdir, capsys):
     assert capsys.readouterr().err == (
         "error: unknown application 'bogus'; choose one of adsorption, energy, soil, or a .json direction-map file\n"
     )
+    assert not (out / "optimum.json").exists()
+
+
+def test_optimize_refuses_a_missing_profile_file(workdir, capsys):
+    """A .json name is always read as a file, so a missing one is a missing file, not an unknown name."""
+    csv, out = _train_for_optimize(workdir)
+    profile = workdir / "nope.json"
+    assert run("optimize", "--data", csv, "--out", out, "--seed", 4, "--application", profile) == 1
+    err = capsys.readouterr().err
+    assert str(profile) in err and "unknown application" not in err
     assert not (out / "optimum.json").exists()
 
 
@@ -538,6 +576,7 @@ def test_evaluate_without_models_fails(workdir, capsys):
     out = workdir / "none"
     assert run("evaluate", "--data", csv, "--out", out, "--seed", 4) == 1
     assert "no model_" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _train_svr(workdir, seed=4):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrochar import data, genetic
 from hydrochar.cart import TreeParams, fit_tree
@@ -15,6 +17,8 @@ from hydrochar.genetic import (
     run_ga,
     surrogate_objective,
 )
+
+from conftest import examples
 
 TABLE_PROFILES = {
     "energy": {
@@ -259,36 +263,39 @@ def test_report_echoes_inputs_and_roundtrips():
     assert "hc_yield" in table
 
 
-def _reference_crossover(children, rng, crossover_prob):
-    """The pair-by-pair crossover loop that genetic._blend_crossover replaced."""
-    n_children, d = children.shape
-    for a in range(0, n_children - 1, 2):
-        if rng.random() < crossover_prob:
-            pa, pb = children[a], children[a + 1]
-            lo_g = np.minimum(pa, pb)
-            hi_g = np.maximum(pa, pb)
-            width = hi_g - lo_g
-            c_lo = lo_g - genetic._BLX_ALPHA * width
-            c_hi = hi_g + genetic._BLX_ALPHA * width
-            children[a] = c_lo + rng.random(d) * (c_hi - c_lo)
-            children[a + 1] = c_lo + rng.random(d) * (c_hi - c_lo)
+@settings(max_examples=examples(100))
+@given(n_children=st.integers(1, 500), d=st.integers(1, 11), seed=st.integers(0, 2**32 - 1),
+       prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+def test_crossover_blends_crossing_pairs_and_draws_two_arrays(n_children, d, seed, prob):
+    """Crossing pairs land in their parents' BLX-0.5 box, every other child is untouched, and
+    the generator moves on by one uniform per pair, then 2d per crossing pair: the first d
+    place child a, the last d child a + 1."""
+    parents = np.random.default_rng(seed + 1).normal(size=(n_children, d))
+    parents[:, 0] = 3.0  # equal parent genes give a zero-width blend
+    children = parents.copy()
+    rng = np.random.default_rng(seed)
+    genetic._blend_crossover(children, rng, prob)
 
+    replay = np.random.default_rng(seed)
+    crossing = replay.random(n_children // 2) < prob
+    u = replay.random((int(crossing.sum()), 2 * d))
+    assert rng.random(5).tobytes() == replay.random(5).tobytes()
+    if prob == 0.0:
+        assert children.tobytes() == parents.tobytes()
 
-@pytest.mark.parametrize("n_children", [1, 2, 3, 7, 8, 99, 498, 499])
-@pytest.mark.parametrize("crossover_prob", [0.0, 1.0, None])
-def test_crossover_matches_pair_loop_and_stream(n_children, crossover_prob):
-    """Same children bit for bit, and the generator left at the same place."""
-    for d in range(1, 12):
-        seed = 1000 * d + n_children
-        prob = np.random.default_rng(seed).random() if crossover_prob is None else crossover_prob
-        children = np.random.default_rng(seed + 1).normal(size=(n_children, d))
-        children[:, 0] = 3.0  # equal parent genes give a zero-width blend
-        got, want = children.copy(), children.copy()
-        rng_got, rng_want = np.random.default_rng(seed + 2), np.random.default_rng(seed + 2)
-        genetic._blend_crossover(got, rng_got, prob)
-        _reference_crossover(want, rng_want, prob)
-        assert got.tobytes() == want.tobytes()
-        assert rng_got.random(5).tobytes() == rng_want.random(5).tobytes()
+    a = 2 * np.flatnonzero(crossing)
+    if prob == 1.0:
+        assert len(a) == n_children // 2  # and below, each child is placed by its own uniforms
+    kept = np.ones(n_children, dtype=bool)
+    kept[a] = kept[a + 1] = False
+    assert children[kept].tobytes() == parents[kept].tobytes()
+    lo_g, hi_g = np.minimum(parents[a], parents[a + 1]), np.maximum(parents[a], parents[a + 1])
+    half = genetic._BLX_ALPHA * (hi_g - lo_g)
+    c_lo, c_hi = lo_g - half, hi_g + half
+    for child, place in ((children[a], u[:, :d]), (children[a + 1], u[:, d:])):
+        assert np.all(child >= c_lo) and np.all(child <= c_hi)
+        assert np.all(child[:, 0] == 3.0)
+        assert child.tobytes() == (c_lo + place * (c_hi - c_lo)).tobytes()
 
 
 def test_pinned_gene_returns_its_constant(medium_dataset):
