@@ -173,18 +173,21 @@ def cmd_evaluate(args) -> int:
         for target, model in sorted(models.items()):
             j = list(ds.target_names).index(target)
             present = ~np.isnan(ymat[:, j])
-            if int(present.sum()) < 2:
+            y = ymat[present, j]
+            if len(y) < 2:
                 section[kind][target] = {"skipped": "fewer than 2 rows with this target"}
-                continue
-            m = pipeline.evaluate(model, x[present], ymat[present, j])
-            section[kind][target] = m.as_dict()
+            elif y.max() == y.min():
+                section[kind][target] = {"skipped": "target is constant"}
+            else:
+                section[kind][target] = pipeline.evaluate(model, x[present], y).as_dict()
     if not section:
         raise MissingModelFile(f"no model_*.json files found in {cfg.out}")
     _write_json(cfg.out / "evaluation.json", {**_provenance(cfg.seed), "models": section})
     for kind, targets in section.items():
         for target, m in targets.items():
-            if "r2" in m:
-                print(f"{kind:<6}{target:<10} r2={m['r2']:.4f} rmse={m['rmse']:.4g} mae={m['mae']:.4g} n={m['n']}")
+            detail = (f"skipped: {m['skipped']}" if "skipped" in m
+                      else f"r2={m['r2']:.4f} rmse={m['rmse']:.4g} mae={m['mae']:.4g} n={m['n']}")
+            print(f"{kind:<6}{target:<10} {detail}")
     return 0
 
 

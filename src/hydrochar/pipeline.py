@@ -314,6 +314,8 @@ def train_all(dataset: Dataset, grid: HyperGrid, seed: int, models=("dtr", "svr"
             reason = f"only {len(tst)} test rows with this target"
         elif np.max(y[trn]) == np.min(y[trn]):
             reason = "training target is constant"
+        elif np.max(y[tst]) == np.min(y[tst]):
+            reason = "test target is constant"
         for kind in models:
             candidates = grid.tree_grid if kind == "dtr" else grid.svr_grid
             skip = reason if candidates else "no grid candidates for this model family"

@@ -269,8 +269,8 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     the update budget (``max_passes`` epochs of n steps each) ran out, in
     which case the best-effort model is returned with ``converged=False``
     and a ConvergenceWarning naming the candidate is emitted. The solver is
-    deterministic and holds the dense n x n Gram matrix (8n^2 bytes) and the
-    (n, 2n) table of pair curvatures eta (16n^2 bytes) for the whole solve.
+    deterministic and holds the n x n Gram matrix and n x n table of pair
+    curvatures eta for the whole solve: 16n^2 bytes, 24n^2 while eta is built.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -283,8 +283,8 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     require_finite("y", y)
     c, eps, tol = params.c, params.epsilon, params.tolerance
     gram = kernel_matrix(params.kernel, x, x)
-    diag = gram.diagonal().copy()
-    y_at, diag_at = y.tolist(), diag.tolist()
+    diag = gram.diagonal()
+    y_at = y.tolist()
     slack = 1e-10 * c
     grow_below = c - slack
     u = [0.0] * (2 * n)
@@ -293,23 +293,21 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     # (bias upper bound), and nothing can shrink.
     low_pen = np.concatenate([np.zeros(n), np.full(n, -np.inf)])
     up_pen = np.concatenate([np.full(n, np.inf), np.zeros(n)])
-    # Row i is the curvature k(i,i) + k(j,j) - 2 k(i,j) toward every partner,
-    # once per twin, floored at 1e-12; both twins of i itself get the floor
-    # (a finite k(i, i) cancels to 0 there anyway; an overflowed one would
-    # read NaN).
-    eta_table = np.empty((n, 2 * n))
-    np.maximum((diag[None, :] + diag[:, None]) - gram * 2.0, 1e-12, out=eta_table[:, :n])
-    eta_table[:, n:] = eta_table[:, :n]
-    rows = np.arange(n)
-    eta_table[rows, rows] = eta_table[rows, n + rows] = 1e-12
+    # eta[i, j] = k(i,i) + k(j,j) - 2 k(i,j) for both twins of j, floored at
+    # 1e-12 (a step divides only by larger values); the diagonal is the floor
+    # (a finite k(i, i) cancels to 0 there; an overflowed one would read NaN).
+    eta = np.multiply(gram, 2.0)
+    np.subtract(np.add(diag[None, :], diag[:, None]), eta, out=eta)
+    np.maximum(eta, 1e-12, out=eta)
+    np.fill_diagonal(eta, 1e-12)
     r, scaled_row = np.empty(n), np.empty(n)
     vals, lv, uv, gain = (np.empty(2 * n) for _ in range(4))
-    vals_a, vals_s = vals[:n], vals[n:]
+    vals_a, vals_s, gain_a, gain_s = vals[:n], vals[n:], gain[:n], gain[n:]
     blocked = np.empty(2 * n, dtype=bool)
     converged = False
-    budget = params.max_passes * max(n, 1)
-    for step in range(budget):
-        if step and step % (8 * n) == 0:
+    budget = params.max_passes * n
+    for step in range(budget + 1):
+        if 0 < step < budget and step % (8 * n) == 0:
             f = gram @ (np.array(u[:n]) - np.array(u[n:]))  # periodic refresh against drift
         np.subtract(y, f, r)
         np.subtract(r, eps, vals_a)
@@ -319,22 +317,25 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
         p = int(lv.argmax())
         b_low = lv.item(p)
         b_up = uv.item(uv.argmin())
+        if step == budget:
+            break  # the last pass only selects, leaving b_low and b_up at the final duals
         if b_low - b_up <= tol or not math.isfinite(b_low) or not math.isfinite(b_up):
             converged = True
             break
         i, s_p = (p, 1.0) if p < n else (p - n, -1.0)
-        k_i = gram[i]
+        k_i, eta_i = gram[i], eta[i]
         # partner choice: largest guaranteed decrease viol^2 / eta
         np.subtract(b_low, uv, gain)
         np.multiply(gain, gain, gain)
-        np.divide(gain, eta_table[i], gain)
+        np.divide(gain_a, eta_i, gain_a)
+        np.divide(gain_s, eta_i, gain_s)
         np.greater_equal(uv, b_low, blocked)
         np.copyto(gain, -np.inf, where=blocked)
         q = int(gain.argmax())
         j, s_q = (q, 1.0) if q < n else (q - n, -1.0)
         k_j = gram[j] if j != i else k_i
         g = (f.item(i) - y_at[i] + s_p * eps) - (f.item(j) - y_at[j] + s_q * eps)
-        eta_ij = diag_at[i] + diag_at[j] - 2.0 * k_i.item(j) if i != j else 0.0
+        eta_ij = eta_i.item(j)
         u_p, u_q = u[p], u[q]
         t_lo_p, t_hi_p = (-u_p, c - u_p) if s_p > 0 else (u_p - c, u_p)
         t_lo_q, t_hi_q = (u_q - c, u_q) if s_q > 0 else (-u_q, c - u_q)
@@ -376,7 +377,6 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
             ConvergenceWarning,
         )
     beta = u[:n] - u[n:]
-    np.clip(beta, -c, c, out=beta)
     # dual feasibility is maintained exactly by the paired updates
     drift = abs(float(beta.sum()))
     if drift > max(tol, 1e-9 * c * n):
@@ -385,20 +385,14 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
     if free.any():
         idx = np.flatnonzero(free)
         bias = float(np.mean([y[i] - f[i] - np.sign(beta[i]) * eps for i in idx]))
+    # no free variable: the loop's last bounds, where a variable that can
+    # still grow bounds the bias below and one that can still shrink above
+    elif not math.isfinite(b_low):
+        bias = b_up if math.isfinite(b_up) else 0.0
+    elif not math.isfinite(b_up):
+        bias = b_low
     else:
-        # the loop's bias bounds at the final duals: a variable that can
-        # still grow bounds the bias below, one that can still shrink above
-        np.subtract(y, f, r)
-        np.subtract(r, eps, vals_a)
-        np.add(r, eps, vals_s)
-        b_low = float(np.add(vals, low_pen, lv).max())
-        b_up = float(np.add(vals, up_pen, uv).min())
-        if not np.isfinite(b_low):
-            bias = b_up if np.isfinite(b_up) else 0.0
-        elif not np.isfinite(b_up):
-            bias = b_low
-        else:
-            bias = 0.5 * (b_low + b_up)
+        bias = 0.5 * (b_low + b_up)
     keep = np.flatnonzero(np.abs(beta) > 1e-12)
     return SvrModel(
         support_vectors=x[keep],

@@ -571,6 +571,24 @@ def test_evaluate_subcommand(workdir, capsys):
         assert section["n"] == 100
 
 
+def test_evaluate_skips_a_constant_target_and_scores_the_rest(workdir, capsys):
+    csv, out = _train_for_optimize(workdir)
+    lines = csv.read_text().splitlines()
+    col = lines[0].split(",").index("hc_s")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[col] = "0.5"
+    flat = workdir / "flat.csv"
+    flat.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("evaluate", "--data", flat, "--out", out, "--seed", 4, "--model", "dtr") == 0
+    rep = json.loads((out / "evaluation.json").read_text())["models"]["dtr"]
+    assert rep.pop("hc_s") == {"skipped": "target is constant"}
+    assert sorted(rep) == sorted(t for t in data.TARGET_COLUMNS if t != "hc_s")
+    assert all(m["n"] == 100 for m in rep.values())
+    assert "dtr   hc_s       skipped: target is constant\n" in capsys.readouterr().out
+
+
 def test_evaluate_without_models_fails(workdir, capsys):
     csv = synth_csv(workdir, n=40, seed=4)
     out = workdir / "none"

@@ -175,6 +175,15 @@ def test_train_all_skips_absent_target():
     assert len(res.trained) == 9
 
 
+def test_train_all_skips_a_target_constant_on_the_test_rows():
+    base = data.generate_synthetic(80, seed=9)
+    y = base.target_matrix().copy()
+    y[data.split(base, seed=2).test_indices, data.TARGET_COLUMNS.index("hc_s")] = 0.5
+    res = train_all(Dataset(base.feature_matrix(), y), tiny_grid(), seed=2)
+    assert res.skips == {"dtr": {"hc_s": "test target is constant"}, "svr": {"hc_s": "test target is constant"}}
+    assert len(res.trained) == 18
+
+
 @pytest.mark.parametrize("svr_grid", [[], [SvrParams(c=10.0, epsilon=0.1, kernel=Kernel("linear"))]],
                          ids=["no-svr-candidates", "linear-svr"])
 def test_report_entries_match_trained_targets(svr_grid):

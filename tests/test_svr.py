@@ -289,6 +289,27 @@ def test_predict_batch_memory_is_bounded_by_the_block():
     assert peak < 4 * 8 * 2**20  # four 8 MiB blocks
 
 
+@pytest.mark.parametrize("kern", [Kernel("linear"), Kernel("rbf", gamma=0.5),
+                                  Kernel("polynomial", degree=2, coef0=1.0)], ids=str)
+def test_fit_memory_is_the_gram_and_one_curvature_table(kern):
+    """fit_svr holds the (n, n) Gram matrix and (n, n) curvature table, 16n^2
+    bytes, plus one (n, n) temporary while the table is built: 24n^2 at the
+    peak, with the rest under 4n^2."""
+    n = 512
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(n, 4)), rng.normal(size=n)
+    params = SvrParams(c=1.0, epsilon=0.1, kernel=kern, max_passes=1)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            fit_svr(x, y, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28 * n * n
+
+
 def test_serialization_roundtrip_bit_stable(rng):
     x = rng.uniform(-1, 1, (40, 2))
     y = np.sin(x[:, 0]) + x[:, 1] ** 2
