@@ -18,7 +18,7 @@ from .data import (  # noqa: F401
     write_csv,
 )
 from .cart import RegressionTree, TreeParams, fit_tree  # noqa: F401
-from .svr import Kernel, SvrModel, SvrParams, check_kkt, fit_svr, kernel_matrix  # noqa: F401
+from .svr import Kernel, SvrModel, SvrParams, fit_svr, kernel_matrix  # noqa: F401
 from .stats import (  # noqa: F401
     CorrelationMatrix,
     FactorResult,

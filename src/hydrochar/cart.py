@@ -223,10 +223,11 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     thr = 0.5 * (a + b)
     if not a <= thr < b:  # the midpoint overflowed or rounded onto b
         thr = a
-    return float(gains[f]), f, thr, order[:, f], lo + p
+    # a copy, so a memo of splits does not hold the whole (m, d) argsort
+    return float(gains[f]), f, thr, order[:, f].copy(), lo + p
 
 
-def fit_tree(x, y, params: TreeParams) -> RegressionTree:
+def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> RegressionTree:
     """Fit a CART regression tree by greedy SSE reduction.
 
     Thresholds are midpoints between consecutive distinct sorted feature
@@ -235,6 +236,13 @@ def fit_tree(x, y, params: TreeParams) -> RegressionTree:
     when its targets are constant, it is too small to split, the depth cap
     binds, no candidate respects the leaf-size floor, or the best gain falls
     below ``min_impurity_decrease``. The fit is fully deterministic.
+
+    ``splits`` memoizes each node's best split (``None`` included) by its
+    path: 1 at the root, and 2k (left) and 2k + 1 (right) below node k. A
+    node's rows, in order, depend only on its path, ``x``, ``y`` and
+    ``min_samples_leaf``, never on the other stops, so fits of the same
+    ``x``, ``y`` and ``min_samples_leaf`` may share one dict and each search
+    runs once. The stops are still applied in every fit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -244,18 +252,24 @@ def fit_tree(x, y, params: TreeParams) -> RegressionTree:
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {len(y)} values")
     require_finite("x", x)
     require_finite("y", y)
+    if splits is None:
+        splits = {}
     nodes: list[dict] = [{}]
-    # Stack of (node_id, row indices, depth); children are allocated when a
-    # split is committed so node ids are stable and deterministic.
-    stack = [(0, np.arange(len(y)), 0)]
+    # Stack of (node_id, path, row indices); children are allocated when a
+    # split is committed so node ids are stable and deterministic. A node's
+    # depth is its path's bit length - 1.
+    stack = [(0, 1, np.arange(len(y)))]
     min_rows = max(params.min_samples_split, 2 * params.min_samples_leaf)
     while stack:
-        node_id, idx, depth = stack.pop()
+        node_id, path, idx = stack.pop()
         m = len(idx)
         ys = y[idx]
         split_choice = None
-        if m >= min_rows and (params.max_depth is None or depth < params.max_depth) and ys.max() != ys.min():
-            split_choice = _best_split(x[idx], ys, params.min_samples_leaf)
+        if (m >= min_rows and (params.max_depth is None or path.bit_length() - 1 < params.max_depth)
+                and ys.max() != ys.min()):
+            if path not in splits:
+                splits[path] = _best_split(x[idx], ys, params.min_samples_leaf)
+            split_choice = splits[path]
             if split_choice is not None and params.min_impurity_decrease > 0.0 and (
                 split_choice[0] < params.min_impurity_decrease
             ):
@@ -271,6 +285,6 @@ def fit_tree(x, y, params: TreeParams) -> RegressionTree:
         nodes.append({})
         nodes[node_id] = {"kind": "split", "feature": feat, "threshold": thr, "left": left_id, "right": right_id}
         sorted_idx = idx[order]
-        stack.append((right_id, sorted_idx[n_left:], depth + 1))
-        stack.append((left_id, sorted_idx[:n_left], depth + 1))
+        stack.append((right_id, 2 * path + 1, sorted_idx[n_left:]))
+        stack.append((left_id, 2 * path, sorted_idx[:n_left]))
     return RegressionTree(n_features=x.shape[1], params=params, nodes=nodes)

@@ -178,15 +178,16 @@ class GridSearchResult:
     candidates: list[tuple[TreeParams | SvrParams, float]]
 
 
-def _fit(x, y, params, columns) -> tuple[RegressionTree | SvrModel, Scaler | None, Scaler | None]:
+def _fit(x, y, params, columns, splits=None) -> tuple[RegressionTree | SvrModel, Scaler | None, Scaler | None]:
     """Fit one candidate on raw rows; returns (model, scaler_in, scaler_out).
 
-    A tree fits the raw rows and has no scalers. An SVR fits rows and target
-    standardized by scalers fit on these rows; a scaler that cannot be fit
-    raises, naming a column of ``x`` from ``columns`` when given.
+    A tree fits the raw rows, through the split memo ``splits`` when given,
+    and has no scalers. An SVR fits rows and target standardized by scalers
+    fit on these rows; a scaler that cannot be fit raises, naming a column
+    of ``x`` from ``columns`` when given.
     """
     if not isinstance(params, SvrParams):
-        return fit_tree(x, y, params), None, None
+        return fit_tree(x, y, params, splits), None, None
     scaler_in = Scaler.fit(x, columns=columns)
     scaler_out = Scaler.fit(y[:, None])
     return fit_svr(scaler_in.transform(x), scaler_out.transform(y[:, None])[:, 0], params), scaler_in, scaler_out
@@ -203,10 +204,11 @@ def _predict(model, scaler_in: Scaler | None, scaler_out: Scaler | None, x: np.n
 
 
 def _fold_rmse(fold, params, columns) -> float:
-    x_trn, y_trn, x_val, y_val = fold
+    x_trn, y_trn, x_val, y_val, memos = fold
     if len(y_trn) < 2:
         raise TooFewRows("fold training part too small")
-    return rmse(y_val, _predict(*_fit(x_trn, y_trn, params, columns), x_val))
+    splits = None if isinstance(params, SvrParams) else memos.setdefault(params.min_samples_leaf, {})
+    return rmse(y_val, _predict(*_fit(x_trn, y_trn, params, columns, splits), x_val))
 
 
 def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
@@ -216,11 +218,13 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     them; the folds are the non-empty ids in ``range(max + 1)``. Every
     candidate fits through ``_fit`` on each fold's raw training slice, so an
     SVR candidate fits its scalers on that fold's training part only. The
-    slices are made once and shared by every candidate. Ties, including
-    exact duplicates, go to the earliest grid entry. A candidate that fails
-    on any fold scores infinity; when every candidate fails, the raised
-    error carries the first failure's message, which names a column of
-    ``x`` from ``columns`` when given.
+    slices are made once and shared by every candidate, and the tree
+    candidates of one fold share one split memo per ``min_samples_leaf``,
+    so each node's split is searched once per fold and leaf size. Ties,
+    including exact duplicates, go to the earliest grid entry. A candidate
+    that fails on any fold scores infinity; when every candidate fails, the
+    raised error carries the first failure's message, which names a column
+    of ``x`` from ``columns`` when given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -234,7 +238,7 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     for f in range(int(fold_ids.max()) + 1):
         in_fold = fold_ids == f
         if in_fold.any():
-            folds.append((x[~in_fold], y[~in_fold], x[in_fold], y[in_fold]))
+            folds.append((x[~in_fold], y[~in_fold], x[in_fold], y[in_fold], {}))
     if len(folds) < 2:
         raise TooFewRows("need at least 2 non-empty folds")
     scored: list[tuple[TreeParams | SvrParams, float]] = []

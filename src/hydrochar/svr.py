@@ -403,50 +403,3 @@ def fit_svr(x, y, params: SvrParams) -> SvrModel:
         sv_indices=keep,
         converged=converged,
     )
-
-
-@dataclass(frozen=True)
-class KktAudit:
-    ok: bool
-    n_checked: int
-    violations: tuple[str, ...]
-    max_dual_sum: float
-
-
-def check_kkt(model: SvrModel, x, y, tolerance: float | None = None) -> KktAudit:
-    """Independent KKT audit of a fitted model against its training set.
-
-    Re-derives per-sample dual coefficients from ``sv_indices`` and verifies:
-    zero-coefficient samples sit inside the tube (within tolerance), free
-    samples sit on the tube edge, and at-bound samples sit on or outside it
-    on the side their coefficient pulls. Also checks box and equality
-    feasibility of the duals.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    tol = model.params.tolerance if tolerance is None else tolerance
-    c, eps = model.params.c, model.params.epsilon
-    beta = np.zeros(len(y))
-    beta[model.sv_indices] = model.dual_coeffs
-    resid = model.predict_batch(x) - y
-    margin = 1e-8 * c
-    violations = []
-    if np.any(np.abs(beta) > c + margin):
-        violations.append("a dual coefficient exceeds the box bound")
-    dual_sum = float(abs(beta.sum()))
-    if dual_sum > tol:
-        violations.append(f"dual coefficients sum to {dual_sum:.3g} > tolerance")
-    for i in range(len(y)):
-        b, r = beta[i], resid[i]
-        if abs(b) <= margin:
-            if abs(r) > eps + tol:
-                violations.append(f"sample {i}: zero coefficient but |residual| {abs(r):.4g} > eps + tol")
-        elif abs(b) >= c - margin:
-            if -np.sign(b) * r < eps - tol:
-                violations.append(f"sample {i}: bound coefficient but residual {r:.4g} inside the tube")
-        else:
-            if not (eps - tol <= abs(r) <= eps + tol):
-                violations.append(f"sample {i}: free coefficient but |residual| {abs(r):.4g} off the tube edge")
-            elif eps > 2.0 * tol and np.sign(r) == np.sign(b):
-                violations.append(f"sample {i}: free coefficient with residual on the wrong side")
-    return KktAudit(ok=not violations, n_checked=len(y), violations=tuple(violations), max_dual_sum=dual_sum)

@@ -19,10 +19,11 @@ from hydrochar.cli import main
 from hydrochar.genetic import GaConfig, run_ga
 from hydrochar.pipeline import HyperGrid, grid_search, train_all
 from hydrochar.shapley import emit_plot_data, explain
-from hydrochar.svr import Kernel, SvrParams, check_kkt, fit_svr
+from hydrochar.svr import Kernel, SvrParams, fit_svr
 
 from conftest import make_dataset, shuffled_folds
 from test_shapley import mc_shapley
+from test_svr import check_kkt
 
 
 def report(num: int, label: str, elapsed: float, budget: float):

@@ -411,3 +411,31 @@ def test_trees_match_per_feature_loop(monkeypatch):
     slow = [fit_tree(x, y, p).to_json_obj() for x, y in cases for p in grid]
     assert len(fast) >= 30
     assert fast == slow
+
+
+@st.composite
+def memo_cases(draw):
+    """Tie-rich tables (features on a small integer lattice, rows drawn from a
+    pool so duplicates occur, targets on a lattice) and a random order of fit
+    parameters that share one ``min_samples_leaf`` and differ in the other
+    stops."""
+    m = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    pool = draw(hnp.arrays(float, (draw(st.integers(1, m)), d), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
+    x = pool[draw(hnp.arrays(np.intp, m, elements=st.integers(0, len(pool) - 1)))]
+    y = draw(hnp.arrays(float, m, elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
+    leaf = draw(st.sampled_from([1, 2, 3, 5]))
+    params = draw(st.lists(
+        st.builds(TreeParams, max_depth=st.none() | st.integers(0, 8), min_samples_split=st.integers(2, 12),
+                  min_samples_leaf=st.just(leaf), min_impurity_decrease=st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+        min_size=1, max_size=8))
+    return x, y, params
+
+
+@settings(max_examples=examples(150))
+@given(memo_cases())
+def test_fits_through_one_split_memo_match_fresh_fits(case):
+    x, y, params = case
+    splits = {}
+    for p in params:
+        assert fit_tree(x, y, p, splits).to_json_obj() == fit_tree(x, y, p).to_json_obj()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrochar import cli, data, pipeline
+from hydrochar import cart, cli, data, pipeline
 from hydrochar.cart import TreeParams, fit_tree
 from hydrochar.data import Dataset, Scaler
 from hydrochar.errors import ConvergenceWarning, HydrocharError, InvalidModelFile, TooFewRows
@@ -475,6 +475,38 @@ def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
     grid = HyperGrid.default().tree_grid
     grid_search(x, y, grid, shuffled_folds(50, 5, 2))
     assert calls == [p for p in grid for _ in range(5)]
+
+
+def test_grid_search_matches_reference_on_the_default_tree_grid():
+    """The 28 default tree candidates share each fold's split memos: 7 depth
+    caps read the splits of every leaf size's memo."""
+    x, y = _synthetic_xy(100, 37)
+    got = _assert_same_search(x, y, HyperGrid.default().tree_grid, shuffled_folds(100, 5, 5))
+    assert all(np.isfinite(score) for _, score in got.candidates)
+
+
+def test_grid_search_searches_each_node_once_per_fold_and_leaf_size(monkeypatch):
+    """On the default tree grid every node any candidate splits is a node of
+    the unlimited-depth tree of its leaf size, so the search makes exactly
+    that tree's searches for each fold and leaf size."""
+    x, y = _synthetic_xy(100, 38)
+    fold_ids = shuffled_folds(100, 5, 6)
+    searches = []
+    best_split = cart._best_split
+
+    def counting_best_split(*args):
+        searches.append(args[2])
+        return best_split(*args)
+
+    monkeypatch.setattr(cart, "_best_split", counting_best_split)
+    grid_search(x, y, HyperGrid.default().tree_grid, fold_ids)
+    in_search = len(searches)
+    searches.clear()
+    for f in range(5):
+        trn = fold_ids != f
+        for leaf in pipeline.DEFAULT_TREE_MIN_LEAF:
+            fit_tree(x[trn], y[trn], TreeParams(min_samples_leaf=leaf))
+    assert in_search == len(searches)
 
 
 _DATA = Path(__file__).parent / "data"

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hydrochar.svr import (
     Kernel,
     SvrModel,
     SvrParams,
-    check_kkt,
     fit_svr,
     kernel_matrix,
 )
@@ -471,8 +471,13 @@ def _reference_fit_svr(x, y, params: SvrParams) -> SvrModel:
         bias = float(np.mean([y[i] - f[i] - np.sign(beta[i]) * eps for i in idx]))
     else:
         vals_a, vals_s, low_a, low_s, up_a, up_s = _reference_bias_interval(u, f, y, c, eps)
-        b_low = float(max(np.where(low_a, vals_a, -np.inf).max(), np.where(low_s, vals_s, -np.inf).max()))
-        b_up = float(min(np.where(up_a, vals_a, np.inf).min(), np.where(up_s, vals_s, np.inf).min()))
+        # as fit_svr takes them: each value plus a 0 or -/+inf penalty, so a
+        # -0.0 value reads +0.0, and the first extreme entry of the 2n vector
+        vals = np.concatenate([vals_a, vals_s])
+        lv = vals + np.where(np.concatenate([low_a, low_s]), 0.0, -np.inf)
+        uv = vals + np.where(np.concatenate([up_a, up_s]), 0.0, np.inf)
+        b_low = float(lv[np.argmax(lv)])
+        b_up = float(uv[np.argmin(uv)])
         if not np.isfinite(b_low):
             bias = b_up if np.isfinite(b_up) else 0.0
         elif not np.isfinite(b_up):
@@ -489,6 +494,53 @@ def _reference_fit_svr(x, y, params: SvrParams) -> SvrModel:
         sv_indices=keep,
         converged=converged,
     )
+
+
+@dataclass(frozen=True)
+class KktAudit:
+    ok: bool
+    n_checked: int
+    violations: tuple[str, ...]
+    max_dual_sum: float
+
+
+def check_kkt(model: SvrModel, x, y, tolerance: float | None = None) -> KktAudit:
+    """Independent KKT audit of a fitted model against its training set.
+
+    Re-derives per-sample dual coefficients from ``sv_indices`` and verifies:
+    zero-coefficient samples sit inside the tube (within tolerance), free
+    samples sit on the tube edge, and at-bound samples sit on or outside it
+    on the side their coefficient pulls. Also checks box and equality
+    feasibility of the duals.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    tol = model.params.tolerance if tolerance is None else tolerance
+    c, eps = model.params.c, model.params.epsilon
+    beta = np.zeros(len(y))
+    beta[model.sv_indices] = model.dual_coeffs
+    resid = model.predict_batch(x) - y
+    margin = 1e-8 * c
+    violations = []
+    if np.any(np.abs(beta) > c + margin):
+        violations.append("a dual coefficient exceeds the box bound")
+    dual_sum = float(abs(beta.sum()))
+    if dual_sum > tol:
+        violations.append(f"dual coefficients sum to {dual_sum:.3g} > tolerance")
+    for i in range(len(y)):
+        b, r = beta[i], resid[i]
+        if abs(b) <= margin:
+            if abs(r) > eps + tol:
+                violations.append(f"sample {i}: zero coefficient but |residual| {abs(r):.4g} > eps + tol")
+        elif abs(b) >= c - margin:
+            if -np.sign(b) * r < eps - tol:
+                violations.append(f"sample {i}: bound coefficient but residual {r:.4g} inside the tube")
+        else:
+            if not (eps - tol <= abs(r) <= eps + tol):
+                violations.append(f"sample {i}: free coefficient but |residual| {abs(r):.4g} off the tube edge")
+            elif eps > 2.0 * tol and np.sign(r) == np.sign(b):
+                violations.append(f"sample {i}: free coefficient with residual on the wrong side")
+    return KktAudit(ok=not violations, n_checked=len(y), violations=tuple(violations), max_dual_sum=dual_sum)
 
 
 def _assert_same_fit(x, y, params):
@@ -546,8 +598,10 @@ def test_fit_matches_reference_bit_for_bit(problem):
          SvrParams(c=100.0, epsilon=0.0, kernel=Kernel("polynomial", degree=2, coef0=1.0), max_passes=3)),
         ([[float(v), float(-v)] for v in range(-4, 5)] * 2, [float(abs(v)) for v in range(-4, 5)] * 2,
          SvrParams(c=1000.0, epsilon=0.01, kernel=Kernel("linear"), max_passes=30)),
+        # no free dual, and the bias bounds tie at -0.0 and +0.0
+        ([[0.0], [0.0], [0.0]], [-0.0, -0.0, -0.5], SvrParams(c=0.1, epsilon=0.0, kernel=Kernel("linear"))),
     ],
-    ids=["one-row", "duplicate-rows", "y-lattice-budget-bound", "doubled-lattice"],
+    ids=["one-row", "duplicate-rows", "y-lattice-budget-bound", "doubled-lattice", "signed-zero-bounds"],
 )
 def test_fit_matches_reference_on_tied_problems(x, y, params):
     _assert_same_fit(np.array(x, dtype=float), np.array(y, dtype=float), params)
