@@ -29,8 +29,6 @@ from .stats import (  # noqa: F401
     metrics_report,
     r_squared,
     rmse,
-    spearman,
-    spearman_rank_difference,
 )
 from .pipeline import HyperGrid, TrainedTarget, evaluate, grid_search, train_all  # noqa: F401
 from .shapley import ShapExplanation, emit_plot_data, explain  # noqa: F401

@@ -58,31 +58,16 @@ class RegressionTree:
     share across threads.
     """
 
-    def __init__(self, n_features: int, params: TreeParams, nodes: list[dict]):
-        if not nodes:
-            raise InvalidModelFile("a tree has no nodes")
+    def __init__(self, n_features: int, params: TreeParams, feature, threshold, left, right, value, count):
         self.n_features = n_features
         self.params = params
-        leaves = [n["kind"] == "leaf" for n in nodes]
-        # Counts and indices are checked as Python ints: one past the C long
-        # range would overflow the arrays below.
-        for i, (n, leaf) in enumerate(zip(nodes, leaves)):
-            if leaf:
-                if not 1 <= n["count"] <= _MAX_COUNT:
-                    raise InvalidModelFile(f"node {i} count {n['count']} is not in 1..{_MAX_COUNT}")
-            elif not 0 <= n["feature"] < n_features:
-                raise InvalidModelFile(f"node {i} splits on feature {n['feature']}, not one of 0..{n_features - 1}")
-            elif not (0 <= n["left"] < len(nodes) and 0 <= n["right"] < len(nodes)):
-                raise InvalidModelFile(f"node {i} has a child outside nodes 0..{len(nodes) - 1}")
-        self.is_leaf = np.array(leaves, dtype=bool)
-        self.value = np.array([n["value"] if leaf else 0.0 for n, leaf in zip(nodes, leaves)], dtype=float)
-        self.count = np.array([n["count"] if leaf else 0 for n, leaf in zip(nodes, leaves)], dtype=np.intp)
-        # A leaf tests feature 0 against +inf and loops to itself, so every
-        # row can take the same number of steps; children[2 i + (x <= t)].
-        self.feature = np.array([0 if leaf else n["feature"] for n, leaf in zip(nodes, leaves)], dtype=np.intp)
-        self.threshold = np.array([np.inf if leaf else n["threshold"] for n, leaf in zip(nodes, leaves)], dtype=float)
-        self.left = np.array([-1 if leaf else n["left"] for n, leaf in zip(nodes, leaves)], dtype=np.intp)
-        self.right = np.array([-1 if leaf else n["right"] for n, leaf in zip(nodes, leaves)], dtype=np.intp)
+        # A leaf has left == right == -1 and tests feature 0 against +inf; a
+        # split holds value 0.0 and count 0.
+        self.feature, self.left, self.right, self.count = (
+            np.array(a, dtype=np.intp) for a in (feature, left, right, count)
+        )
+        self.threshold, self.value = (np.array(a, dtype=float) for a in (threshold, value))
+        self.is_leaf = self.left < 0
         bad = np.flatnonzero(self.is_leaf & ~np.isfinite(self.value))
         if bad.size:
             raise InvalidModelFile(f"node {bad[0]} value is not finite: {self.value[bad[0]]}")
@@ -115,8 +100,9 @@ class RegressionTree:
         out = np.empty(n)
         b = max(1, min(n, _WALK_BLOCK))
         # Blocks keep the per-level buffers in cache, and every block reuses
-        # them. mode="clip" never clips: __init__ proved every feature and
-        # child index in range (the default mode copies through a buffer).
+        # them. mode="clip" never clips: fit_tree makes, and from_json_obj
+        # checks, every feature and child index in range (the default mode
+        # copies through a buffer).
         row_start = np.arange(0, b * n_features, n_features)
         state, pos, col = np.empty((3, b), dtype=np.intp)
         cell, thr = np.empty((2, b))
@@ -141,34 +127,47 @@ class RegressionTree:
         return out
 
     def to_json_obj(self) -> dict:
-        nodes = []
-        for i in range(self.n_nodes):
-            if self.is_leaf[i]:
-                nodes.append({"kind": "leaf", "value": float(self.value[i]), "count": int(self.count[i])})
-            else:
-                nodes.append(
-                    {
-                        "kind": "split",
-                        "feature": int(self.feature[i]),
-                        "threshold": float(self.threshold[i]),
-                        "left": int(self.left[i]),
-                        "right": int(self.right[i]),
-                    }
-                )
+        columns = (a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value, self.count))
+        nodes = [
+            {"kind": "leaf", "value": value, "count": count} if left < 0
+            else {"kind": "split", "feature": feature, "threshold": threshold, "left": left, "right": right}
+            for feature, threshold, left, right, value, count in zip(*columns)
+        ]
         return {"n_features": self.n_features, "params": self.params.to_dict(), "nodes": nodes}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RegressionTree":
+        """Read a tree's JSON, refusing a node whose kind or fields no fit writes. Counts and indices are
+        checked as Python ints, before any array exists: one past the C long range would overflow the arrays."""
         require_type("model", obj, dict)
+        n_features = require_int("n_features", obj["n_features"])
         nodes = require_type("nodes", obj["nodes"], list)
+        if not nodes:
+            raise InvalidModelFile("a tree has no nodes")
+        rows = []
         for i, node in enumerate(nodes):
-            leaf = require_type(f"node {i}", node, dict)["kind"] == "leaf"
-            for name in ("value", "count") if leaf else ("feature", "threshold", "left", "right"):
+            kind = require_type(f"node {i}", node, dict).get("kind")
+            if kind not in ("leaf", "split"):
+                raise InvalidModelFile(f"node {i} kind {kind!r} is neither 'leaf' nor 'split'")
+            names = ("value", "count") if kind == "leaf" else ("feature", "threshold", "left", "right")
+            unread = [k for k in node if k not in ("kind", *names)]
+            if unread:
+                raise InvalidModelFile(f"node {i} kind {kind!r} does not read field {unread[0]!r}")
+            for name in names:
                 if name not in node:
                     raise InvalidModelFile(f"node {i} has no {name!r}")
                 (require_real if name in ("value", "threshold") else require_int)(f"node {i} {name}", node[name])
-        return cls(n_features=require_int("n_features", obj["n_features"]), params=TreeParams.from_dict(obj["params"]),
-                   nodes=nodes)
+            if kind == "leaf":
+                if not 1 <= node["count"] <= _MAX_COUNT:
+                    raise InvalidModelFile(f"node {i} count {node['count']} is not in 1..{_MAX_COUNT}")
+                rows.append((0, np.inf, -1, -1, node["value"], node["count"]))
+            elif not 0 <= node["feature"] < n_features:
+                raise InvalidModelFile(f"node {i} splits on feature {node['feature']}, not one of 0..{n_features - 1}")
+            elif not (0 <= node["left"] < len(nodes) and 0 <= node["right"] < len(nodes)):
+                raise InvalidModelFile(f"node {i} has a child outside nodes 0..{len(nodes) - 1}")
+            else:
+                rows.append((node["feature"], node["threshold"], node["left"], node["right"], 0.0, 0))
+        return cls(n_features, TreeParams.from_dict(obj["params"]), *zip(*rows))
 
 
 def _depth(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:
@@ -252,9 +251,9 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {len(y)} values")
     require_finite("x", x)
     require_finite("y", y)
-    if splits is None:
-        splits = {}
-    nodes: list[dict] = [{}]
+    splits = {} if splits is None else splits
+    # One (feature, threshold, left, right, value, count) row per node id.
+    nodes: list[tuple | None] = [None]
     # Stack of (node_id, path, row indices); children are allocated when a
     # split is committed so node ids are stable and deterministic. A node's
     # depth is its path's bit length - 1.
@@ -276,15 +275,13 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
                 split_choice = None
         if split_choice is None:
             # bitwise what ys.mean() returns: the same sum, one division
-            nodes[node_id] = {"kind": "leaf", "value": float(ys.sum()) / m, "count": m}
+            nodes[node_id] = (0, np.inf, -1, -1, float(ys.sum()) / m, m)
             continue
         _, feat, thr, order, n_left = split_choice
         left_id = len(nodes)
-        right_id = left_id + 1
-        nodes.append({})
-        nodes.append({})
-        nodes[node_id] = {"kind": "split", "feature": feat, "threshold": thr, "left": left_id, "right": right_id}
+        nodes[node_id] = (feat, thr, left_id, left_id + 1, 0.0, 0)
+        nodes += [None, None]
         sorted_idx = idx[order]
-        stack.append((right_id, 2 * path + 1, sorted_idx[n_left:]))
+        stack.append((left_id + 1, 2 * path + 1, sorted_idx[n_left:]))
         stack.append((left_id, 2 * path, sorted_idx[:n_left]))
-    return RegressionTree(n_features=x.shape[1], params=params, nodes=nodes)
+    return RegressionTree(x.shape[1], params, *zip(*nodes))

@@ -203,28 +203,21 @@ def _predict(model, scaler_in: Scaler | None, scaler_out: Scaler | None, x: np.n
     return pred
 
 
-def _fold_rmse(fold, params, columns) -> float:
-    x_trn, y_trn, x_val, y_val, memos = fold
-    if len(y_trn) < 2:
-        raise TooFewRows("fold training part too small")
-    splits = None if isinstance(params, SvrParams) else memos.setdefault(params.min_samples_leaf, {})
-    return rmse(y_val, _predict(*_fit(x_trn, y_trn, params, columns, splits), x_val))
-
-
 def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     """Select the candidate with the lowest mean validation RMSE over the folds.
 
     ``fold_ids`` gives each row of ``x`` its fold, as ``data.split`` assigns
-    them; the folds are the non-empty ids in ``range(max + 1)``. Every
-    candidate fits through ``_fit`` on each fold's raw training slice, so an
-    SVR candidate fits its scalers on that fold's training part only. The
-    slices are made once and shared by every candidate, and the tree
-    candidates of one fold share one split memo per ``min_samples_leaf``,
-    so each node's split is searched once per fold and leaf size. Ties,
-    including exact duplicates, go to the earliest grid entry. A candidate
-    that fails on any fold scores infinity; when every candidate fails, the
-    raised error carries the first failure's message, which names a column
-    of ``x`` from ``columns`` when given.
+    them; the folds are the non-empty ids in ``range(max + 1)``. The search
+    runs one fold at a time: it slices the fold's raw training and
+    validation rows once, and every candidate fits through ``_fit`` on them,
+    so an SVR candidate fits its scalers on that fold's training part only.
+    The fold's tree candidates share one split memo per
+    ``min_samples_leaf``, so each node's split is searched once per fold and
+    leaf size, and the memos go when the fold ends. Ties, including exact
+    duplicates, go to the earliest grid entry. A candidate that fails on a
+    fold scores infinity and is not fitted again; when every candidate
+    fails, the raised error carries the earliest candidate's failure, which
+    names a column of ``x`` from ``columns`` when given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -234,25 +227,29 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     fold_ids = np.asarray(fold_ids, dtype=int)
     if len(fold_ids) != len(y):
         raise TooFewRows("fold assignment length does not match row count")
-    folds = []
-    for f in range(int(fold_ids.max()) + 1):
-        in_fold = fold_ids == f
-        if in_fold.any():
-            folds.append((x[~in_fold], y[~in_fold], x[in_fold], y[in_fold], {}))
+    folds = [in_fold for in_fold in (fold_ids == f for f in range(int(fold_ids.max()) + 1)) if in_fold.any()]
     if len(folds) < 2:
         raise TooFewRows("need at least 2 non-empty folds")
-    scored: list[tuple[TreeParams | SvrParams, float]] = []
-    first_failure = None
-    for params in candidates:
-        try:
-            score = float(np.mean([_fold_rmse(fold, params, columns) for fold in folds]))
-        except HydrocharError as exc:
-            score = np.inf
-            first_failure = first_failure or str(exc)
-        scored.append((params, score))
+    fold_rmses: list[list[float]] = [[] for _ in candidates]
+    failures: dict[int, str] = {}  # candidate index -> its first failure
+    for in_fold in folds:
+        x_trn, y_trn, x_val, y_val = x[~in_fold], y[~in_fold], x[in_fold], y[in_fold]
+        memos: dict[int, dict] = {}  # min_samples_leaf -> this fold's split memo
+        for i, params in enumerate(candidates):
+            if i in failures:
+                continue
+            try:
+                if len(y_trn) < 2:
+                    raise TooFewRows("fold training part too small")
+                splits = None if isinstance(params, SvrParams) else memos.setdefault(params.min_samples_leaf, {})
+                fold_rmses[i].append(rmse(y_val, _predict(*_fit(x_trn, y_trn, params, columns, splits), x_val)))
+            except HydrocharError as exc:
+                failures[i] = str(exc)
+    scored = [(p, np.inf if i in failures else float(np.mean(fold_rmses[i]))) for i, p in enumerate(candidates)]
     best_idx = min(range(len(scored)), key=lambda i: (scored[i][1], i))
     chosen, cv = scored[best_idx]
     if not np.isfinite(cv):
+        first_failure = failures.get(min(failures, default=0))
         raise HydrocharError(f"every grid candidate failed cross-validation; first failure: {first_failure}")
     return GridSearchResult(chosen_params=chosen, cv_rmse=cv, candidates=scored)
 

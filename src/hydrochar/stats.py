@@ -67,12 +67,6 @@ def metrics_report(actual, predicted) -> MetricsReport:
     return MetricsReport(r2=r_squared(a, p), rmse=rmse(a, p), mae=mae(a, p), n=len(a))
 
 
-def average_ranks(values) -> np.ndarray:
-    """1-based ranks with ties assigned the average of their positions."""
-    v = np.asarray(values, dtype=float).ravel()
-    return _ranks_in_order(v, np.argsort(v, kind="stable"))
-
-
 def _ranks_in_order(v: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Average ranks of ``v`` given its stable ascending ``order``.
 
@@ -97,30 +91,6 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise ConstantColumn("constant vector has no defined correlation")
     r = float(np.dot(xc, yc)) / (sx * sy)
     return min(1.0, max(-1.0, r))
-
-
-def spearman(x, y) -> float:
-    """Spearman rank correlation with average-rank tie handling.
-
-    Computed as the Pearson correlation of the two average-rank vectors,
-    which reduces to the classic squared-rank-difference formula whenever
-    there are no ties.
-    """
-    a, b = _paired(x, y, 3)
-    return _pearson(average_ranks(a), average_ranks(b))
-
-
-def spearman_rank_difference(x, y) -> float:
-    """Closed-form Spearman coefficient 1 - 6*sum(d^2) / (n(n^2-1)).
-
-    Exact only for tie-free inputs; with ties prefer :func:`spearman`.
-    """
-    a, b = _paired(x, y, 3)
-    if len(np.unique(a)) < 2 or len(np.unique(b)) < 2:
-        raise ConstantColumn("constant vector has no defined correlation")
-    d = average_ranks(a) - average_ranks(b)
-    n = len(a)
-    return 1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1))
 
 
 @dataclass(frozen=True)

@@ -42,18 +42,21 @@ def test_criterion_1_metric_oracles():
     assert stats.mae([1, 2, 3], [1, 2, 3]) == pytest.approx(0.0, abs=1e-12)
     assert stats.mae([0, 0], [3, 4]) == pytest.approx(3.5, abs=1e-12)
     assert stats.mae([1, 2], [2, 1]) == pytest.approx(1.0, abs=1e-12)
-    assert stats.spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0, abs=1e-12)
-    assert stats.spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0, abs=1e-12)
-    assert stats.spearman([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5, abs=1e-12)
+    hand = stats.correlation_matrix(make_dataset(3, temperature_c=[1, 2, 3], hc_yield=[10, 20, 30],
+                                                 hc_hhv=[30, 20, 10], hc_vm=[3, 1, 2]))
+    row = dict(zip(hand.labels, hand.values[hand.labels.index("temperature_c")]))
+    assert [row["hc_yield"], row["hc_hhv"], row["hc_vm"]] == pytest.approx([1.0, -1.0, -0.5], abs=1e-12)
+    # Tie-free columns: each is exp of a permutation of 0..n-1, whose 0-based ranks are that permutation.
     rng = np.random.default_rng(12)
-    for _ in range(1000):
+    for _ in range(30):
         n = int(rng.integers(4, 40))
-        x = rng.permutation(n).astype(float)
-        y = rng.permutation(n).astype(float)
-        closed = stats.spearman_rank_difference(x, y)
-        ranked = stats.spearman(x, y)
-        assert abs(closed - ranked) <= 1e-12
-    report(1, "metric oracles match hand values; closed form == rank-Pearson", time.perf_counter() - t0, 1.0)
+        ranks = np.array([rng.permutation(n) for _ in range(21)], dtype=float).T
+        table = np.exp(ranks)
+        got = stats.correlation_matrix(data.Dataset(table[:, :11], table[:, 11:])).values
+        d = ranks[:, :, None] - ranks[:, None, :]  # rank differences of every column pair
+        closed = 1.0 - 6.0 * np.einsum("kij,kij->ij", d, d) / (n * (n * n - 1))
+        assert np.abs(got - closed).max() <= 1e-12
+    report(1, "metric oracles match hand values; Spearman matrix == closed form", time.perf_counter() - t0, 1.0)
 
 
 def test_criterion_2_dtr_memorization():

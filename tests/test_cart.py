@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ def test_serialization_roundtrip_bit_exact(rng):
     assert np.array_equal(tree.predict_batch(q), back.predict_batch(q))
     assert back.params == tree.params
     assert back.depth == tree.depth == 7
+    for name in ("feature", "threshold", "left", "right", "value", "count"):
+        got, want = getattr(back, name), getattr(tree, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert back.to_json_obj() == tree.to_json_obj()
+    assert json.dumps(back.to_json_obj()) == blob
+
+
+def test_leaf_mean_that_overflows_is_refused():
+    """A leaf's mean must be finite: two targets of 1e308 sum to inf."""
+    with np.errstate(over="ignore"), pytest.raises(InvalidModelFile, match="^node 0 value is not finite: inf$"):
+        fit_tree([[0.0], [1.0]], [1e308, 1e308], TreeParams())
 
 
 _LEAF = {"kind": "leaf", "value": 1.0, "count": 1}
@@ -197,6 +209,27 @@ def test_loaded_malformed_tree_is_refused(nodes):
         RegressionTree.from_json_obj({"n_features": 2, "params": {}, "nodes": nodes})
 
 
+_SPLIT = {"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2}
+
+
+@pytest.mark.parametrize("node, message", [
+    ({**_SPLIT, "kind": "lief"}, "node 0 kind 'lief' is neither 'leaf' nor 'split'"),
+    ({"kind": "lief", "value": 1.0, "count": 1}, "node 0 kind 'lief' is neither 'leaf' nor 'split'"),
+    ({k: v for k, v in _SPLIT.items() if k != "kind"}, "node 0 kind None is neither 'leaf' nor 'split'"),
+    ({**_SPLIT, "kind": ["split"]}, "node 0 kind ['split'] is neither 'leaf' nor 'split'"),
+    ({**_LEAF, "feature": 0}, "node 0 kind 'leaf' does not read field 'feature'"),
+    ({**_LEAF, "left": 1}, "node 0 kind 'leaf' does not read field 'left'"),
+    ({**_SPLIT, "value": 1.0}, "node 0 kind 'split' does not read field 'value'"),
+    ({**_SPLIT, "count": 3}, "node 0 kind 'split' does not read field 'count'"),
+    ({**_SPLIT, "note": "x"}, "node 0 kind 'split' does not read field 'note'"),
+], ids=["split-kind-misspelt", "leaf-kind-misspelt", "no-kind", "kind-list", "leaf-with-feature", "leaf-with-left",
+        "split-with-value", "split-with-count", "split-with-unknown"])
+def test_node_whose_kind_or_fields_no_fit_writes_is_refused(node, message):
+    """A node is read only as the leaf or split a fit writes, with just that kind's fields."""
+    with pytest.raises(InvalidModelFile, match=f"^{re.escape(message)}$"):
+        RegressionTree.from_json_obj({"n_features": 2, "params": {}, "nodes": [node, dict(_LEAF), dict(_LEAF)]})
+
+
 @pytest.mark.parametrize("field, message", [
     ("left", "node 0 has a child outside nodes 0..2"),
     ("right", "node 0 has a child outside nodes 0..2"),
@@ -211,11 +244,14 @@ def test_integer_past_the_c_long_range_is_refused_naming_its_node(field, message
         RegressionTree.from_json_obj(json.loads(json.dumps({"n_features": 2, "params": {}, "nodes": nodes})))
 
 
+def _leaf(value):
+    return 0, np.inf, -1, -1, value, 1
+
+
 def test_non_finite_threshold_names_its_node():
-    nodes = [{"kind": "split", "feature": 0, "threshold": 0.5, "left": 1, "right": 2}, _LEAF,
-             {"kind": "split", "feature": 1, "threshold": float("inf"), "left": 3, "right": 4}] + [_LEAF] * 2
+    nodes = [(0, 0.5, 1, 2, 0.0, 0), _leaf(1.0), (1, np.inf, 3, 4, 0.0, 0), _leaf(2.0), _leaf(3.0)]
     with pytest.raises(InvalidModelFile, match="node 2 threshold is not finite: inf"):
-        RegressionTree(2, TreeParams(), nodes)
+        RegressionTree(2, TreeParams(), *zip(*nodes))
 
 
 @pytest.mark.parametrize(
@@ -269,18 +305,17 @@ def trees_and_rows(draw):
     bushy), with rows whose cells sit on a threshold, one ulp either side of
     it, at +-inf, NaN, or anywhere."""
     d = draw(st.integers(1, 4))
-    nodes = [{}]
+    nodes = [None]
     leaves = [0]
     for _ in range(draw(st.integers(0, 12))):
         node = leaves.pop(draw(st.integers(0, len(leaves) - 1)))
         threshold = draw(st.sampled_from([0.0, -1.5, 2.0, 1e-300]) | st.floats(-1e6, 1e6))
-        nodes[node] = {"kind": "split", "feature": draw(st.integers(0, d - 1)), "threshold": threshold,
-                       "left": len(nodes), "right": len(nodes) + 1}
+        nodes[node] = (draw(st.integers(0, d - 1)), threshold, len(nodes), len(nodes) + 1, 0.0, 0)
         leaves += [len(nodes), len(nodes) + 1]
-        nodes += [{}, {}]
+        nodes += [None, None]
     for value, node in enumerate(leaves, start=1):
-        nodes[node] = {"kind": "leaf", "value": float(value), "count": 1}
-    tree = RegressionTree(d, TreeParams(), nodes)
+        nodes[node] = _leaf(float(value))
+    tree = RegressionTree(d, TreeParams(), *zip(*nodes))
     cuts = tree.threshold[~tree.is_leaf]
     pool = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf), [np.nan, np.inf, -np.inf]])
     cell = st.sampled_from(pool.tolist()) | st.floats(allow_nan=True)

@@ -763,6 +763,8 @@ def _widen_scaler_out(obj):
     ("svr", lambda obj: obj["scaler_out"].pop("columns"), "has no field 'columns'"),
     ("svr", _edit_svr(lambda m: m.pop("sv_indices")), "has no field 'sv_indices'"),
     ("svr", _edit_svr(lambda m: m.pop("converged")), "has no field 'converged'"),
+    ("dtr", _set_root("kind", "lief"), "node 0 kind 'lief' is neither 'leaf' nor 'split'"),
+    ("dtr", _set_first_leaf("feature", 0), "kind 'leaf' does not read field 'feature'"),
 ], ids=["threshold-nan", "feature-negative", "feature-n_features", "left-past-end", "short-scaler",
         "svr-no-scaler-in", "svr-no-scaler-out", "wide-scaler-out", "unknown-model-kind", "svr-extra-dual",
         "svr-short-sv-indices", "svr-sv-inf", "svr-dual-nan", "svr-bias-nan", "leaf-value-nan", "target-mean-nan",
@@ -776,7 +778,7 @@ def _widen_scaler_out(obj):
         "metrics-r2-string", "left-past-c-long", "feature-past-c-long", "count-past-c-long", "svr-sv-flat",
         "svr-dual-nested", "no-model-kind", "no-target-std", "metrics-no-rmse", "no-scaler-in", "svr-no-scaler-out-key",
         "dtr-scaler-in-empty", "svr-scaler-out-empty", "svr-no-scaler-columns", "svr-no-scaler-out-columns",
-        "svr-no-sv-indices", "svr-no-converged"])
+        "svr-no-sv-indices", "svr-no-converged", "node-kind-misspelt", "leaf-with-feature"])
 def test_evaluate_refuses_malformed_tree(workdir, capsys, kind, edit, message):
     """A tree, or a model file around it, that no fit writes is refused, naming the file."""
     csv, out = (_train_for_optimize if kind == "dtr" else _train_svr)(workdir)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -474,7 +475,7 @@ def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
     monkeypatch.setattr(pipeline, "fit_tree", counting_fit_tree)
     grid = HyperGrid.default().tree_grid
     grid_search(x, y, grid, shuffled_folds(50, 5, 2))
-    assert calls == [p for p in grid for _ in range(5)]
+    assert calls == [p for _ in range(5) for p in grid]  # one fold at a time, every candidate in grid order
 
 
 def test_grid_search_matches_reference_on_the_default_tree_grid():
@@ -538,3 +539,18 @@ def test_schema1_dtr_file_without_its_scaler_key_is_refused(tmp_path):
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(InvalidModelFile, match=f"^model file {re.escape(str(path))} has no field 'scaler_in'$"):
         cli._read_model(path, "dtr", "hc_yield")
+
+
+def test_grid_search_memory_is_one_folds_split_memos():
+    """The search keeps the split memos of one fold at a time: on the default
+    tree grid at 200 rows the traced peak is about 1,370 bytes a row, against
+    about 3,880 when every fold's memos lived until the search returned."""
+    x, y = _synthetic_xy(200, 42)
+    fold_ids = shuffled_folds(200, 5, 0)
+    tracemalloc.start()
+    try:
+        grid_search(x, y, HyperGrid.default().tree_grid, fold_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000 * 200, peak

