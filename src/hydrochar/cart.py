@@ -8,11 +8,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyInput, InvalidModelFile, read_fields, require_finite, require_int,
-                     require_real, require_type)
+from .errors import (DimensionMismatch, EmptyInput, InvalidModelFile, NonFiniteInput, read_fields, require_finite,
+                     require_int, require_real, require_type)
 
 _WALK_BLOCK = 8192  # rows per block of the batch tree walk
 _MAX_COUNT = np.iinfo(np.intp).max  # the largest leaf row count a node array holds
+_Y_SCALE_LIMIT = math.sqrt(np.finfo(float).max) / 2  # len(y) * max|y| below it keeps _best_split's sums finite
 
 
 @dataclass(frozen=True)
@@ -251,6 +252,10 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {len(y)} values")
     require_finite("x", x)
     require_finite("y", y)
+    scale = len(y) * float(np.abs(y).max())
+    if scale >= _Y_SCALE_LIMIT:
+        raise NonFiniteInput(f"y is too large for the split search's sums of squares: "
+                             f"len(y) * max|y| = {scale:g} is not below {_Y_SCALE_LIMIT:g}")
     splits = {} if splits is None else splits
     # One (feature, threshold, left, right, value, count) row per node id.
     nodes: list[tuple | None] = [None]

@@ -228,7 +228,7 @@ def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
         if not isinstance(directions, dict):
             raise ValueError("a profile file must hold a JSON object of target directions, "
                              f"got {type(directions).__name__}")
-        return genetic.ObjectiveProfile.from_directions(candidate.stem, directions)
+        return genetic.ObjectiveProfile(candidate.stem, directions)
 
 
 def cmd_optimize(args) -> int:

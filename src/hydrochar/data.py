@@ -23,6 +23,7 @@ from .errors import (
     EmptyDataset,
     InvalidModelFile,
     MissingColumn,
+    NonFiniteInput,
     TooFewRows,
     UnparseableCell,
     ZeroCarbon,
@@ -294,14 +295,13 @@ class Scaler:
     @classmethod
     def fit(cls, matrix, columns=None) -> "Scaler":
         m = np.asarray(matrix, dtype=float)
-        means = np.nanmean(m, axis=0)
-        stds = np.nanstd(m, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, naming the column
+            means = np.nanmean(m, axis=0)
+            stds = np.nanstd(m, axis=0)
         for j in range(m.shape[1]):
-            if not stds[j] > 0.0:
+            if stds[j] == 0.0:
                 raise ConstantColumn(f"{_column_name(columns, j)} has fewer than 2 distinct values")
-        means.setflags(write=False)
-        stds.setflags(write=False)
-        return cls(means=means, stds=stds, columns=tuple(columns) if columns is not None else None)
+        return cls._checked(means, stds, columns, NonFiniteInput, "")
 
     def transform(self, x):
         return (np.asarray(x, dtype=float) - self.means) / self.stds
@@ -327,14 +327,20 @@ class Scaler:
             raise InvalidModelFile(f"scaler has {means.size} means and {len(cols)} columns")
         for j, c in enumerate(cols or []):
             require_type(f"scaler columns[{j}]", c, str)
+        return cls._checked(means, stds, cols, InvalidModelFile, "scaler ")
+
+    @classmethod
+    def _checked(cls, means, stds, columns, error: type, source: str) -> "Scaler":
+        """A read-only scaler; the first column whose mean is not finite, or whose std is not finite and > 0, is
+        refused with ``error``, naming it after ``source``."""
         for j in range(len(means)):
             if not np.isfinite(means[j]):
-                raise InvalidModelFile(f"scaler {_column_name(cols, j)}: mean {means[j]} is not finite")
+                raise error(f"{source}{_column_name(columns, j)}: mean {means[j]} is not finite")
             if not (np.isfinite(stds[j]) and stds[j] > 0.0):
-                raise InvalidModelFile(f"scaler {_column_name(cols, j)}: std {stds[j]} is not finite and > 0")
+                raise error(f"{source}{_column_name(columns, j)}: std {stds[j]} is not finite and > 0")
         means.setflags(write=False)
         stds.setflags(write=False)
-        return cls(means=means, stds=stds, columns=tuple(cols) if cols is not None else None)
+        return cls(means=means, stds=stds, columns=tuple(columns) if columns is not None else None)
 
 
 def _column_name(columns, j: int) -> str:

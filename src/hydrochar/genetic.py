@@ -73,47 +73,38 @@ _BUILTIN_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class ObjectiveProfile:
     """Optimization direction for each of the 10 hydrochar responses."""
 
     name: str
-    directions: tuple[tuple[str, str], ...]  # (target, direction) in canonical order
+    directions: dict[str, str]  # {target: direction}, copied in canonical order
 
     def __post_init__(self):
-        seen = dict(self.directions)
-        if set(seen) != set(TARGET_COLUMNS):
-            raise ValueError("profile must assign a direction to every target")
-        for t, d in self.directions:
-            if d not in (MAXIMIZE, MINIMIZE, IGNORE):
-                raise ValueError(f"unknown direction {d!r} for {t}")
-        if all(d == IGNORE for _, d in self.directions):
-            raise ValueError("profile must have at least one non-ignored target")
-
-    @classmethod
-    def from_directions(cls, name: str, directions: dict) -> "ObjectiveProfile":
-        missing = [t for t in TARGET_COLUMNS if t not in directions]
+        missing = [t for t in TARGET_COLUMNS if t not in self.directions]
         if missing:
             raise ValueError(f"profile missing directions for {missing}")
-        extra = sorted(set(directions) - set(TARGET_COLUMNS))
+        extra = sorted(set(self.directions) - set(TARGET_COLUMNS))
         if extra:
             raise ValueError(f"profile names unknown targets {extra}")
-        return cls(name=name, directions=tuple((t, directions[t]) for t in TARGET_COLUMNS))
+        self.directions = {t: self.directions[t] for t in TARGET_COLUMNS}
+        for t, d in self.directions.items():
+            if d not in (MAXIMIZE, MINIMIZE, IGNORE):
+                raise ValueError(f"unknown direction {d!r} for {t}")
+        if all(d == IGNORE for d in self.directions.values()):
+            raise ValueError("profile must have at least one non-ignored target")
 
     @classmethod
     def builtin(cls, name: str) -> "ObjectiveProfile":
         if name not in _BUILTIN_PROFILES:
             choices = ", ".join(sorted(_BUILTIN_PROFILES))
             raise UnknownApplication(f"unknown application {name!r}; choose one of {choices}, or a .json direction-map file")
-        return cls.from_directions(name, _BUILTIN_PROFILES[name])
+        return cls(name, _BUILTIN_PROFILES[name])
 
     def active(self) -> list[tuple[str, float]]:
         """(target, sign) for every non-ignored target."""
         signs = {MAXIMIZE: 1.0, MINIMIZE: -1.0}
-        return [(t, signs[d]) for t, d in self.directions if d != IGNORE]
-
-    def as_dict(self) -> dict:
-        return {t: d for t, d in self.directions}
+        return [(t, signs[d]) for t, d in self.directions.items() if d != IGNORE]
 
 
 @dataclass(frozen=True)
@@ -133,8 +124,9 @@ class GaConfig:
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
+        for name in ("generations", "stagnation_limit"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0 <= self.elitism < self.population:
             raise ValueError("elitism must lie in [0, population)")
         for lo, hi in self.bounds:
@@ -147,8 +139,7 @@ class GaResult:
     best_inputs: np.ndarray
     best_fitness: float
     predicted_outputs: dict[str, float]
-    history: list[float]  # best fitness so far, per generation
-    generations_run: int
+    history: list[float]  # best fitness so far after each generation, so one more entry than generations run
 
 
 def surrogate_objective(models: dict, profile: ObjectiveProfile):
@@ -174,12 +165,13 @@ def surrogate_objective(models: dict, profile: ObjectiveProfile):
     return objective
 
 
-def run_ga(objective, config: GaConfig, feasible=None) -> tuple[np.ndarray, float, list[float], int]:
+def run_ga(objective, config: GaConfig, feasible) -> tuple[np.ndarray, float, list[float], int]:
     """Core GA loop over a batch objective; returns (x, f, history, gens).
 
-    ``objective`` maps an (m, d) array to m fitness values (maximized).
-    ``feasible``, when given, maps the same array to a boolean mask;
-    infeasible individuals score -inf and can never be selected or win.
+    ``objective`` maps an (m, d) array to m fitness values (maximized) and
+    ``feasible`` maps it to a boolean mask; infeasible individuals score -inf
+    and can never be selected or win. ``history`` is the best fitness so far
+    after each generation: f is its last entry and gens its length less one.
     """
     bounds = np.asarray(config.bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -188,40 +180,30 @@ def run_ga(objective, config: GaConfig, feasible=None) -> tuple[np.ndarray, floa
     rng = np.random.default_rng(config.seed)
     for _ in range(100):
         pop = lo + rng.random((config.population, d)) * span
-        if feasible is None or feasible(pop).any():
+        if feasible(pop).any():
             break
     else:
         raise InfeasibleBounds("no feasible individual in 100x population draws")
 
     def evaluate(p: np.ndarray) -> np.ndarray:
         fit = np.asarray(objective(p), dtype=float)
-        if feasible is not None:
-            fit = np.where(feasible(p), fit, -np.inf)
-        return fit
+        return np.where(feasible(p), fit, -np.inf)
 
     fit = evaluate(pop)
-    best_idx = int(np.argmax(fit))
-    best_x = pop[best_idx].copy()
-    best_f = float(fit[best_idx])
-    history = [best_f]
-    stagnant = 0
-    gens = 0
+    i = int(np.argmax(fit))
+    best_x, history = pop[i].copy(), [float(fit[i])]
     for _ in range(config.generations):
-        order = np.argsort(-fit, kind="stable")
-        elite = pop[order[: config.elitism]].copy()
+        elite = pop[np.argsort(-fit, kind="stable")[: config.elitism]]
+        # Roulette on fitness shifted by the finite minimum; when every finite
+        # fitness ties, uniform over the finite ones; when none is finite, over all.
         finite = np.isfinite(fit)
-        if finite.any():
-            shifted = np.where(finite, fit - fit[finite].min(), 0.0)
-        else:
-            shifted = np.zeros_like(fit)
-        total = shifted.sum()
-        if total > 0.0:
-            probs = shifted / total
-        else:
-            probs = np.where(finite, 1.0, 0.0)
-            probs = probs / probs.sum() if probs.sum() > 0 else np.full(len(fit), 1.0 / len(fit))
+        weights = np.where(finite, fit - (fit[finite].min() if finite.any() else 0.0), 0.0)
+        if not weights.sum() > 0.0:
+            weights = finite.astype(float)
+        if not weights.sum() > 0.0:
+            weights = np.ones(len(fit))
         n_children = config.population - config.elitism
-        parents = rng.choice(config.population, size=n_children, p=probs)
+        parents = rng.choice(config.population, size=n_children, p=weights / weights.sum())
         children = pop[parents].copy()
         _blend_crossover(children, rng, config.crossover_prob)
         pop_range = pop.max(axis=0) - pop.min(axis=0)
@@ -230,22 +212,18 @@ def run_ga(objective, config: GaConfig, feasible=None) -> tuple[np.ndarray, floa
         noise = rng.standard_normal((n_children, d)) * sd
         children[mutate] += noise[mutate]
         np.clip(children, lo, hi, out=children)
-        pop = np.vstack([elite, children]) if config.elitism else children
+        pop = np.vstack([elite, children])
         fit = evaluate(pop)
-        gens += 1
-        gen_best = int(np.argmax(fit))
-        if fit[gen_best] > best_f:
-            best_f = float(fit[gen_best])
-            best_x = pop[gen_best].copy()
-            stagnant = 0
-        else:
-            stagnant += 1
-        history.append(best_f)
-        if stagnant >= config.stagnation_limit:
+        i = int(np.argmax(fit))
+        if fit[i] > history[-1]:
+            best_x = pop[i].copy()
+        history.append(max(history[-1], float(fit[i])))
+        # stagnant: no gain in the last stagnation_limit generations (a NaN best never gains)
+        if len(history) > config.stagnation_limit and not history[-1] > history[-1 - config.stagnation_limit]:
             break
-    if not np.isfinite(best_f):
+    if not np.isfinite(history[-1]):
         raise InfeasibleBounds("search never produced a feasible individual")
-    return best_x, best_f, history, gens
+    return best_x, history[-1], history, len(history) - 1
 
 
 def _blend_crossover(children: np.ndarray, rng: np.random.Generator, prob: float) -> None:
@@ -275,15 +253,9 @@ def optimize(models: dict, profile: ObjectiveProfile, config: GaConfig) -> GaRes
     feedstock mass-balance constraints are infeasible.
     """
     objective = surrogate_objective(models, profile)
-    best_x, best_f, history, gens = run_ga(objective, config, feasible=mass_balance_ok)
+    best_x, best_f, history, _ = run_ga(objective, config, feasible=mass_balance_ok)
     outputs = {t: float(models[t].predict(best_x.reshape(1, -1))[0]) for t in models}
-    return GaResult(
-        best_inputs=best_x,
-        best_fitness=best_f,
-        predicted_outputs=outputs,
-        history=history,
-        generations_run=gens,
-    )
+    return GaResult(best_x, best_f, outputs, history)
 
 
 def report(result: GaResult, profile: ObjectiveProfile, config: GaConfig) -> dict:
@@ -291,11 +263,11 @@ def report(result: GaResult, profile: ObjectiveProfile, config: GaConfig) -> dic
     the direction map, and the full configuration; the CLI adds provenance."""
     return {
         "application": profile.name,
-        "directions": profile.as_dict(),
+        "directions": dict(profile.directions),
         "best_inputs": {name: float(v) for name, v in zip(FEATURE_COLUMNS, result.best_inputs)},
         "predicted_outputs": {t: result.predicted_outputs[t] for t in TARGET_COLUMNS if t in result.predicted_outputs},
         "best_fitness": result.best_fitness,
-        "generations_run": result.generations_run,
+        "generations_run": len(result.history) - 1,
         "history": [float(v) for v in result.history],
         "config": asdict(config),
     }
@@ -303,10 +275,9 @@ def report(result: GaResult, profile: ObjectiveProfile, config: GaConfig) -> dic
 
 def render_table(rep: dict) -> str:
     """Human-readable two-column table of an optimization report."""
-    lines = [f"application: {rep['application']}   seed: {rep['config']['seed']}"]
-    lines.append(f"best fitness: {rep['best_fitness']:.6g} after {rep['generations_run']} generations")
-    lines.append("")
-    lines.append(f"{'optimum inputs':<28}{'value':>12}")
+    lines = [f"application: {rep['application']}   seed: {rep['config']['seed']}",
+             f"best fitness: {rep['best_fitness']:.6g} after {rep['generations_run']} generations",
+             "", f"{'optimum inputs':<28}{'value':>12}"]
     for name, v in rep["best_inputs"].items():
         lines.append(f"  {name:<26}{v:>12.4g}")
     lines.append(f"{'predicted outputs':<28}{'value':>12}")

@@ -185,7 +185,7 @@ def test_criterion_5_ga_sphere_convergence():
 
     for seed in range(10):
         cfg = GaConfig(bounds=bounds, population=100, generations=200, stagnation_limit=200, seed=seed)
-        best_x, best_f, history, gens = run_ga(sphere, cfg)
+        best_x, best_f, history, gens = run_ga(sphere, cfg, feasible=lambda pop: np.ones(len(pop), dtype=bool))
         assert gens <= 200
         err = np.abs(best_x - center) / span
         assert err.max() <= 1e-2, f"seed {seed}: max normalized error {err.max():.4f}"

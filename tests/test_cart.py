@@ -184,9 +184,23 @@ def test_serialization_roundtrip_bit_exact(rng):
 
 
 def test_leaf_mean_that_overflows_is_refused():
-    """A leaf's mean must be finite: two targets of 1e308 sum to inf."""
-    with np.errstate(over="ignore"), pytest.raises(InvalidModelFile, match="^node 0 value is not finite: inf$"):
+    """A leaf's mean must be finite: two targets of 1e308 sum to inf. The fit refuses y before any node exists."""
+    with pytest.raises(NonFiniteInput, match=r"^y is too large for the split search's sums of squares: "
+                                             r"len\(y\) \* max\|y\| = inf is not below 6\.7039e\+153$"):
         fit_tree([[0.0], [1.0]], [1e308, 1e308], TreeParams())
+
+
+def test_target_whose_sums_of_squares_overflow_is_refused():
+    """At 1e160 the squares of y overflow, so every candidate's child SSE would be inf or NaN and the split search
+    would pick its first position (0.5, not 3.5). Just below the bound the same targets split where they should."""
+    x = np.arange(8.0)[:, None]
+    y = np.array([1.0, 1, 1, 1, 5, 5, 5, 5])
+    with pytest.raises(NonFiniteInput, match=r"^y is too large .* = 4e\+161 is not below 6\.7039e\+153$"):
+        fit_tree(x, y * 1e160, TreeParams())
+    scale = cart._Y_SCALE_LIMIT / (len(y) * 5.0) * (1.0 - 1e-15)
+    tree = fit_tree(x, y * scale, TreeParams())
+    assert tree.n_nodes == 3 and tree.threshold[0] == 3.5
+    assert tree.value[1:].tolist() == [scale, 5.0 * scale]
 
 
 _LEAF = {"kind": "leaf", "value": 1.0, "count": 1}

@@ -14,6 +14,7 @@ from hydrochar.errors import (
     DimensionMismatch,
     EmptyDataset,
     MissingColumn,
+    NonFiniteInput,
     TooFewRows,
     UnparseableCell,
     ZeroCarbon,
@@ -360,6 +361,15 @@ def test_scaler_hand_values():
 def test_scaler_rejects_constant_column():
     with pytest.raises(ConstantColumn):
         data.Scaler.fit(np.array([[5.0], [5.0], [5.0]]))
+
+
+def test_scaler_refuses_a_column_whose_moments_overflow():
+    """At 1e160 the squared deviations overflow: std would be inf and every standardized value 0."""
+    x = np.column_stack([[1.0, 2.0, 3.0, 4.0], np.array([1.0, 2.0, 3.0, 4.0]) * 1e160])
+    with pytest.raises(NonFiniteInput, match=r"^biomass_h: std inf is not finite and > 0$"):
+        data.Scaler.fit(x, columns=data.FEATURE_COLUMNS[:2])
+    with pytest.raises(NonFiniteInput, match=r"^column 0: mean inf is not finite$"):
+        data.Scaler.fit(np.array([[1e308], [1e308], [-1e307]]))
 
 
 @given(
