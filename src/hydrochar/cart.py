@@ -59,7 +59,7 @@ class RegressionTree:
     share across threads.
     """
 
-    def __init__(self, n_features: int, params: TreeParams, feature, threshold, left, right, value, count):
+    def __init__(self, n_features: int, params: TreeParams, feature, threshold, left, right, value, count, depth: int):
         self.n_features = n_features
         self.params = params
         # A leaf has left == right == -1 and tests feature 0 against +inf; a
@@ -84,7 +84,7 @@ class RegressionTree:
         self._feature2, self._threshold2, self._value2 = (
             np.repeat(a, 2) for a in (self.feature, self.threshold, self.value)
         )
-        self.depth = _depth(self.is_leaf, self.left, self.right)
+        self.depth = depth  # split levels on the longest root-to-leaf path
         for arr in (self.feature, self.threshold, self.left, self.right, self.value, self.count, self.is_leaf,
                     self._children, self._feature2, self._threshold2, self._value2):
             arr.setflags(write=False)
@@ -168,21 +168,23 @@ class RegressionTree:
                 raise InvalidModelFile(f"node {i} has a child outside nodes 0..{len(nodes) - 1}")
             else:
                 rows.append((node["feature"], node["threshold"], node["left"], node["right"], 0.0, 0))
-        return cls(n_features, TreeParams.from_dict(obj["params"]), *zip(*rows))
+        columns = list(zip(*rows))
+        return cls(n_features, TreeParams.from_dict(obj["params"]), *columns, _depth(columns[2], columns[3]))
 
 
-def _depth(is_leaf: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:
-    """Number of split levels on the longest root-to-leaf path, one level at a time."""
+def _depth(left, right) -> int:
+    """Number of split levels on the longest root-to-leaf path, one level at a time; a leaf has child -1."""
+    left, right = np.asarray(left, dtype=np.intp), np.asarray(right, dtype=np.intp)
     level = np.zeros(1, dtype=np.intp)
     depth = 0
     while True:
-        level = level[~is_leaf[level]]
+        level = level[left[level] >= 0]
         if not level.size:
             return depth
         level = np.concatenate([left[level], right[level]])
         depth += 1
         # a path longer than the node count, or a level wider, revisits a node
-        if level.size > len(is_leaf) or depth > len(is_leaf):
+        if level.size > len(left) or depth > len(left):
             raise InvalidModelFile("tree nodes form a cycle")
 
 
@@ -223,8 +225,30 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
     thr = 0.5 * (a + b)
     if not a <= thr < b:  # the midpoint overflowed or rounded onto b
         thr = a
-    # a copy, so a memo of splits does not hold the whole (m, d) argsort
-    return float(gains[f]), f, thr, order[:, f].copy(), lo + p
+    return float(gains[f]), f, thr, order[:, f], lo + p
+
+
+class _Node:
+    """A split memo's record of a node: its rows in fit order, then its leaf mean and split, each None until a fit
+    needs it. ``split`` is () where none is allowed, else (gain, feature, threshold) with the children memoized."""
+
+    __slots__ = ("rows", "mean", "split")
+
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.mean, self.split = rows, None, None
+
+
+def _leaf_mean(ys: np.ndarray) -> float:
+    return float(ys.sum()) / len(ys)  # bitwise what ys.mean() returns: the same sum, one division
+
+
+def _search(node: _Node, path: int, x: np.ndarray, ys: np.ndarray, min_leaf: int, splits: dict) -> None:
+    """Fill ``node.split`` from its targets ``ys`` and, for a split, put the children's records in ``splits``."""
+    found = None if ys.max() == ys.min() else _best_split(x[node.rows], ys, min_leaf)
+    node.split = () if found is None else found[:3]  # (gain, feature, threshold)
+    if found is not None:
+        rows, n_left = node.rows[found[3]], found[4]  # the split's order of the rows, and how many go left
+        splits[2 * path], splits[2 * path + 1] = _Node(rows[:n_left]), _Node(rows[n_left:])
 
 
 def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> RegressionTree:
@@ -237,12 +261,12 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
     binds, no candidate respects the leaf-size floor, or the best gain falls
     below ``min_impurity_decrease``. The fit is fully deterministic.
 
-    ``splits`` memoizes each node's best split (``None`` included) by its
-    path: 1 at the root, and 2k (left) and 2k + 1 (right) below node k. A
-    node's rows, in order, depend only on its path, ``x``, ``y`` and
-    ``min_samples_leaf``, never on the other stops, so fits of the same
-    ``x``, ``y`` and ``min_samples_leaf`` may share one dict and each search
-    runs once. The stops are still applied in every fit.
+    ``splits`` memoizes each node's ``_Node`` record by its path: 1 at the
+    root, and 2k (left) and 2k + 1 (right) below node k. A node's record
+    depends only on its path, ``x``, ``y`` and ``min_samples_leaf``, never on
+    the other stops, so fits of the same ``x``, ``y`` and ``min_samples_leaf``
+    may share one dict and each statistic is computed once. The stops are
+    still applied in every fit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -257,36 +281,39 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
         raise NonFiniteInput(f"y is too large for the split search's sums of squares: "
                              f"len(y) * max|y| = {scale:g} is not below {_Y_SCALE_LIMIT:g}")
     splits = {} if splits is None else splits
+    if 1 not in splits:
+        splits[1] = _Node(np.arange(len(y)))
     # One (feature, threshold, left, right, value, count) row per node id.
     nodes: list[tuple | None] = [None]
-    # Stack of (node_id, path, row indices); children are allocated when a
-    # split is committed so node ids are stable and deterministic. A node's
-    # depth is its path's bit length - 1.
-    stack = [(0, 1, np.arange(len(y)))]
+    # Stack of (node_id, path); children are allocated when a split is
+    # committed so node ids are stable and deterministic. A node's depth is
+    # its path's bit length - 1, and the deepest leaf has the largest path.
+    stack = [(0, 1)]
+    deepest = 1
     min_rows = max(params.min_samples_split, 2 * params.min_samples_leaf)
     while stack:
-        node_id, path, idx = stack.pop()
-        m = len(idx)
-        ys = y[idx]
-        split_choice = None
-        if (m >= min_rows and (params.max_depth is None or path.bit_length() - 1 < params.max_depth)
-                and ys.max() != ys.min()):
-            if path not in splits:
-                splits[path] = _best_split(x[idx], ys, params.min_samples_leaf)
-            split_choice = splits[path]
-            if split_choice is not None and params.min_impurity_decrease > 0.0 and (
-                split_choice[0] < params.min_impurity_decrease
-            ):
-                split_choice = None
-        if split_choice is None:
-            # bitwise what ys.mean() returns: the same sum, one division
-            nodes[node_id] = (0, np.inf, -1, -1, float(ys.sum()) / m, m)
+        node_id, path = stack.pop()
+        node = splits[path]
+        m = len(node.rows)
+        ys = None  # y[node.rows], gathered at most once per fit of the node
+        split = ()
+        if m >= min_rows and (params.max_depth is None or path.bit_length() - 1 < params.max_depth):
+            if node.split is None:
+                ys = y[node.rows]
+                _search(node, path, x, ys, params.min_samples_leaf, splits)
+            split = node.split
+            if split and params.min_impurity_decrease > 0.0 and split[0] < params.min_impurity_decrease:
+                split = ()
+        if not split:
+            if node.mean is None:
+                node.mean = _leaf_mean(y[node.rows] if ys is None else ys)
+            nodes[node_id] = (0, np.inf, -1, -1, node.mean, m)
+            deepest = max(deepest, path)
             continue
-        _, feat, thr, order, n_left = split_choice
+        _, feat, thr = split
         left_id = len(nodes)
         nodes[node_id] = (feat, thr, left_id, left_id + 1, 0.0, 0)
         nodes += [None, None]
-        sorted_idx = idx[order]
-        stack.append((left_id + 1, 2 * path + 1, sorted_idx[n_left:]))
-        stack.append((left_id, 2 * path, sorted_idx[:n_left]))
-    return RegressionTree(x.shape[1], params, *zip(*nodes))
+        stack.append((left_id + 1, 2 * path + 1))
+        stack.append((left_id, 2 * path))
+    return RegressionTree(x.shape[1], params, *zip(*nodes), deepest.bit_length() - 1)

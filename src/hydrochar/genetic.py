@@ -197,7 +197,11 @@ def run_ga(objective, config: GaConfig, feasible) -> tuple[np.ndarray, float, li
         # Roulette on fitness shifted by the finite minimum; when every finite
         # fitness ties, uniform over the finite ones; when none is finite, over all.
         finite = np.isfinite(fit)
-        weights = np.where(finite, fit - (fit[finite].min() if finite.any() else 0.0), 0.0)
+        least = fit[finite].min() if finite.any() else 0.0
+        with np.errstate(over="ignore"):
+            weights = np.where(finite, fit - least, 0.0)
+            if not np.isfinite(weights.sum()):  # the shift or its sum overflows; over 4n, neither can
+                weights = np.where(finite, fit / (4 * len(fit)) - least / (4 * len(fit)), 0.0)
         if not weights.sum() > 0.0:
             weights = finite.astype(float)
         if not weights.sum() > 0.0:

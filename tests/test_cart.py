@@ -262,10 +262,16 @@ def _leaf(value):
     return 0, np.inf, -1, -1, value, 1
 
 
+def _tree(d, nodes):
+    """A hand-built tree from (feature, threshold, left, right, value, count) rows."""
+    feature, threshold, left, right, value, count = zip(*nodes)
+    return RegressionTree(d, TreeParams(), feature, threshold, left, right, value, count, cart._depth(left, right))
+
+
 def test_non_finite_threshold_names_its_node():
     nodes = [(0, 0.5, 1, 2, 0.0, 0), _leaf(1.0), (1, np.inf, 3, 4, 0.0, 0), _leaf(2.0), _leaf(3.0)]
     with pytest.raises(InvalidModelFile, match="node 2 threshold is not finite: inf"):
-        RegressionTree(2, TreeParams(), *zip(*nodes))
+        _tree(2, nodes)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +335,7 @@ def trees_and_rows(draw):
         nodes += [None, None]
     for value, node in enumerate(leaves, start=1):
         nodes[node] = _leaf(float(value))
-    tree = RegressionTree(d, TreeParams(), *zip(*nodes))
+    tree = _tree(d, nodes)
     cuts = tree.threshold[~tree.is_leaf]
     pool = np.concatenate([cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf), [np.nan, np.inf, -np.inf]])
     cell = st.sampled_from(pool.tolist()) | st.floats(allow_nan=True)
@@ -467,7 +473,8 @@ def memo_cases(draw):
     """Tie-rich tables (features on a small integer lattice, rows drawn from a
     pool so duplicates occur, targets on a lattice) and a random order of fit
     parameters that share one ``min_samples_leaf`` and differ in the other
-    stops."""
+    stops, followed by the same parameters shuffled, so each fit also runs
+    through a memo that every other fit has filled."""
     m = draw(st.integers(1, 60))
     d = draw(st.integers(1, 4))
     pool = draw(hnp.arrays(float, (draw(st.integers(1, m)), d), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
@@ -478,13 +485,42 @@ def memo_cases(draw):
         st.builds(TreeParams, max_depth=st.none() | st.integers(0, 8), min_samples_split=st.integers(2, 12),
                   min_samples_leaf=st.just(leaf), min_impurity_decrease=st.sampled_from([0.0, 0.1, 0.5, 2.0])),
         min_size=1, max_size=8))
-    return x, y, params
+    return x, y, params + draw(st.permutations(params))
 
 
 @settings(max_examples=examples(150))
 @given(memo_cases())
 def test_fits_through_one_split_memo_match_fresh_fits(case):
+    """Each fit through one shared memo equals a fresh fit, and the depth the
+    fit hands to the tree is what ``_depth`` walks from its node arrays."""
     x, y, params = case
     splits = {}
     for p in params:
-        assert fit_tree(x, y, p, splits).to_json_obj() == fit_tree(x, y, p).to_json_obj()
+        tree = fit_tree(x, y, p, splits)
+        assert tree.to_json_obj() == fit_tree(x, y, p).to_json_obj()
+        assert tree.depth == cart._depth(tree.left, tree.right)
+
+
+def test_refits_through_filled_memos_search_nothing_and_compute_no_statistic(monkeypatch):
+    """Once each default-grid candidate has been fitted through its leaf
+    size's memo, refitting them all in another order calls neither the split
+    search nor the leaf mean and gives the same trees."""
+    ds = data.generate_synthetic(120, seed=3, noise_sd=0.5)
+    x, y = ds.feature_matrix(), ds.target_matrix()[:, 0]
+    grid = HyperGrid.default().tree_grid
+    memos = {}
+    first = [fit_tree(x, y, p, memos.setdefault(p.min_samples_leaf, {})).to_json_obj() for p in grid]
+    calls = []
+
+    def counted(name):
+        real = getattr(cart, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_search", "_leaf_mean", "_best_split"):
+        monkeypatch.setattr(cart, name, counted(name))
+    order = np.random.default_rng(0).permutation(len(grid))
+    again = {i: fit_tree(x, y, grid[i], memos[grid[i].min_samples_leaf]).to_json_obj() for i in order}
+    assert calls == []
+    assert [again[i] for i in range(len(grid))] == first
+    fit_tree(x, y, grid[0])  # a fresh memo: the counters see every helper
+    assert set(calls) == {"_search", "_leaf_mean", "_best_split"}

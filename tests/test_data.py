@@ -442,7 +442,8 @@ def test_raw_thresholds_match_full_range_bisection(mean, std):
     report = MetricsReport(0.0, 0.0, 0.0, 0)
     for feature, threshold, cut in zip(f, t, raw_t):
         tree = RegressionTree(3, TreeParams(), feature=[feature, 0, 0], threshold=[threshold, np.inf, np.inf],
-                              left=[1, -1, -1], right=[2, -1, -1], value=[0.0, 1.0, 2.0], count=[0, 1, 1])
+                              left=[1, -1, -1], right=[2, -1, -1], value=[0.0, 1.0, 2.0], count=[0, 1, 1],
+                              depth=1)
         trained = TrainedTarget(target="hc_yield", model=tree, scaler_in=scaler, scaler_out=None, cv_rmse=0.0,
                                 train_metrics=report, test_metrics=report, target_mean=0.0, target_std=1.0)
         rows = np.zeros((3, 3))

@@ -210,6 +210,14 @@ def test_every_evaluated_individual_within_bounds():
         assert np.all(pop <= hi + 1e-12)
 
 
+def test_roulette_over_fitnesses_spanning_past_the_float_range():
+    """1e308 - -1e308 overflows, so the plain shift by the least fitness gives inf weights and NaN probabilities."""
+    cfg = GaConfig(bounds=((0.0, 1.0),), population=10, generations=3, seed=0)
+    best_x, best_f, history, gens = run_ga(lambda pop: np.where(pop[:, 0] > 0.5, 1e308, -1e308), cfg, everywhere)
+    assert best_f == 1e308 and best_x[0] > 0.5
+    assert history == [1e308] * (gens + 1)
+
+
 def test_infeasible_bounds_raise():
     def obj(pop):
         return np.zeros(len(pop))

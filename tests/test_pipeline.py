@@ -543,8 +543,10 @@ def test_schema1_dtr_file_without_its_scaler_key_is_refused(tmp_path):
 
 def test_grid_search_memory_is_one_folds_split_memos():
     """The search keeps the split memos of one fold at a time: on the default
-    tree grid at 200 rows the traced peak is about 1,370 bytes a row, against
-    about 3,880 when every fold's memos lived until the search returned."""
+    tree grid at 200 rows the traced peak is about 1,860 bytes a row, with a
+    record for every node the fold's fits reach. Keeping every fold's memos
+    until the search returned took about 3,880 when a memo held only split
+    tuples."""
     x, y = _synthetic_xy(200, 42)
     fold_ids = shuffled_folds(200, 5, 0)
     tracemalloc.start()
