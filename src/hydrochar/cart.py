@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -229,26 +230,30 @@ def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
 
 
 class _Node:
-    """A split memo's record of a node: its rows in fit order, then its leaf mean and split, each None until a fit
-    needs it. ``split`` is () where none is allowed, else (gain, feature, threshold) with the children memoized."""
+    """A split memo's record of a node: its rows in fit order and their count, then its leaf mean and split, each
+    None until a fit needs it. ``split`` is () where none is allowed, else (gain, feature, threshold) with the
+    children memoized. Once searched, a record holds its mean and drops its rows: no fit reads them again."""
 
-    __slots__ = ("rows", "mean", "split")
+    __slots__ = ("rows", "size", "mean", "split")
 
     def __init__(self, rows: np.ndarray):
-        self.rows, self.mean, self.split = rows, None, None
+        self.rows, self.size, self.mean, self.split = rows, len(rows), None, None
 
 
 def _leaf_mean(ys: np.ndarray) -> float:
     return float(ys.sum()) / len(ys)  # bitwise what ys.mean() returns: the same sum, one division
 
 
-def _search(node: _Node, path: int, x: np.ndarray, ys: np.ndarray, min_leaf: int, splits: dict) -> None:
-    """Fill ``node.split`` from its targets ``ys`` and, for a split, put the children's records in ``splits``."""
+def _search(node: _Node, path: int, x: np.ndarray, y: np.ndarray, min_leaf: int, splits: dict) -> None:
+    """Fill ``node.mean`` and ``node.split``, put a split's children's records in ``splits``, drop ``node.rows``."""
+    ys = y[node.rows]
+    node.mean = _leaf_mean(ys)
     found = None if ys.max() == ys.min() else _best_split(x[node.rows], ys, min_leaf)
     node.split = () if found is None else found[:3]  # (gain, feature, threshold)
     if found is not None:
         rows, n_left = node.rows[found[3]], found[4]  # the split's order of the rows, and how many go left
         splits[2 * path], splits[2 * path + 1] = _Node(rows[:n_left]), _Node(rows[n_left:])
+    node.rows = None
 
 
 def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> RegressionTree:
@@ -266,7 +271,13 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
     depends only on its path, ``x``, ``y`` and ``min_samples_leaf``, never on
     the other stops, so fits of the same ``x``, ``y`` and ``min_samples_leaf``
     may share one dict and each statistic is computed once. The stops are
-    still applied in every fit.
+    still applied in every fit. The input checks run when the root's record
+    is made, so once per memo. A depth cap only prunes the uncapped tree, so
+    ``splits`` also keeps, by (``min_samples_split``,
+    ``min_impurity_decrease``), the first tree no cap bound (its depth is
+    below ``max_depth``, or ``max_depth`` is None); a later fit with those
+    stops whose cap is None or at least that depth returns its read-only
+    arrays under its own ``params``, with no node walk.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -274,15 +285,21 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
         raise EmptyInput("no training rows")
     if x.shape[0] != len(y):
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {len(y)} values")
-    require_finite("x", x)
-    require_finite("y", y)
-    scale = len(y) * float(np.abs(y).max())
-    if scale >= _Y_SCALE_LIMIT:
-        raise NonFiniteInput(f"y is too large for the split search's sums of squares: "
-                             f"len(y) * max|y| = {scale:g} is not below {_Y_SCALE_LIMIT:g}")
     splits = {} if splits is None else splits
     if 1 not in splits:
+        require_finite("x", x)
+        require_finite("y", y)
+        scale = len(y) * float(np.abs(y).max())
+        if scale >= _Y_SCALE_LIMIT:
+            raise NonFiniteInput(f"y is too large for the split search's sums of squares: "
+                                 f"len(y) * max|y| = {scale:g} is not below {_Y_SCALE_LIMIT:g}")
         splits[1] = _Node(np.arange(len(y)))
+    stops = (params.min_samples_split, params.min_impurity_decrease)
+    uncapped = splits.get(stops)
+    if uncapped is not None and (params.max_depth is None or params.max_depth >= uncapped.depth):
+        tree = copy.copy(uncapped)  # shares every array
+        tree.params = params
+        return tree
     # One (feature, threshold, left, right, value, count) row per node id.
     nodes: list[tuple | None] = [None]
     # Stack of (node_id, path); children are allocated when a split is
@@ -294,20 +311,17 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
     while stack:
         node_id, path = stack.pop()
         node = splits[path]
-        m = len(node.rows)
-        ys = None  # y[node.rows], gathered at most once per fit of the node
         split = ()
-        if m >= min_rows and (params.max_depth is None or path.bit_length() - 1 < params.max_depth):
+        if node.size >= min_rows and (params.max_depth is None or path.bit_length() - 1 < params.max_depth):
             if node.split is None:
-                ys = y[node.rows]
-                _search(node, path, x, ys, params.min_samples_leaf, splits)
+                _search(node, path, x, y, params.min_samples_leaf, splits)
             split = node.split
             if split and params.min_impurity_decrease > 0.0 and split[0] < params.min_impurity_decrease:
                 split = ()
         if not split:
             if node.mean is None:
-                node.mean = _leaf_mean(y[node.rows] if ys is None else ys)
-            nodes[node_id] = (0, np.inf, -1, -1, node.mean, m)
+                node.mean = _leaf_mean(y[node.rows])
+            nodes[node_id] = (0, np.inf, -1, -1, node.mean, node.size)
             deepest = max(deepest, path)
             continue
         _, feat, thr = split
@@ -316,4 +330,7 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
         nodes += [None, None]
         stack.append((left_id + 1, 2 * path + 1))
         stack.append((left_id, 2 * path))
-    return RegressionTree(x.shape[1], params, *zip(*nodes), deepest.bit_length() - 1)
+    tree = RegressionTree(x.shape[1], params, *zip(*nodes), deepest.bit_length() - 1)
+    if params.max_depth is None or tree.depth < params.max_depth:
+        splits[stops] = tree  # the first: a later one would have been returned above
+    return tree

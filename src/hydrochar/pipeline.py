@@ -213,7 +213,10 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     so an SVR candidate fits its scalers on that fold's training part only.
     The fold's tree candidates share one split memo per
     ``min_samples_leaf``, so each node's split is searched once per fold and
-    leaf size, and the memos go when the fold ends. Ties, including exact
+    leaf size, and the memos go when the fold ends. A candidate whose cap
+    the uncapped tree of its stops never reaches gets that tree's arrays
+    back from ``fit_tree``, and takes the score the fold gave them without
+    walking the validation rows again. Ties, including exact
     duplicates, go to the earliest grid entry. A candidate that fails on a
     fold scores infinity and is not fitted again; when every candidate
     fails, the raised error carries the earliest candidate's failure, which
@@ -235,6 +238,8 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     for in_fold in folds:
         x_trn, y_trn, x_val, y_val = x[~in_fold], y[~in_fold], x[in_fold], y[in_fold]
         memos: dict[int, dict] = {}  # min_samples_leaf -> this fold's split memo
+        # id -> (value array, fold score) of each tree scored on this fold; holding the array keeps its id unique
+        tree_scores: dict[int, tuple[np.ndarray, float]] = {}
         for i, params in enumerate(candidates):
             if i in failures:
                 continue
@@ -242,7 +247,12 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
                 if len(y_trn) < 2:
                     raise TooFewRows("fold training part too small")
                 splits = None if isinstance(params, SvrParams) else memos.setdefault(params.min_samples_leaf, {})
-                fold_rmses[i].append(rmse(y_val, _predict(*_fit(x_trn, y_trn, params, columns, splits), x_val)))
+                model, scaler_in, scaler_out = _fit(x_trn, y_trn, params, columns, splits)
+                seen = tree_scores.get(id(model.value)) if splits is not None else None  # fit_tree may share a tree
+                score = seen[1] if seen else rmse(y_val, _predict(model, scaler_in, scaler_out, x_val))
+                if splits is not None:
+                    tree_scores[id(model.value)] = (model.value, score)
+                fold_rmses[i].append(score)
             except HydrocharError as exc:
                 failures[i] = str(exc)
     scored = [(p, np.inf if i in failures else float(np.mean(fold_rmses[i]))) for i, p in enumerate(candidates)]

@@ -524,3 +524,65 @@ def test_refits_through_filled_memos_search_nothing_and_compute_no_statistic(mon
     assert [again[i] for i in range(len(grid))] == first
     fit_tree(x, y, grid[0])  # a fresh memo: the counters see every helper
     assert set(calls) == {"_search", "_leaf_mean", "_best_split"}
+
+
+def test_fit_whose_cap_the_uncapped_tree_never_reaches_shares_that_tree(monkeypatch):
+    """Through one memo, a fit whose cap is None or at least the uncapped tree's depth returns that tree's arrays
+    under its own params, as a fresh fit would give them, and calls neither the split search nor the leaf mean. A
+    binding cap, or other stops, builds its own tree; the first tree no cap bound of those stops is shared in turn."""
+    ds = data.generate_synthetic(120, seed=3, noise_sd=0.5)
+    x, y = ds.feature_matrix(), ds.target_matrix()[:, 0]
+    splits = {}
+    uncapped = fit_tree(x, y, TreeParams(max_depth=40, min_samples_leaf=2), splits)
+    depth = uncapped.depth
+    assert 3 < depth < 40
+    sharing = [TreeParams(max_depth=d, min_samples_leaf=2) for d in (None, depth, depth + 1, 64)]
+    own = [TreeParams(max_depth=depth - 1, min_samples_leaf=2),
+           TreeParams(max_depth=None, min_samples_split=9, min_samples_leaf=2),
+           TreeParams(max_depth=64, min_samples_leaf=2, min_impurity_decrease=0.5)]
+    fresh = {p: fit_tree(x, y, p).to_json_obj() for p in sharing + own}
+    calls = []
+
+    def counted(name):
+        real = getattr(cart, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("_search", "_leaf_mean"):
+        monkeypatch.setattr(cart, name, counted(name))
+    arrays = ("feature", "threshold", "left", "right", "value", "count", "is_leaf",
+              "_children", "_feature2", "_threshold2", "_value2")
+    for p in sharing:
+        tree = fit_tree(x, y, p, splits)
+        assert tree.params is p and tree.depth == depth
+        assert tree.to_json_obj() == fresh[p]
+        assert all(getattr(tree, a) is getattr(uncapped, a) for a in arrays)
+    assert calls == []
+    for p in own:
+        tree = fit_tree(x, y, p, splits)
+        assert tree.to_json_obj() == fresh[p]
+        assert tree.value is not uncapped.value
+        again = fit_tree(x, y, TreeParams(max_depth=None, min_samples_split=p.min_samples_split, min_samples_leaf=2,
+                                          min_impurity_decrease=p.min_impurity_decrease), splits)
+        assert (again.value is tree.value) == (p.max_depth is None or p.max_depth > tree.depth)
+        assert (again.value is uncapped.value) == (p.max_depth == depth - 1)
+
+
+def test_input_checks_run_once_per_memo(monkeypatch):
+    """The finiteness and scale checks run when a fit makes the memo's root record. A refused fit makes none, so
+    a fit through a memo that a refused fit left empty refuses the same input with the same message."""
+    checked = []
+    real = cart.require_finite
+    monkeypatch.setattr(cart, "require_finite", lambda name, a: checked.append(name) or real(name, a))
+    x, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    splits = {}
+    fit_tree(x, y, TreeParams(), splits)
+    fit_tree(x, y, TreeParams(max_depth=1), splits)
+    assert checked == ["x", "y"]
+    y[3] = np.nan
+    splits = {}
+    for _ in range(2):
+        with pytest.raises(NonFiniteInput, match="^y holds a value that is not finite$"):
+            fit_tree(x, y, TreeParams(), splits)
+        assert splits == {}
+    with pytest.raises(NonFiniteInput, match=r"^y is too large for the split search's sums of squares"):
+        fit_tree(x, np.full(6, 1e308), TreeParams(), {})

@@ -510,6 +510,49 @@ def test_grid_search_searches_each_node_once_per_fold_and_leaf_size(monkeypatch)
     assert in_search == len(searches)
 
 
+def test_grid_search_checks_the_fold_inputs_once_per_leaf_size(monkeypatch):
+    """fit_tree checks its inputs when it makes a memo's root record, so a
+    default-grid search checks x and y once per fold and leaf size, not once
+    per candidate."""
+    x, y = _synthetic_xy(50, 40)
+    checked = []
+    real = cart.require_finite
+    monkeypatch.setattr(cart, "require_finite", lambda name, a: checked.append(name) or real(name, a))
+    grid_search(x, y, HyperGrid.default().tree_grid, shuffled_folds(50, 5, 3))
+    assert checked == ["x", "y"] * 5 * len(pipeline.DEFAULT_TREE_MIN_LEAF)
+
+
+def test_grid_search_walks_the_validation_rows_once_per_distinct_tree(monkeypatch):
+    """A candidate whose cap the uncapped tree of its stops never reaches gets
+    that tree's arrays from fit_tree, and the fold scores them once: on a grid
+    of binding caps and caps of 40, 64 and None over three sets of stops, each
+    fold walks its validation rows once per binding cap and once per set of
+    stops. Every score and the choice are the reference's."""
+    x, y = _synthetic_xy(60, 39)
+    fold_ids = shuffled_folds(60, 5, 7)
+    stops = [(1, 2, 0.0), (5, 2, 0.0), (1, 6, 0.05)]
+    grid = [TreeParams(max_depth=d, min_samples_leaf=leaf, min_samples_split=split, min_impurity_decrease=decrease)
+            for d in (1, None, 40, 2, 64) for leaf, split, decrease in stops]
+    for f in range(5):
+        for leaf, split, decrease in stops:
+            depth = fit_tree(x[fold_ids != f], y[fold_ids != f], TreeParams(None, split, leaf, decrease)).depth
+            assert 2 < depth < 40  # caps 1 and 2 bind; 40, 64 and None do not
+    walks = []
+    predict_batch = cart.RegressionTree.predict_batch
+
+    def counting_predict_batch(tree, rows):
+        walks.append(tree)
+        return predict_batch(tree, rows)
+
+    monkeypatch.setattr(cart.RegressionTree, "predict_batch", counting_predict_batch)
+    got = grid_search(x, y, grid, fold_ids)
+    assert len(walks) == 5 * len(stops) * 3
+    monkeypatch.undo()
+    want = _reference_grid_search(x, y, grid, fold_ids)
+    assert got.candidates == want.candidates
+    assert (got.chosen_params, got.cv_rmse) == (want.chosen_params, want.cv_rmse)
+
+
 _DATA = Path(__file__).parent / "data"
 
 
@@ -543,10 +586,12 @@ def test_schema1_dtr_file_without_its_scaler_key_is_refused(tmp_path):
 
 def test_grid_search_memory_is_one_folds_split_memos():
     """The search keeps the split memos of one fold at a time: on the default
-    tree grid at 200 rows the traced peak is about 1,860 bytes a row, with a
-    record for every node the fold's fits reach. Keeping every fold's memos
-    until the search returned took about 3,880 when a memo held only split
-    tuples."""
+    tree grid at 200 rows the traced peak is about 1,770 bytes a row: a
+    record for every node the fold's fits reach, the tree of each leaf size
+    that no depth cap bound, and the value array of each tree the fold
+    scored. It was about 1,850 while a searched record kept its rows, and
+    about 3,880 when every fold's memos lived until the search returned and
+    a memo held only split tuples."""
     x, y = _synthetic_xy(200, 42)
     fold_ids = shuffled_folds(200, 5, 0)
     tracemalloc.start()
