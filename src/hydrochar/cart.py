@@ -14,7 +14,7 @@ from .errors import (DimensionMismatch, EmptyInput, InvalidModelFile, NonFiniteI
 
 _WALK_BLOCK = 8192  # rows per block of the batch tree walk
 _MAX_COUNT = np.iinfo(np.intp).max  # the largest leaf row count a node array holds
-_Y_SCALE_LIMIT = math.sqrt(np.finfo(float).max) / 2  # len(y) * max|y| below it keeps _best_split's sums finite
+_Y_SCALE_LIMIT = math.sqrt(np.finfo(float).max) / 2  # len(y) * max|y| below it keeps _best_splits' sums finite
 
 
 @dataclass(frozen=True)
@@ -189,50 +189,64 @@ def _depth(left, right) -> int:
             raise InvalidModelFile("tree nodes form a cycle")
 
 
-def _best_split(x: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Exhaustive scan over (feature, midpoint threshold) candidates, all features in one pass.
+def _best_splits(x: np.ndarray, y: np.ndarray, s_tot: float, leaves: tuple[int, ...]) -> list:
+    """Exhaustive scan over (feature, midpoint threshold) candidates, all features in one pass, for every leaf size.
 
-    Returns (gain, feature, threshold, order, n_left) for the split minimizing
-    total child SSE, where the first ``n_left`` rows of ``order`` go left, or
-    None when no candidate leaves both children with ``min_leaf`` samples.
-    Ties prefer the lowest feature index, then the smallest threshold. Only
-    the split positions ``min_leaf .. m - min_leaf`` that the leaf-size floor
-    allows are scanned.
+    ``s_tot`` is ``float(y.sum())`` and ``leaves`` the ascending leaf sizes.
+    Returns one entry per leaf size: (gain, feature, threshold, order,
+    n_left) for the split minimizing total child SSE, where the first
+    ``n_left`` rows of ``order`` go left, or None when no candidate leaves
+    both children with that many samples. Ties prefer the lowest feature
+    index, then the smallest threshold. One table covers the split positions
+    ``leaves[0] .. m - leaves[0]`` that the smallest floor allows, and each
+    leaf size ``k`` takes the first minimum of its rows ``k .. m - k``: the
+    cumulative sums and child SSE of a position do not depend on the range
+    scanned, so each entry is what a scan of that leaf size alone finds.
     """
     m, d = x.shape
-    lo, hi = min_leaf, m - min_leaf  # first and last allowed left-child size
+    lo, hi = leaves[0], m - leaves[0]  # first and last left-child size the smallest floor allows
     if hi < lo:
-        return None
-    s_tot = float(y.sum())
+        return [None] * len(leaves)
     s2_tot = float(np.dot(y, y))
     parent_sse = s2_tot - s_tot * s_tot / m
     cols = np.arange(d)
-    order = np.argsort(x, axis=0, kind="stable")
-    # sorted rows lo - 1 .. hi: each allowed position splits xw[j] | xw[j + 1]
+    # ndarray methods, not np.* wrappers: a search makes a few dozen calls on small tables
+    order = x.argsort(axis=0, kind="stable")
+    # sorted rows lo - 1 .. hi: table row j splits xw[j] | xw[j + 1], at position lo + j
     xw = x[order[lo - 1 : hi + 1], cols]
     yo = y[order[:hi]]
     positions = np.arange(lo, hi + 1)[:, None]
-    cs = np.cumsum(yo, axis=0)[lo - 1 :]
-    cs2 = np.cumsum(yo * yo, axis=0)[lo - 1 :]
+    cs = yo.cumsum(axis=0)[lo - 1 :]
+    cs2 = (yo * yo).cumsum(axis=0)[lo - 1 :]
     child_sse = (cs2 - cs * cs / positions) + ((s2_tot - cs2) - (s_tot - cs) ** 2 / (m - positions))
     child_sse[xw[1:] == xw[:-1]] = np.inf
-    pos = np.argmin(child_sse, axis=0)
-    gains = parent_sse - child_sse[pos, cols]  # -inf where a feature has no valid split
-    f = int(np.argmax(gains))
-    if gains[f] == -np.inf:
-        return None
-    p = int(pos[f])
-    a, b = float(xw[p, f]), float(xw[p + 1, f])
-    thr = 0.5 * (a + b)
-    if not a <= thr < b:  # the midpoint overflowed or rounded onto b
-        thr = a
-    return float(gains[f]), f, thr, order[:, f], lo + p
+    found = []
+    for leaf in leaves:
+        first, last = leaf - lo, m - leaf - lo  # this floor's table rows
+        if last < first:
+            found.append(None)
+            continue
+        pos = child_sse[first : last + 1].argmin(axis=0) + first
+        gains = parent_sse - child_sse[pos, cols]  # -inf where a feature has no valid split
+        f = int(gains.argmax())
+        gain = float(gains[f])
+        if gain == -math.inf:
+            found.append(None)
+            continue
+        p = int(pos[f])
+        a, b = float(xw[p, f]), float(xw[p + 1, f])
+        thr = 0.5 * (a + b)
+        if not a <= thr < b:  # the midpoint overflowed or rounded onto b
+            thr = a
+        found.append((gain, f, thr, order[:, f], lo + p))
+    return found
 
 
 class _Node:
-    """A split memo's record of a node: its rows in fit order and their count, then its leaf mean and split, each
-    None until a fit needs it. ``split`` is () where none is allowed, else (gain, feature, threshold) with the
-    children memoized. Once searched, a record holds its mean and drops its rows: no fit reads them again."""
+    """A split memo's record of a node: its rows in fit order and their count, then its leaf mean and splits, each
+    None until a fit needs it. ``split`` holds one entry per leaf size of the memo: () where none is allowed, else
+    (gain, feature, threshold, left, right) with the children's records, one pair per distinct split. Once
+    searched, a record holds its mean and drops its rows: no fit reads them again."""
 
     __slots__ = ("rows", "size", "mean", "split")
 
@@ -240,23 +254,46 @@ class _Node:
         self.rows, self.size, self.mean, self.split = rows, len(rows), None, None
 
 
+class SplitMemo:
+    """The split search that fits of one ``x`` and ``y`` share, for trees of the leaf sizes ``leaves``.
+
+    ``root`` is the root's ``_Node`` record, made by the first fit after it has
+    checked the inputs, and each record links to its children's. ``uncapped``
+    keeps, by (``min_samples_leaf``, ``min_samples_split``,
+    ``min_impurity_decrease``), the first tree no depth cap bound.
+    """
+
+    __slots__ = ("leaves", "root", "uncapped")
+
+    def __init__(self, leaves):
+        self.leaves = tuple(sorted(set(leaves)))
+        self.root = None
+        self.uncapped = {}
+
+
 def _leaf_mean(ys: np.ndarray) -> float:
     return float(ys.sum()) / len(ys)  # bitwise what ys.mean() returns: the same sum, one division
 
 
-def _search(node: _Node, path: int, x: np.ndarray, y: np.ndarray, min_leaf: int, splits: dict) -> None:
-    """Fill ``node.mean`` and ``node.split``, put a split's children's records in ``splits``, drop ``node.rows``."""
+def _search(node: _Node, x: np.ndarray, y: np.ndarray, leaves: tuple[int, ...]) -> None:
+    """Fill ``node.mean`` and ``node.split`` for every leaf size, make the children's records, drop ``node.rows``."""
     ys = y[node.rows]
-    node.mean = _leaf_mean(ys)
-    found = None if ys.max() == ys.min() else _best_split(x[node.rows], ys, min_leaf)
-    node.split = () if found is None else found[:3]  # (gain, feature, threshold)
-    if found is not None:
-        rows, n_left = node.rows[found[3]], found[4]  # the split's order of the rows, and how many go left
-        splits[2 * path], splits[2 * path + 1] = _Node(rows[:n_left]), _Node(rows[n_left:])
+    s_tot = float(ys.sum())
+    node.mean = s_tot / node.size  # the bits of _leaf_mean(ys)
+    found = [None] * len(leaves) if ys.max() == ys.min() else _best_splits(x[node.rows], ys, s_tot, leaves)
+    made = {}  # (feature, n_left) -> split entry: leaf sizes that pick one split share its children
+    for hit in found:
+        if hit is not None and (hit[1], hit[4]) not in made:
+            gain, f, thr, order, n_left = hit
+            rows = node.rows[order]  # the split's order of the rows
+            made[f, n_left] = (gain, f, thr, _Node(rows[:n_left]), _Node(rows[n_left:]))
+    # From a list, so the tuple is made at its size: one built from a generator is resized, and CPython's
+    # tuple free list then keeps every dropped memo's tuples, which tracemalloc counts.
+    node.split = tuple([() if hit is None else made[hit[1], hit[4]] for hit in found])
     node.rows = None
 
 
-def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> RegressionTree:
+def fit_tree(x, y, params: TreeParams, memo: SplitMemo | None = None) -> RegressionTree:
     """Fit a CART regression tree by greedy SSE reduction.
 
     Thresholds are midpoints between consecutive distinct sorted feature
@@ -266,18 +303,16 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
     binds, no candidate respects the leaf-size floor, or the best gain falls
     below ``min_impurity_decrease``. The fit is fully deterministic.
 
-    ``splits`` memoizes each node's ``_Node`` record by its path: 1 at the
-    root, and 2k (left) and 2k + 1 (right) below node k. A node's record
-    depends only on its path, ``x``, ``y`` and ``min_samples_leaf``, never on
-    the other stops, so fits of the same ``x``, ``y`` and ``min_samples_leaf``
-    may share one dict and each statistic is computed once. The stops are
-    still applied in every fit. The input checks run when the root's record
-    is made, so once per memo. A depth cap only prunes the uncapped tree, so
-    ``splits`` also keeps, by (``min_samples_split``,
-    ``min_impurity_decrease``), the first tree no cap bound (its depth is
-    below ``max_depth``, or ``max_depth`` is None); a later fit with those
-    stops whose cap is None or at least that depth returns its read-only
-    arrays under its own ``params``, with no node walk.
+    ``memo`` is the ``SplitMemo`` of fits of the same ``x`` and ``y``; without
+    one a fit makes its own for its leaf size, and a leaf size the memo was
+    not made for raises ValueError. A node's record depends only on ``x``,
+    ``y`` and the splits above it, never on the stops, so each node's rows
+    are searched once for every leaf size of the memo, and each statistic is
+    computed once. The stops are still applied in every fit. The input
+    checks run when the root's record is made, so once per memo. A depth cap
+    only prunes the uncapped tree, so a fit whose cap is None or at least
+    the depth of the memo's uncapped tree of its other stops returns that
+    tree's read-only arrays under its own ``params``, with no node walk.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -285,52 +320,54 @@ def fit_tree(x, y, params: TreeParams, splits: dict | None = None) -> Regression
         raise EmptyInput("no training rows")
     if x.shape[0] != len(y):
         raise DimensionMismatch(f"x has {x.shape[0]} rows but y has {len(y)} values")
-    splits = {} if splits is None else splits
-    if 1 not in splits:
+    memo = SplitMemo((params.min_samples_leaf,)) if memo is None else memo
+    if params.min_samples_leaf not in memo.leaves:
+        raise ValueError(f"min_samples_leaf {params.min_samples_leaf} is not a leaf size of the split memo, "
+                         f"which was made for {list(memo.leaves)}")
+    if memo.root is None:
         require_finite("x", x)
         require_finite("y", y)
         scale = len(y) * float(np.abs(y).max())
         if scale >= _Y_SCALE_LIMIT:
             raise NonFiniteInput(f"y is too large for the split search's sums of squares: "
                                  f"len(y) * max|y| = {scale:g} is not below {_Y_SCALE_LIMIT:g}")
-        splits[1] = _Node(np.arange(len(y)))
-    stops = (params.min_samples_split, params.min_impurity_decrease)
-    uncapped = splits.get(stops)
+        memo.root = _Node(np.arange(len(y)))
+    stops = (params.min_samples_leaf, params.min_samples_split, params.min_impurity_decrease)
+    uncapped = memo.uncapped.get(stops)
     if uncapped is not None and (params.max_depth is None or params.max_depth >= uncapped.depth):
         tree = copy.copy(uncapped)  # shares every array
         tree.params = params
         return tree
+    k = memo.leaves.index(params.min_samples_leaf)
     # One (feature, threshold, left, right, value, count) row per node id.
     nodes: list[tuple | None] = [None]
-    # Stack of (node_id, path); children are allocated when a split is
-    # committed so node ids are stable and deterministic. A node's depth is
-    # its path's bit length - 1, and the deepest leaf has the largest path.
-    stack = [(0, 1)]
-    deepest = 1
+    # Stack of (node_id, record, depth); children are allocated when a split
+    # is committed so node ids are stable and deterministic.
+    stack = [(0, memo.root, 0)]
+    deepest = 0
     min_rows = max(params.min_samples_split, 2 * params.min_samples_leaf)
     while stack:
-        node_id, path = stack.pop()
-        node = splits[path]
+        node_id, node, depth = stack.pop()
         split = ()
-        if node.size >= min_rows and (params.max_depth is None or path.bit_length() - 1 < params.max_depth):
+        if node.size >= min_rows and (params.max_depth is None or depth < params.max_depth):
             if node.split is None:
-                _search(node, path, x, y, params.min_samples_leaf, splits)
-            split = node.split
+                _search(node, x, y, memo.leaves)
+            split = node.split[k]
             if split and params.min_impurity_decrease > 0.0 and split[0] < params.min_impurity_decrease:
                 split = ()
         if not split:
             if node.mean is None:
                 node.mean = _leaf_mean(y[node.rows])
             nodes[node_id] = (0, np.inf, -1, -1, node.mean, node.size)
-            deepest = max(deepest, path)
+            deepest = max(deepest, depth)
             continue
-        _, feat, thr = split
+        _, feat, thr, left, right = split
         left_id = len(nodes)
         nodes[node_id] = (feat, thr, left_id, left_id + 1, 0.0, 0)
         nodes += [None, None]
-        stack.append((left_id + 1, 2 * path + 1))
-        stack.append((left_id, 2 * path))
-    tree = RegressionTree(x.shape[1], params, *zip(*nodes), deepest.bit_length() - 1)
+        stack.append((left_id + 1, right, depth + 1))
+        stack.append((left_id, left, depth + 1))
+    tree = RegressionTree(x.shape[1], params, *zip(*nodes), deepest)
     if params.max_depth is None or tree.depth < params.max_depth:
-        splits[stops] = tree  # the first: a later one would have been returned above
+        memo.uncapped[stops] = tree  # the first: a later one would have been returned above
     return tree

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .cart import RegressionTree, TreeParams, fit_tree
+from .cart import RegressionTree, SplitMemo, TreeParams, fit_tree
 from .data import Dataset, Scaler, SplitPlan
 from .errors import HydrocharError, InvalidGrid, InvalidModelFile, TooFewRows, refusing, require_real, require_type
 from .stats import MetricsReport, metrics_report, rmse
@@ -178,16 +178,16 @@ class GridSearchResult:
     candidates: list[tuple[TreeParams | SvrParams, float]]
 
 
-def _fit(x, y, params, columns, splits=None) -> tuple[RegressionTree | SvrModel, Scaler | None, Scaler | None]:
+def _fit(x, y, params, columns, memo=None) -> tuple[RegressionTree | SvrModel, Scaler | None, Scaler | None]:
     """Fit one candidate on raw rows; returns (model, scaler_in, scaler_out).
 
-    A tree fits the raw rows, through the split memo ``splits`` when given,
+    A tree fits the raw rows, through the split memo ``memo`` when given,
     and has no scalers. An SVR fits rows and target standardized by scalers
     fit on these rows; a scaler that cannot be fit raises, naming a column
     of ``x`` from ``columns`` when given.
     """
     if not isinstance(params, SvrParams):
-        return fit_tree(x, y, params, splits), None, None
+        return fit_tree(x, y, params, memo), None, None
     scaler_in = Scaler.fit(x, columns=columns)
     scaler_out = Scaler.fit(y[:, None])
     return fit_svr(scaler_in.transform(x), scaler_out.transform(y[:, None])[:, 0], params), scaler_in, scaler_out
@@ -211,9 +211,9 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     runs one fold at a time: it slices the fold's raw training and
     validation rows once, and every candidate fits through ``_fit`` on them,
     so an SVR candidate fits its scalers on that fold's training part only.
-    The fold's tree candidates share one split memo per
-    ``min_samples_leaf``, so each node's split is searched once per fold and
-    leaf size, and the memos go when the fold ends. A candidate whose cap
+    The fold's tree candidates share one split memo, made for their leaf
+    sizes, so each node's rows are searched once per fold for every leaf
+    size, and the memo goes when the fold ends. A candidate whose cap
     the uncapped tree of its stops never reaches gets that tree's arrays
     back from ``fit_tree``, and takes the score the fold gave them without
     walking the validation rows again. Ties, including exact
@@ -233,11 +233,12 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     folds = [in_fold for in_fold in (fold_ids == f for f in range(int(fold_ids.max()) + 1)) if in_fold.any()]
     if len(folds) < 2:
         raise TooFewRows("need at least 2 non-empty folds")
+    leaves = {p.min_samples_leaf for p in candidates if not isinstance(p, SvrParams)}
     fold_rmses: list[list[float]] = [[] for _ in candidates]
     failures: dict[int, str] = {}  # candidate index -> its first failure
     for in_fold in folds:
         x_trn, y_trn, x_val, y_val = x[~in_fold], y[~in_fold], x[in_fold], y[in_fold]
-        memos: dict[int, dict] = {}  # min_samples_leaf -> this fold's split memo
+        memo = SplitMemo(leaves)
         # id -> (value array, fold score) of each tree scored on this fold; holding the array keeps its id unique
         tree_scores: dict[int, tuple[np.ndarray, float]] = {}
         for i, params in enumerate(candidates):
@@ -246,11 +247,11 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
             try:
                 if len(y_trn) < 2:
                     raise TooFewRows("fold training part too small")
-                splits = None if isinstance(params, SvrParams) else memos.setdefault(params.min_samples_leaf, {})
-                model, scaler_in, scaler_out = _fit(x_trn, y_trn, params, columns, splits)
-                seen = tree_scores.get(id(model.value)) if splits is not None else None  # fit_tree may share a tree
+                model, scaler_in, scaler_out = _fit(x_trn, y_trn, params, columns, memo)
+                is_tree = isinstance(model, RegressionTree)
+                seen = tree_scores.get(id(model.value)) if is_tree else None  # fit_tree may share a tree
                 score = seen[1] if seen else rmse(y_val, _predict(model, scaler_in, scaler_out, x_val))
-                if splits is not None:
+                if is_tree:
                     tree_scores[id(model.value)] = (model.value, score)
                 fold_rmses[i].append(score)
             except HydrocharError as exc:

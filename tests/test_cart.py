@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hydrochar import cart, data
-from hydrochar.cart import RegressionTree, TreeParams, fit_tree
+from hydrochar.cart import RegressionTree, SplitMemo, TreeParams, fit_tree
 from hydrochar.data import Scaler
 from hydrochar.errors import DimensionMismatch, EmptyInput, InvalidModelFile, NonFiniteInput
 from hydrochar.pipeline import HyperGrid
@@ -397,7 +397,7 @@ def test_fully_grown_replays_training_targets(seed):
 
 
 def _reference_best_split(x, y, min_leaf):
-    """Per-feature loop that the one-pass scan in cart._best_split replaces."""
+    """Per-feature loop at one leaf size that the one-pass scan in cart._best_splits replaces."""
     m = len(y)
     s_tot = float(y.sum())
     s2_tot = float(np.dot(y, y))
@@ -429,7 +429,8 @@ def _reference_best_split(x, y, min_leaf):
 @st.composite
 def split_cases(draw):
     """Small-integer matrices, so duplicate values and equal gains across
-    features are common, with some columns (possibly all) held constant."""
+    features are common, with some columns (possibly all) held constant, and
+    the ascending leaf sizes of one shared search."""
     m = draw(st.integers(2, 80))
     d = draw(st.integers(1, 11))
     x = draw(hnp.arrays(float, (m, d), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0]), fill=st.nothing()))
@@ -437,32 +438,39 @@ def split_cases(draw):
         x[:, f] = x[0, f]
     ys = draw(st.sampled_from([st.sampled_from([0.0, 1.0, 2.0]), st.floats(-1e3, 1e3)]))
     y = draw(hnp.arrays(float, m, elements=ys, fill=st.nothing()))
-    return x, y, draw(st.sampled_from([1, 2, 5, 10]))
+    return x, y, tuple(sorted(draw(st.sets(st.sampled_from([1, 2, 3, 5, 10, 40]), min_size=1))))
 
 
 @settings(max_examples=examples(150))
 @given(split_cases())
 def test_best_split_matches_per_feature_loop(case):
-    x, y, min_leaf = case
-    got = cart._best_split(x, y, min_leaf)
-    want = _reference_best_split(x, y, min_leaf)
-    if want is None:
-        assert got is None
-        return
-    gain, feature, threshold, order, n_left = got
-    want_gain, want_feature, want_threshold, want_order, want_n_left = want
-    assert (feature, threshold, n_left) == (want_feature, want_threshold, want_n_left)
-    assert gain == want_gain  # same bits, not approximately equal
-    assert np.array_equal(order, want_order)
+    """Each leaf size's entry of one shared search is the reference's split at that leaf size alone."""
+    x, y, leaves = case
+    found = cart._best_splits(x, y, float(y.sum()), leaves)
+    assert len(found) == len(leaves)
+    for min_leaf, got in zip(leaves, found):
+        want = _reference_best_split(x, y, min_leaf)
+        if want is None:
+            assert got is None
+            continue
+        gain, feature, threshold, order, n_left = got
+        want_gain, want_feature, want_threshold, want_order, want_n_left = want
+        assert (feature, threshold, n_left) == (want_feature, want_threshold, want_n_left)
+        assert gain == want_gain  # same bits, not approximately equal
+        assert np.array_equal(order, want_order)
 
 
 def test_trees_match_per_feature_loop(monkeypatch):
+    """The default grid fitted through one memo per table, whose search serves every leaf size, gives the trees
+    of fresh fits whose search calls the reference once per leaf size."""
     ds = data.generate_synthetic(80, seed=7, noise_sd=0.5)
     lattice = np.floor(ds.feature_matrix() / 10.0)  # many tied thresholds
     cases = [(ds.feature_matrix(), ds.target_matrix()[:, 0]), (lattice, ds.target_matrix()[:, 1])]
     grid = HyperGrid.default().tree_grid
-    fast = [fit_tree(x, y, p).to_json_obj() for x, y in cases for p in grid]
-    monkeypatch.setattr(cart, "_best_split", _reference_best_split)
+    memos = [SplitMemo(p.min_samples_leaf for p in grid) for _ in cases]
+    fast = [fit_tree(x, y, p, memo).to_json_obj() for (x, y), memo in zip(cases, memos) for p in grid]
+    monkeypatch.setattr(cart, "_best_splits", lambda x, y, s_tot, leaves: [
+        _reference_best_split(x, y, leaf) for leaf in leaves])
     slow = [fit_tree(x, y, p).to_json_obj() for x, y in cases for p in grid]
     assert len(fast) >= 30
     assert fast == slow
@@ -471,21 +479,23 @@ def test_trees_match_per_feature_loop(monkeypatch):
 @st.composite
 def memo_cases(draw):
     """Tie-rich tables (features on a small integer lattice, rows drawn from a
-    pool so duplicates occur, targets on a lattice) and a random order of fit
-    parameters that share one ``min_samples_leaf`` and differ in the other
-    stops, followed by the same parameters shuffled, so each fit also runs
-    through a memo that every other fit has filled."""
+    pool so duplicates occur, targets on a lattice), the leaf sizes of one
+    memo, and a random order of fit parameters that mix those leaf sizes,
+    depth caps and the other stops, followed by the same parameters
+    shuffled, so each fit also runs through a memo that every other fit has
+    filled. The memo may announce a leaf size no fit uses."""
     m = draw(st.integers(1, 60))
     d = draw(st.integers(1, 4))
     pool = draw(hnp.arrays(float, (draw(st.integers(1, m)), d), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])))
     x = pool[draw(hnp.arrays(np.intp, m, elements=st.integers(0, len(pool) - 1)))]
     y = draw(hnp.arrays(float, m, elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])))
-    leaf = draw(st.sampled_from([1, 2, 3, 5]))
+    leaves = draw(st.sets(st.sampled_from([1, 2, 3, 5, 8]), min_size=1))
     params = draw(st.lists(
         st.builds(TreeParams, max_depth=st.none() | st.integers(0, 8), min_samples_split=st.integers(2, 12),
-                  min_samples_leaf=st.just(leaf), min_impurity_decrease=st.sampled_from([0.0, 0.1, 0.5, 2.0])),
-        min_size=1, max_size=8))
-    return x, y, params + draw(st.permutations(params))
+                  min_samples_leaf=st.sampled_from(sorted(leaves)),
+                  min_impurity_decrease=st.sampled_from([0.0, 0.1, 0.5, 2.0])),
+        min_size=1, max_size=12))
+    return x, y, leaves, params + draw(st.permutations(params))
 
 
 @settings(max_examples=examples(150))
@@ -493,37 +503,37 @@ def memo_cases(draw):
 def test_fits_through_one_split_memo_match_fresh_fits(case):
     """Each fit through one shared memo equals a fresh fit, and the depth the
     fit hands to the tree is what ``_depth`` walks from its node arrays."""
-    x, y, params = case
-    splits = {}
+    x, y, leaves, params = case
+    memo = SplitMemo(leaves)
     for p in params:
-        tree = fit_tree(x, y, p, splits)
+        tree = fit_tree(x, y, p, memo)
         assert tree.to_json_obj() == fit_tree(x, y, p).to_json_obj()
         assert tree.depth == cart._depth(tree.left, tree.right)
 
 
 def test_refits_through_filled_memos_search_nothing_and_compute_no_statistic(monkeypatch):
-    """Once each default-grid candidate has been fitted through its leaf
-    size's memo, refitting them all in another order calls neither the split
-    search nor the leaf mean and gives the same trees."""
+    """Once each default-grid candidate has been fitted through one memo made
+    for the grid's leaf sizes, refitting them all in another order calls
+    neither the split search nor the leaf mean and gives the same trees."""
     ds = data.generate_synthetic(120, seed=3, noise_sd=0.5)
     x, y = ds.feature_matrix(), ds.target_matrix()[:, 0]
     grid = HyperGrid.default().tree_grid
-    memos = {}
-    first = [fit_tree(x, y, p, memos.setdefault(p.min_samples_leaf, {})).to_json_obj() for p in grid]
+    memo = SplitMemo(p.min_samples_leaf for p in grid)
+    first = [fit_tree(x, y, p, memo).to_json_obj() for p in grid]
     calls = []
 
     def counted(name):
         real = getattr(cart, name)
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("_search", "_leaf_mean", "_best_split"):
+    for name in ("_search", "_leaf_mean", "_best_splits"):
         monkeypatch.setattr(cart, name, counted(name))
     order = np.random.default_rng(0).permutation(len(grid))
-    again = {i: fit_tree(x, y, grid[i], memos[grid[i].min_samples_leaf]).to_json_obj() for i in order}
+    again = {i: fit_tree(x, y, grid[i], memo).to_json_obj() for i in order}
     assert calls == []
     assert [again[i] for i in range(len(grid))] == first
     fit_tree(x, y, grid[0])  # a fresh memo: the counters see every helper
-    assert set(calls) == {"_search", "_leaf_mean", "_best_split"}
+    assert set(calls) == {"_search", "_leaf_mean", "_best_splits"}
 
 
 def test_fit_whose_cap_the_uncapped_tree_never_reaches_shares_that_tree(monkeypatch):
@@ -532,8 +542,8 @@ def test_fit_whose_cap_the_uncapped_tree_never_reaches_shares_that_tree(monkeypa
     binding cap, or other stops, builds its own tree; the first tree no cap bound of those stops is shared in turn."""
     ds = data.generate_synthetic(120, seed=3, noise_sd=0.5)
     x, y = ds.feature_matrix(), ds.target_matrix()[:, 0]
-    splits = {}
-    uncapped = fit_tree(x, y, TreeParams(max_depth=40, min_samples_leaf=2), splits)
+    memo = SplitMemo([2])
+    uncapped = fit_tree(x, y, TreeParams(max_depth=40, min_samples_leaf=2), memo)
     depth = uncapped.depth
     assert 3 < depth < 40
     sharing = [TreeParams(max_depth=d, min_samples_leaf=2) for d in (None, depth, depth + 1, 64)]
@@ -552,17 +562,17 @@ def test_fit_whose_cap_the_uncapped_tree_never_reaches_shares_that_tree(monkeypa
     arrays = ("feature", "threshold", "left", "right", "value", "count", "is_leaf",
               "_children", "_feature2", "_threshold2", "_value2")
     for p in sharing:
-        tree = fit_tree(x, y, p, splits)
+        tree = fit_tree(x, y, p, memo)
         assert tree.params is p and tree.depth == depth
         assert tree.to_json_obj() == fresh[p]
         assert all(getattr(tree, a) is getattr(uncapped, a) for a in arrays)
     assert calls == []
     for p in own:
-        tree = fit_tree(x, y, p, splits)
+        tree = fit_tree(x, y, p, memo)
         assert tree.to_json_obj() == fresh[p]
         assert tree.value is not uncapped.value
         again = fit_tree(x, y, TreeParams(max_depth=None, min_samples_split=p.min_samples_split, min_samples_leaf=2,
-                                          min_impurity_decrease=p.min_impurity_decrease), splits)
+                                          min_impurity_decrease=p.min_impurity_decrease), memo)
         assert (again.value is tree.value) == (p.max_depth is None or p.max_depth > tree.depth)
         assert (again.value is uncapped.value) == (p.max_depth == depth - 1)
 
@@ -574,15 +584,29 @@ def test_input_checks_run_once_per_memo(monkeypatch):
     real = cart.require_finite
     monkeypatch.setattr(cart, "require_finite", lambda name, a: checked.append(name) or real(name, a))
     x, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
-    splits = {}
-    fit_tree(x, y, TreeParams(), splits)
-    fit_tree(x, y, TreeParams(max_depth=1), splits)
+    memo = SplitMemo([1, 2])
+    fit_tree(x, y, TreeParams(), memo)
+    fit_tree(x, y, TreeParams(max_depth=1, min_samples_leaf=2), memo)
     assert checked == ["x", "y"]
     y[3] = np.nan
-    splits = {}
+    memo = SplitMemo([1])
     for _ in range(2):
         with pytest.raises(NonFiniteInput, match="^y holds a value that is not finite$"):
-            fit_tree(x, y, TreeParams(), splits)
-        assert splits == {}
+            fit_tree(x, y, TreeParams(), memo)
+        assert memo.root is None
     with pytest.raises(NonFiniteInput, match=r"^y is too large for the split search's sums of squares"):
-        fit_tree(x, np.full(6, 1e308), TreeParams(), {})
+        fit_tree(x, np.full(6, 1e308), TreeParams())
+
+
+def test_fit_whose_leaf_size_its_memo_was_not_made_for_is_refused():
+    """A memo searches each node for the leaf sizes it was made for, so a fit of another leaf size raises before
+    it checks or searches anything; a fit of an announced size then goes through."""
+    x, y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    memo = SplitMemo([3, 1, 3])
+    assert memo.leaves == (1, 3)
+    with pytest.raises(ValueError, match=r"^min_samples_leaf 2 is not a leaf size of the split memo, "
+                                         r"which was made for \[1, 3\]$"):
+        fit_tree(x, y, TreeParams(min_samples_leaf=2), memo)
+    assert memo.root is None
+    assert fit_tree(x, y, TreeParams(min_samples_leaf=3), memo).to_json_obj() == \
+        fit_tree(x, y, TreeParams(min_samples_leaf=3)).to_json_obj()

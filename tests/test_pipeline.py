@@ -479,47 +479,56 @@ def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
 
 
 def test_grid_search_matches_reference_on_the_default_tree_grid():
-    """The 28 default tree candidates share each fold's split memos: 7 depth
-    caps read the splits of every leaf size's memo."""
+    """The 28 default tree candidates share each fold's split memo: 7 depth
+    caps at each of 4 leaf sizes read the splits of one search per node."""
     x, y = _synthetic_xy(100, 37)
     got = _assert_same_search(x, y, HyperGrid.default().tree_grid, shuffled_folds(100, 5, 5))
     assert all(np.isfinite(score) for _, score in got.candidates)
 
 
-def test_grid_search_searches_each_node_once_per_fold_and_leaf_size(monkeypatch):
+def test_grid_search_searches_each_node_once_per_fold(monkeypatch):
     """On the default tree grid every node any candidate splits is a node of
-    the unlimited-depth tree of its leaf size, so the search makes exactly
-    that tree's searches for each fold and leaf size."""
+    the unlimited-depth tree of its leaf size, and one search of a node
+    serves every leaf size, so each fold makes exactly the searches of those
+    four trees fitted through one fresh memo: one per distinct node, fewer
+    than four memos of one leaf size each would make."""
     x, y = _synthetic_xy(100, 38)
     fold_ids = shuffled_folds(100, 5, 6)
     searches = []
-    best_split = cart._best_split
+    search = cart._search
 
-    def counting_best_split(*args):
-        searches.append(args[2])
-        return best_split(*args)
+    def counting_search(*args):
+        searches.append(args[0])
+        return search(*args)
 
-    monkeypatch.setattr(cart, "_best_split", counting_best_split)
+    monkeypatch.setattr(cart, "_search", counting_search)
     grid_search(x, y, HyperGrid.default().tree_grid, fold_ids)
     in_search = len(searches)
     searches.clear()
+    leaves = pipeline.DEFAULT_TREE_MIN_LEAF
     for f in range(5):
         trn = fold_ids != f
-        for leaf in pipeline.DEFAULT_TREE_MIN_LEAF:
-            fit_tree(x[trn], y[trn], TreeParams(min_samples_leaf=leaf))
-    assert in_search == len(searches)
+        memo = cart.SplitMemo(leaves)
+        for leaf in leaves:
+            fit_tree(x[trn], y[trn], TreeParams(min_samples_leaf=leaf), memo)
+    assert in_search == len(searches) == len({id(node) for node in searches})
+    searches.clear()
+    for f in range(5):
+        for leaf in leaves:
+            fit_tree(x[fold_ids != f], y[fold_ids != f], TreeParams(min_samples_leaf=leaf))
+    assert in_search < len(searches)
 
 
-def test_grid_search_checks_the_fold_inputs_once_per_leaf_size(monkeypatch):
-    """fit_tree checks its inputs when it makes a memo's root record, so a
-    default-grid search checks x and y once per fold and leaf size, not once
-    per candidate."""
+def test_grid_search_checks_the_fold_inputs_once_per_fold(monkeypatch):
+    """fit_tree checks its inputs when it makes a memo's root record, and a
+    fold's tree candidates share one memo, so a default-grid search checks x
+    and y once per fold, not once per candidate or leaf size."""
     x, y = _synthetic_xy(50, 40)
     checked = []
     real = cart.require_finite
     monkeypatch.setattr(cart, "require_finite", lambda name, a: checked.append(name) or real(name, a))
     grid_search(x, y, HyperGrid.default().tree_grid, shuffled_folds(50, 5, 3))
-    assert checked == ["x", "y"] * 5 * len(pipeline.DEFAULT_TREE_MIN_LEAF)
+    assert checked == ["x", "y"] * 5
 
 
 def test_grid_search_walks_the_validation_rows_once_per_distinct_tree(monkeypatch):
@@ -585,13 +594,14 @@ def test_schema1_dtr_file_without_its_scaler_key_is_refused(tmp_path):
 
 
 def test_grid_search_memory_is_one_folds_split_memos():
-    """The search keeps the split memos of one fold at a time: on the default
-    tree grid at 200 rows the traced peak is about 1,770 bytes a row: a
-    record for every node the fold's fits reach, the tree of each leaf size
-    that no depth cap bound, and the value array of each tree the fold
-    scored. It was about 1,850 while a searched record kept its rows, and
-    about 3,880 when every fold's memos lived until the search returned and
-    a memo held only split tuples."""
+    """The search keeps the split memo of one fold at a time: on the default
+    tree grid at 200 rows the traced peak is about 1,740-1,790 bytes a row:
+    a record for every node the fold's fits reach and for the children of
+    every leaf size's split, the tree of each leaf size that no depth cap
+    bound, and the value array of each tree the fold scored. It was about
+    1,770 with one memo per leaf size, about 1,850 while a searched record
+    kept its rows, and about 3,880 when every fold's memos lived until the
+    search returned and a memo held only split tuples."""
     x, y = _synthetic_xy(200, 42)
     fold_ids = shuffled_folds(200, 5, 0)
     tracemalloc.start()
