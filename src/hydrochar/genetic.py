@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import FEATURE_COLUMNS, TARGET_COLUMNS, mass_balance_ok
-from .errors import InfeasibleBounds, MissingModel, UnknownApplication
+from .errors import InfeasibleBounds, MissingModel, UnknownApplication, require_int
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -119,6 +119,10 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population", "generations", "elitism", "stagnation_limit", "seed"):
+            require_int(name, getattr(self, name))
+        if not self.bounds:
+            raise ValueError("bounds must hold at least one gene")
         if self.population < 2:
             raise ValueError("population must be >= 2")
         for p in (self.crossover_prob, self.mutation_prob):

@@ -118,8 +118,8 @@ class TrainedTarget:
 
     def shapley_values(self, x_raw, background_raw) -> np.ndarray | None:
         """Exact Shapley values of ``predict`` at one raw row over raw
-        background rows, in target units; None where the model has no closed
-        form (trees, polynomial-kernel SVRs) and coalitions are enumerated.
+        background rows, in target units; None for a tree, whose coalitions
+        are enumerated.
 
         The input scaler maps each feature on its own, so a coalition row
         standardizes to the same coalition of standardized rows; the output
@@ -128,7 +128,7 @@ class TrainedTarget:
         if self.kind != "svr":
             return None
         phi = self.model.shapley_values(self.scaler_in.transform(x_raw), self.scaler_in.transform(background_raw))
-        return None if phi is None else phi * self.scaler_out.stds[0]
+        return phi * self.scaler_out.stds[0]
 
     def to_json_obj(self) -> dict:
         return {
@@ -213,11 +213,13 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     so an SVR candidate fits its scalers on that fold's training part only.
     The fold's tree candidates share one split memo, made for their leaf
     sizes, so each node's rows are searched once per fold for every leaf
-    size, and the memo goes when the fold ends. A candidate whose cap
-    the uncapped tree of its stops never reaches gets that tree's arrays
-    back from ``fit_tree``, and takes the score the fold gave them without
-    walking the validation rows again. Ties, including exact
-    duplicates, go to the earliest grid entry. A candidate that fails on a
+    size, and the memo goes when the fold ends. Each fold fits its
+    uncapped tree candidates first and the rest in grid order, so a
+    candidate whose cap is at least the depth of the uncapped tree of its
+    stops gets that tree's arrays back from ``fit_tree``, and takes the
+    score the fold gave them without walking the validation rows again.
+    Scores are kept by grid index, so ties, including exact duplicates,
+    go to the earliest grid entry. A candidate that fails on a
     fold scores infinity and is not fitted again; when every candidate
     fails, the raised error carries the earliest candidate's failure, which
     names a column of ``x`` from ``columns`` when given.
@@ -230,10 +232,11 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
     fold_ids = np.asarray(fold_ids, dtype=int)
     if len(fold_ids) != len(y):
         raise TooFewRows("fold assignment length does not match row count")
-    folds = [in_fold for in_fold in (fold_ids == f for f in range(int(fold_ids.max()) + 1)) if in_fold.any()]
+    folds = [in_fold for in_fold in (fold_ids == f for f in range(int(fold_ids.max(initial=-1)) + 1)) if in_fold.any()]
     if len(folds) < 2:
         raise TooFewRows("need at least 2 non-empty folds")
     leaves = {p.min_samples_leaf for p in candidates if not isinstance(p, SvrParams)}
+    order = sorted(enumerate(candidates), key=lambda c: getattr(c[1], "max_depth", None) is not None)
     fold_rmses: list[list[float]] = [[] for _ in candidates]
     failures: dict[int, str] = {}  # candidate index -> its first failure
     for in_fold in folds:
@@ -241,7 +244,7 @@ def grid_search(x, y, candidates, fold_ids, columns=None) -> GridSearchResult:
         memo = SplitMemo(leaves)
         # id -> (value array, fold score) of each tree scored on this fold; holding the array keeps its id unique
         tree_scores: dict[int, tuple[np.ndarray, float]] = {}
-        for i, params in enumerate(candidates):
+        for i, params in order:
             if i in failures:
                 continue
             try:

@@ -3,9 +3,9 @@
 Values use the interventional (marginal) game: a coalition's value is the
 mean model output over background rows with the coalition's features
 replaced by the explained point. A model whose bound ``predict`` is given
-and that has a closed form for this game (``shapley_values``: linear and
-RBF SVRs) supplies the attributions itself; for any other function (trees,
-polynomial-kernel SVRs, plain callables) all 2^d coalitions are enumerated.
+and that has a closed form for this game (``shapley_values``: every SVR)
+supplies the attributions itself; for any other function (trees, plain
+callables) all 2^d coalitions are enumerated.
 Both are exact: the efficiency identity holds to rounding error, and the
 two agree within 1e-9 of the target's training spread.
 """

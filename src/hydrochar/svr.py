@@ -33,20 +33,14 @@ from .errors import (ConvergenceWarning, DimensionMismatch, DualConstraintDrift,
 
 @dataclass(frozen=True)
 class Kernel:
-    kind: str  # "linear" | "polynomial" | "rbf"
-    degree: int = 3
-    coef0: float = 0.0
+    kind: str  # "linear" | "rbf"
     gamma: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in ("linear", "polynomial", "rbf"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        for name in ("gamma", "coef0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"kernel {name} must be finite, got {getattr(self, name)!r}")
-        require_int("kernel degree", self.degree)
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
+        if self.kind not in ("linear", "rbf"):
+            raise ValueError(f"kernel kind {self.kind!r} is not supported; expected 'linear' or 'rbf'")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"kernel gamma must be finite, got {self.gamma!r}")
         if self.kind == "rbf" and not self.gamma > 0.0:
             raise ValueError("rbf gamma must be > 0")
 
@@ -54,18 +48,14 @@ class Kernel:
         return " ".join([self.kind] + [f"{k}={v!r}" for k, v in self.to_dict().items() if k != "kind"])
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "polynomial":
-            d["degree"] = self.degree
-            d["coef0"] = self.coef0
-        elif self.kind == "rbf":
-            d["gamma"] = self.gamma
-        return d
+        return {"kind": self.kind, "gamma": self.gamma} if self.kind == "rbf" else {"kind": self.kind}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Kernel":
-        """Read a kernel, refusing a field its kind does not read (a linear kernel's gamma, say)."""
-        kernel = read_fields(cls, "kernel", d, {f: partial(require_real, f"kernel {f}") for f in ("coef0", "gamma")})
+        """Read a kernel, refusing an unsupported kind before any other field, and a field its kind does not
+        read (a linear kernel's gamma, say)."""
+        cls(require_type("kernel", d, dict)["kind"])
+        kernel = read_fields(cls, "kernel", d, {"gamma": partial(require_real, "kernel gamma")})
         unread = [k for k in d if k not in kernel.to_dict()]
         if unread:
             raise ValueError(f"kernel kind {kernel.kind!r} does not read field {unread[0]!r}")
@@ -111,8 +101,6 @@ def kernel_matrix(kernel: Kernel, a, b) -> np.ndarray:
         raise DimensionMismatch(f"feature counts differ: {a.shape[1]} vs {b.shape[1]}")
     if kernel.kind == "linear":
         return a @ b.T
-    if kernel.kind == "polynomial":
-        return (a @ b.T + kernel.coef0) ** kernel.degree
     sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
     np.clip(sq, 0.0, None, out=sq)
     return np.exp(-kernel.gamma * sq)
@@ -202,9 +190,9 @@ class SvrModel:
             out[lo : lo + b] = k @ self.dual_coeffs + self.bias
         return out
 
-    def shapley_values(self, z, background) -> np.ndarray | None:
+    def shapley_values(self, z, background) -> np.ndarray:
         """Exact interventional Shapley values of the decision function at row
-        ``z`` over ``background`` rows, or None for a polynomial kernel.
+        ``z`` over ``background`` rows.
 
         A linear model is additive: phi_i = w_i (z_i - mean_r r_i) with
         w = sum_s beta_s s. An RBF kernel is a product over features, so for
@@ -213,7 +201,7 @@ class SvrModel:
         c_j = k_j(r_j, s_j) where it is not. By Owen's multilinear extension
         such a product game has phi_i = (a_i - c_i) times the integral over
         u in [0, 1] of prod_{j != i} ((1 - u) c_j + u a_j). The integrand is
-        a polynomial of degree d - 1 in u, so ceil(d / 2) Gauss-Legendre
+        a polynomial in u with powers up to d - 1, so ceil(d / 2) Gauss-Legendre
         nodes integrate it exactly; the products leaving out one j are a
         prefix times a suffix product over j. No kernel is evaluated through
         a matrix product, and background rows go in blocks of at most
@@ -222,11 +210,8 @@ class SvrModel:
         """
         z = np.asarray(z, dtype=float).ravel()
         background = np.atleast_2d(np.asarray(background, dtype=float))
-        kind = self.params.kernel.kind
-        if kind == "linear":
+        if self.params.kernel.kind == "linear":
             return (self.dual_coeffs @ self.support_vectors) * (z - background.mean(axis=0))
-        if kind != "rbf":
-            return None
         gamma = self.params.kernel.gamma
         n_sv, d = self.support_vectors.shape
         a = np.exp(-gamma * (z - self.support_vectors) ** 2)  # (n_sv, d)

@@ -244,7 +244,7 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
         ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "linear"}, "C": 10.0}]},
          "svr_grid[0]: unknown field 'C'; expected one of c, epsilon, kernel, tolerance, max_passes"),
         ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "rbf", "gama": 0.5}}]},
-         "svr_grid[0]: unknown field 'gama'; expected one of kind, degree, coef0, gamma"),
+         "svr_grid[0]: unknown field 'gama'; expected one of kind, gamma"),
         ({"svr_grid": [{"c": True, "epsilon": 0.1, "kernel": {"kind": "linear"}}]},
          "svr_grid[0]: c must be a number, got True"),
         ({"svr_grid": [{"c": 1.0, "epsilon": "0.1", "kernel": {"kind": "linear"}}]},
@@ -260,9 +260,11 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
         ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "linear", "gamma": 0.5}}]},
          "svr_grid[0]: kernel kind 'linear' does not read field 'gamma'"),
         ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "rbf", "gamma": 0.5, "degree": 2}}]},
-         "svr_grid[0]: kernel kind 'rbf' does not read field 'degree'"),
+         "svr_grid[0]: unknown field 'degree'; expected one of kind, gamma"),
         ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "polynomial", "degree": 2, "gamma": 0.5}}]},
-         "svr_grid[0]: kernel kind 'polynomial' does not read field 'gamma'"),
+         "svr_grid[0]: kernel kind 'polynomial' is not supported; expected 'linear' or 'rbf'"),
+        ({"svr_grid": [{"c": 1.0, "epsilon": 0.1, "kernel": {"kind": "polynomial", "degree": 2, "coef0": 1.0}}]},
+         "svr_grid[0]: kernel kind 'polynomial' is not supported; expected 'linear' or 'rbf'"),
         ({"tree_grid": [{"max_depth": 6}], "svr_grd": []},
          "unknown field 'svr_grd'; expected one of tree_grid, svr_grid"),
         ('{"tree_grid": [', "Expecting value: line 1 column 16 (char 15)"),
@@ -270,7 +272,7 @@ def test_train_refuses_non_finite_grid_values(workdir, capsys, tree_entries, svr
     ids=["depth-float", "depth-bool", "leaf-float", "depth-string", "tree-grid-object", "top-level-list", "svr-no-c",
          "tree-unknown-field", "svr-unknown-field", "kernel-unknown-field", "c-bool", "epsilon-string", "gamma-null",
          "min-impurity-null", "kernel-string", "tree-entry-int", "linear-gamma", "rbf-degree", "polynomial-gamma",
-         "top-level-unknown-key", "not-json"],
+         "polynomial", "top-level-unknown-key", "not-json"],
 )
 def test_train_refuses_malformed_grid(workdir, capsys, grid, message):
     """A grid given as a string is written as it stands, to make a file that is not JSON."""
@@ -727,7 +729,7 @@ def _widen_scaler_out(obj):
     ("svr", _set_model("n_features", 11.9), "n_features must be an integer, got 11.9"),
     ("svr", _set_model("converged", "no"), "converged must be true or false, got str"),
     ("dtr", lambda obj: obj["params"].__setitem__("max_depth", 2), "params {'max_depth': 2, "),
-    ("svr", _set("params", {"c": 1000.0, "epsilon": 0.1, "kernel": {"kind": "polynomial", "degree": 2, "coef0": 1.0}}),
+    ("svr", _set("params", {"c": 1000.0, "epsilon": 0.1, "kernel": {"kind": "rbf", "gamma": 0.5}}),
      "differ from the model's own {'c': 10.0, "),
     ("svr", lambda obj: obj["scaler_in"]["means"].__setitem__(0, {"a": 1}), "scaler means[0] must be a number, got {'a': 1}"),
     ("dtr", _set("target_mean", {}), "target_mean must be a number, got {}"),
@@ -804,6 +806,24 @@ def test_refuses_a_model_file_not_holding_the_model_its_name_says(workdir, capsy
     err = capsys.readouterr().err
     assert name in err and message in err and "of 'hc_yield' its name says" in err
     assert not (out / "evaluation.json").exists() and not (out / f"shap_{kind}_hc_yield").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_refuses_a_saved_polynomial_kernel_naming_the_file(workdir, capsys, command):
+    """A model file whose params name the polynomial kernel this version no longer fits is refused before any
+    of its fields are read, naming the file and the kind."""
+    csv, out = _train_svr(workdir)
+    polynomial = {"c": 10.0, "epsilon": 0.1, "kernel": {"kind": "polynomial", "degree": 2, "coef0": 1.0}}
+
+    def edit(obj):
+        obj["params"] = obj["model"]["params"] = polynomial
+
+    name = _edit_model(out, edit, "svr")
+    target = ("--target", "hc_yield") if command == "explain" else ()
+    assert run(command, "--data", csv, "--out", out, "--seed", 4, "--model", "svr", *target) == 1
+    err = capsys.readouterr().err
+    assert name in err and "kernel kind 'polynomial' is not supported" in err
+    assert not (out / "evaluation.json").exists() and not (out / "shap_svr_hc_yield").exists()
 
 
 def test_optimize_refuses_a_model_with_zero_target_std(workdir, capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ def test_config_validation():
     for name in ("generations", "stagnation_limit"):
         with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
             GaConfig(bounds=unit_bounds(), **{name: -1})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"generations": True}, "generations must be an integer, got True"),
+    ({"population": 2.5}, "population must be an integer, got 2.5"),
+    ({"elitism": 1.5}, "elitism must be an integer, got 1.5"),
+    ({"stagnation_limit": 3.0}, "stagnation_limit must be an integer, got 3.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"bounds": ()}, "bounds must hold at least one gene"),
+], ids=["generations-bool", "population-fraction", "elitism-fraction", "stagnation-float", "seed-fraction",
+        "seed-string", "no-bounds"])
+def test_config_refuses_counts_that_are_not_integers_and_empty_bounds(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GaConfig(**{"bounds": unit_bounds(), **fields})
 
 
 def test_sphere_convergence_quick():

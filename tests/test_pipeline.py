@@ -45,7 +45,6 @@ _reals = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 _positive = st.floats(min_value=1e-6, max_value=1e6)
 _kernels = st.one_of(
     st.just(Kernel("linear")),
-    st.builds(Kernel, st.just("polynomial"), degree=st.integers(1, 5), coef0=st.floats(-10.0, 10.0)),
     st.builds(Kernel, st.just("rbf"), gamma=_positive),
 )
 _saved_objects = st.one_of(
@@ -67,13 +66,13 @@ def test_saved_objects_roundtrip_through_json(obj):
 
 def test_grid_entry_without_optional_fields_takes_the_class_defaults():
     grid = HyperGrid.from_json_obj({"tree_grid": [{}], "svr_grid": [
-        {"c": 2.0, "epsilon": 0.2, "kernel": {"kind": "polynomial"}},
+        {"c": 2.0, "epsilon": 0.2, "kernel": {"kind": "linear"}},
         {"c": 2.0, "epsilon": 0.2, "kernel": {"kind": "rbf"}},
     ]})
-    (tree,), (poly, rbf) = grid.tree_grid, grid.svr_grid
+    (tree,), (linear, rbf) = grid.tree_grid, grid.svr_grid
     assert (tree.max_depth, tree.min_samples_split, tree.min_samples_leaf, tree.min_impurity_decrease) == (None, 2, 1, 0.0)
-    assert (poly.tolerance, poly.max_passes) == (1e-3, 200)
-    assert (poly.kernel.degree, poly.kernel.coef0, rbf.kernel.gamma) == (3, 0.0, 0.1)
+    assert (linear.tolerance, linear.max_passes, rbf.tolerance, rbf.max_passes) == (1e-3, 200, 1e-3, 200)
+    assert rbf.kernel.gamma == 0.1
 
 
 def test_grid_roundtrips_through_json():
@@ -475,7 +474,13 @@ def test_grid_search_fits_each_candidate_on_each_fold(monkeypatch):
     monkeypatch.setattr(pipeline, "fit_tree", counting_fit_tree)
     grid = HyperGrid.default().tree_grid
     grid_search(x, y, grid, shuffled_folds(50, 5, 2))
-    assert calls == [p for _ in range(5) for p in grid]  # one fold at a time, every candidate in grid order
+    # one fold at a time, the uncapped candidates first and then the rest, each in grid order
+    assert calls == ([p for p in grid if p.max_depth is None] + [p for p in grid if p.max_depth is not None]) * 5
+
+
+def test_grid_search_refuses_zero_rows_with_a_reason():
+    with pytest.raises(TooFewRows, match="^need at least 2 non-empty folds$"):
+        grid_search(np.zeros((0, 11)), np.zeros(0), [TreeParams()], np.zeros(0, int))
 
 
 def test_grid_search_matches_reference_on_the_default_tree_grid():
@@ -556,6 +561,36 @@ def test_grid_search_walks_the_validation_rows_once_per_distinct_tree(monkeypatc
     monkeypatch.setattr(cart.RegressionTree, "predict_batch", counting_predict_batch)
     got = grid_search(x, y, grid, fold_ids)
     assert len(walks) == 5 * len(stops) * 3
+    monkeypatch.undo()
+    want = _reference_grid_search(x, y, grid, fold_ids)
+    assert got.candidates == want.candidates
+    assert (got.chosen_params, got.cv_rmse) == (want.chosen_params, want.cv_rmse)
+
+
+def test_grid_search_scores_a_cap_equal_to_the_uncapped_depth_with_the_uncapped_tree(monkeypatch):
+    """The fold fits the uncapped candidates first, so a cap equal to the
+    uncapped tree's depth gets that tree back: on caps (D, None), where D is
+    the depth of every fold's uncapped tree, each fold walks its validation
+    rows once per set of stops. Every score and the choice are the
+    reference's."""
+    x = np.stack([np.arange(40) % 4, np.arange(40) % 7], axis=1).astype(float)
+    y = x[:, 0]
+    fold_ids = shuffled_folds(40, 5, 8)
+    leaves = (1, 3)
+    depths = {fit_tree(x[fold_ids != f], y[fold_ids != f], TreeParams(min_samples_leaf=leaf)).depth
+              for f in range(5) for leaf in leaves}
+    assert depths == {2}
+    grid = [TreeParams(max_depth=d, min_samples_leaf=leaf) for leaf in leaves for d in (2, None)]
+    walks = []
+    predict_batch = cart.RegressionTree.predict_batch
+
+    def counting_predict_batch(tree, rows):
+        walks.append(tree)
+        return predict_batch(tree, rows)
+
+    monkeypatch.setattr(cart.RegressionTree, "predict_batch", counting_predict_batch)
+    got = grid_search(x, y, grid, fold_ids)
+    assert len(walks) == 5 * len(leaves)
     monkeypatch.undo()
     want = _reference_grid_search(x, y, grid, fold_ids)
     assert got.candidates == want.candidates

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,12 +248,14 @@ def _floats(lo, hi):
 
 
 @st.composite
-def svr_explain_cases(draw):
-    """A linear or RBF SVR target (possibly without support vectors), a raw
-    row and a raw background of 1-64 rows, all drawn on standardized scale."""
+def svr_explain_cases(draw, kernel=None):
+    """An SVR target of ``kernel``, or of a drawn linear or RBF kernel
+    (possibly without support vectors), a raw row and a raw background of
+    1-64 rows, all drawn on standardized scale."""
     d = draw(st.integers(1, 11))
     n_sv = draw(st.integers(0, 12))
-    kernel = draw(st.just(Kernel("linear")) | _floats(0.01, 2.0).map(lambda g: Kernel("rbf", gamma=g)))
+    if kernel is None:
+        kernel = draw(st.just(Kernel("linear")) | _floats(0.01, 2.0).map(lambda g: Kernel("rbf", gamma=g)))
     scaler_in = Scaler(draw(hnp.arrays(float, d, elements=_floats(-100, 100))),
                        draw(hnp.arrays(float, d, elements=_floats(0.01, 100))))
     target = _svr_target(
@@ -285,7 +288,45 @@ def test_svr_closed_form_matches_enumeration(case):
     assert abs(closed.prediction - target.predict(x[None, :])[0]) <= tol
 
 
-def test_trees_and_polynomial_kernels_are_enumerated(monkeypatch, rng):
+_KINDS = st.sampled_from(["linear", "rbf", "polynomial"])
+_KERNEL_OBJECTS = st.one_of(
+    st.fixed_dictionaries({"kind": _KINDS}),
+    st.fixed_dictionaries({"kind": _KINDS, "gamma": _floats(0.01, 2.0)}),
+    st.fixed_dictionaries({"kind": _KINDS}, optional={"gamma": _floats(0.01, 2.0), "degree": st.integers(1, 3),
+                                                      "coef0": _floats(-1.0, 1.0)}),
+)
+
+
+def _no_enumeration(*args):
+    raise AssertionError("coalitions were enumerated")
+
+
+@settings(max_examples=examples(100))
+@given(_KERNEL_OBJECTS, st.data())
+def test_every_kernel_the_reader_accepts_is_explained_in_closed_form(obj, data):
+    """A kernel object naming the polynomial kind is refused, naming the kind,
+    whatever other fields it holds; any other refused one holds a field its
+    kind does not read. Every kernel Kernel.from_dict accepts is explained
+    without enumerating coalitions, and agrees with enumeration within 1e-9
+    of the target's spread."""
+    try:
+        kernel = Kernel.from_dict(obj)
+    except ValueError as exc:
+        if obj["kind"] == "polynomial":
+            assert str(exc) == "kernel kind 'polynomial' is not supported; expected 'linear' or 'rbf'"
+        else:
+            assert set(obj) - ({"kind", "gamma"} if obj["kind"] == "rbf" else {"kind"}), exc
+        return
+    target, x, background = data.draw(svr_explain_cases(kernel))
+    tol = 1e-9 * target.target_std
+    with mock.patch.object(shapley, "coalition_values", _no_enumeration):
+        closed = explain(target.predict, x, background)
+    enumerated = explain(lambda rows: target.predict(rows), x, background)
+    assert np.abs(closed.phi - enumerated.phi).max() <= tol
+    assert abs(closed.base_value - enumerated.base_value) <= tol
+
+
+def test_trees_are_enumerated_and_svrs_are_not(monkeypatch, rng):
     calls = []
     original = shapley.coalition_values
 
@@ -303,11 +344,9 @@ def test_trees_and_polynomial_kernels_are_enumerated(monkeypatch, rng):
     )
     explain(tree.predict, x[0], x[:8])
     assert len(calls) == 1
-    explain(_random_svr_target(rng, Kernel("polynomial", degree=2, coef0=1.0), 3, 5).predict, x[0], x[:8])
-    assert len(calls) == 2
     for kernel in (Kernel("linear"), Kernel("rbf", gamma=0.5)):
         explain(_random_svr_target(rng, kernel, 3, 5).predict, x[0], x[:8])
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_rbf_closed_form_beyond_the_enumeration_cap_matches_monte_carlo():
