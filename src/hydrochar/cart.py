@@ -258,16 +258,17 @@ class SplitMemo:
     """The split search that fits of one ``x`` and ``y`` share, for trees of the leaf sizes ``leaves``.
 
     ``root`` is the root's ``_Node`` record, made by the first fit after it has
-    checked the inputs, and each record links to its children's. ``uncapped``
+    checked the inputs, and each record links to its children's. ``table`` is
+    that fit's (``x``, ``y``), which every later fit must pass. ``uncapped``
     keeps, by (``min_samples_leaf``, ``min_samples_split``,
     ``min_impurity_decrease``), the first tree no depth cap bound.
     """
 
-    __slots__ = ("leaves", "root", "uncapped")
+    __slots__ = ("leaves", "root", "table", "uncapped")
 
     def __init__(self, leaves):
         self.leaves = tuple(sorted(set(leaves)))
-        self.root = None
+        self.root = self.table = None
         self.uncapped = {}
 
 
@@ -304,18 +305,19 @@ def fit_tree(x, y, params: TreeParams, memo: SplitMemo | None = None) -> Regress
     below ``min_impurity_decrease``. The fit is fully deterministic.
 
     ``memo`` is the ``SplitMemo`` of fits of the same ``x`` and ``y``; without
-    one a fit makes its own for its leaf size, and a leaf size the memo was
-    not made for raises ValueError. A node's record depends only on ``x``,
-    ``y`` and the splits above it, never on the stops, so each node's rows
-    are searched once for every leaf size of the memo, and each statistic is
-    computed once. The stops are still applied in every fit. The input
-    checks run when the root's record is made, so once per memo. A depth cap
-    only prunes the uncapped tree, so a fit whose cap is None or at least
-    the depth of the memo's uncapped tree of its other stops returns that
-    tree's read-only arrays under its own ``params``, with no node walk.
+    one a fit makes its own for its leaf size, and a leaf size the memo was not
+    made for, or other rows than its first fit's, raise ValueError. A node's
+    record depends only on ``x``, ``y`` and the splits above it, never on the
+    stops, so each node's rows are searched once for every leaf size of the
+    memo, and each statistic is computed once. The stops are still applied in
+    every fit. The input checks run when the root's record is made, so once per
+    memo. A depth cap only prunes the uncapped tree, so a fit whose cap is None
+    or at least the depth of the memo's uncapped tree of its other stops returns
+    that tree's read-only arrays under its own ``params``, with no node walk.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.asarray(y, dtype=float)
+    y = y if y.ndim == 1 else y.ravel()  # ravel makes a new array, which the memo's identity check would miss
     if x.shape[0] == 0:
         raise EmptyInput("no training rows")
     if x.shape[0] != len(y):
@@ -331,7 +333,9 @@ def fit_tree(x, y, params: TreeParams, memo: SplitMemo | None = None) -> Regress
         if scale >= _Y_SCALE_LIMIT:
             raise NonFiniteInput(f"y is too large for the split search's sums of squares: "
                                  f"len(y) * max|y| = {scale:g} is not below {_Y_SCALE_LIMIT:g}")
-        memo.root = _Node(np.arange(len(y)))
+        memo.root, memo.table = _Node(np.arange(len(y))), (x, y)
+    elif (x is not memo.table[0] or y is not memo.table[1]) and not all(map(np.array_equal, (x, y), memo.table)):
+        raise ValueError("the split memo was made for another x and y; each table needs its own SplitMemo")
     stops = (params.min_samples_leaf, params.min_samples_split, params.min_impurity_decrease)
     uncapped = memo.uncapped.get(stops)
     if uncapped is not None and (params.max_depth is None or params.max_depth >= uncapped.depth):

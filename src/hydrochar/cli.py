@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,23 +22,13 @@ from .errors import (ConstantColumn, HydrocharError, InvalidGrid, InvalidModelFi
 from .pipeline import SCHEMA_VERSION
 
 
-@dataclass
 class RunConfig:
-    data: Path | None
-    out: Path
-    seed: int
-    model: str | None  # None where the command has no --model
-    background: int | None  # None where the command has no --background
+    """Kept only for ``bench/worker.explain_plot``; ROADMAP item 1b deletes it. Commands read the parsed
+    arguments, whose ``data`` and ``out`` the parser has already resolved, and ``from_args`` returns them."""
 
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            data=Path(args.data).resolve() if getattr(args, "data", None) is not None else None,
-            out=Path(args.out).resolve(),
-            seed=args.seed,
-            model=getattr(args, "model", None),
-            background=getattr(args, "background", None),
-        )
+    @staticmethod
+    def from_args(args):
+        return args
 
 
 def _provenance(seed: int) -> dict:
@@ -59,8 +48,7 @@ def _model_path(out: Path, kind: str, target: str) -> Path:
 
 
 def cmd_validate(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ds = data.load_csv(cfg.data)
+    ds = data.load_csv(args.data)
     print(f"n_rows: {ds.n_rows}")
     print(f"warnings: {len(ds.warnings)}")
     for w in ds.warnings:
@@ -74,8 +62,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ds = data.load_csv(cfg.data)
+    ds = data.load_csv(args.data)
     corr = stats.correlation_matrix(ds)
     all_columns = list(ds.feature_names) + list(ds.target_names)
     try:
@@ -84,14 +71,14 @@ def cmd_stats(args) -> int:
         print(f"factor analysis fell back to the {len(ds.feature_names)} input columns: {exc}")
         factors = stats.factor_analysis(ds, list(ds.feature_names))
 
-    comment = _provenance_comment(cfg.seed)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    (cfg.out / "correlation_matrix.csv").write_text(comment + "\n" + corr.to_csv_text(), encoding="utf-8")
-    _write_json(cfg.out / "correlation_matrix.json", {**_provenance(cfg.seed), **corr.to_json_obj()})
-    _write_van_krevelen(ds, cfg.out / "van_krevelen.csv", comment)
-    _write_json(cfg.out / "factors.json", {**_provenance(cfg.seed), **factors.to_json_obj()})
-    (cfg.out / "factors.csv").write_text(comment + "\n" + factors.to_csv_text(), encoding="utf-8")
-    print(f"wrote correlation_matrix.csv/.json, factors.json/.csv, van_krevelen.csv to {cfg.out}")
+    comment = _provenance_comment(args.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "correlation_matrix.csv").write_text(comment + "\n" + corr.to_csv_text(), encoding="utf-8")
+    _write_json(args.out / "correlation_matrix.json", {**_provenance(args.seed), **corr.to_json_obj()})
+    _write_van_krevelen(ds, args.out / "van_krevelen.csv", comment)
+    _write_json(args.out / "factors.json", {**_provenance(args.seed), **factors.to_json_obj()})
+    (args.out / "factors.csv").write_text(comment + "\n" + factors.to_csv_text(), encoding="utf-8")
+    print(f"wrote correlation_matrix.csv/.json, factors.json/.csv, van_krevelen.csv to {args.out}")
     return 0
 
 
@@ -122,16 +109,15 @@ def _load_grid(path: str | None) -> pipeline.HyperGrid:
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ds = data.load_csv(cfg.data)
+    ds = data.load_csv(args.data)
     grid = _load_grid(args.grid)
-    kinds = ("dtr", "svr") if cfg.model == "both" else (cfg.model,)
-    result = pipeline.train_all(ds, grid, seed=cfg.seed, models=kinds)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out / "report.json", {**_provenance(cfg.seed), **result.report})
+    kinds = ("dtr", "svr") if args.model == "both" else (args.model,)
+    result = pipeline.train_all(ds, grid, seed=args.seed, models=kinds)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out / "report.json", {**_provenance(args.seed), **result.report})
     print(f"{'model':<6}{'target':<10}{'cv_rmse':>10}{'train_r2':>10}{'test_r2':>10}")
     for (kind, target), t in sorted(result.trained.items()):
-        _write_json(_model_path(cfg.out, kind, target), {**_provenance(cfg.seed), **t.to_json_obj()})
+        _write_json(_model_path(args.out, kind, target), {**_provenance(args.seed), **t.to_json_obj()})
         print(f"{kind:<6}{target:<10}{t.cv_rmse:>10.4g}{t.train_metrics.r2:>10.4f}{t.test_metrics.r2:>10.4f}")
     for kind in kinds:
         for target, reason in result.skips[kind].items():
@@ -149,24 +135,23 @@ def _read_model(path: Path, kind: str, target: str) -> pipeline.TrainedTarget:
         return trained
 
 
-def _load_models(cfg: RunConfig, kind: str) -> dict[str, pipeline.TrainedTarget]:
+def _load_models(out: Path, kind: str) -> dict[str, pipeline.TrainedTarget]:
     models = {}
     for target in data.TARGET_COLUMNS:
-        path = _model_path(cfg.out, kind, target)
+        path = _model_path(out, kind, target)
         if path.exists():
             models[target] = _read_model(path, kind, target)
     return models
 
 
 def cmd_evaluate(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ds = data.load_csv(cfg.data)
-    kinds = ("dtr", "svr") if cfg.model == "both" else (cfg.model,)
+    ds = data.load_csv(args.data)
+    kinds = ("dtr", "svr") if args.model == "both" else (args.model,)
     x = ds.feature_matrix()
     ymat = ds.target_matrix()
     section: dict = {}
     for kind in kinds:
-        models = _load_models(cfg, kind)
+        models = _load_models(args.out, kind)
         if not models:
             continue
         section[kind] = {}
@@ -181,8 +166,8 @@ def cmd_evaluate(args) -> int:
             else:
                 section[kind][target] = pipeline.evaluate(model, x[present], y).as_dict()
     if not section:
-        raise MissingModelFile(f"no model_*.json files found in {cfg.out}")
-    _write_json(cfg.out / "evaluation.json", {**_provenance(cfg.seed), "models": section})
+        raise MissingModelFile(f"no model_*.json files found in {args.out}")
+    _write_json(args.out / "evaluation.json", {**_provenance(args.seed), "models": section})
     for kind, targets in section.items():
         for target, m in targets.items():
             detail = (f"skipped: {m['skipped']}" if "skipped" in m
@@ -192,28 +177,24 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    if args.background < 1:
-        raise HydrocharError(f"--background must be at least 1 row, got {args.background}")
-    cfg = RunConfig.from_args(args)
-    kind = cfg.model
-    path = _model_path(cfg.out, kind, args.target)
+    path = _model_path(args.out, args.model, args.target)
     if not path.exists():
         raise MissingModelFile(f"{path} not found; run train first")
-    model = _read_model(path, kind, args.target)
-    ds = data.load_csv(cfg.data)
-    plan = data.split(ds, seed=cfg.seed)
+    model = _read_model(path, args.model, args.target)
+    ds = data.load_csv(args.data)
+    plan = data.split(ds, seed=args.seed)
     x = ds.feature_matrix()
     train_x = x[plan.train_indices]
-    rng = np.random.default_rng(cfg.seed)
-    take = min(cfg.background, len(train_x))
+    rng = np.random.default_rng(args.seed)
+    take = min(args.background, len(train_x))
     background = train_x[rng.choice(len(train_x), size=take, replace=False)]
     explanations = [shapley.explain(model.predict, row, background) for row in x]
-    out_dir = cfg.out / f"shap_{kind}_{args.target}"
+    out_dir = args.out / f"shap_{args.model}_{args.target}"
     shapley.emit_plot_data(
         explanations,
         feature_names=ds.feature_names,
         out_dir=out_dir,
-        provenance=_provenance_comment(cfg.seed),
+        provenance=_provenance_comment(args.seed),
     )
     print(f"wrote beeswarm.csv, bar.csv, heatmap.csv, importance.svg to {out_dir}")
     return 0
@@ -232,33 +213,47 @@ def _resolve_profile(application: str) -> genetic.ObjectiveProfile:
 
 
 def cmd_optimize(args) -> int:
-    cfg = RunConfig.from_args(args)
     profile = _resolve_profile(args.application)
     needed = [t for t, _ in profile.active()]
-    models = _load_models(cfg, "dtr")
+    models = _load_models(args.out, "dtr")
     missing = [t for t in needed if t not in models]
     if missing:
         raise MissingModelFile(f"missing trained DTR model files for {missing}; run train first")
-    ds = data.load_csv(cfg.data)
-    plan = data.split(ds, seed=cfg.seed)
+    ds = data.load_csv(args.data)
+    plan = data.split(ds, seed=args.seed)
     train_x = ds.feature_matrix()[plan.train_indices]
     bounds = tuple((float(c.min()), float(c.max())) for c in train_x.T)
-    config = genetic.GaConfig(bounds=bounds, seed=cfg.seed)
+    config = genetic.GaConfig(bounds=bounds, seed=args.seed)
     result = genetic.optimize(models, profile, config)
     rep = genetic.report(result, profile, config)
-    _write_json(cfg.out / "optimum.json", {**_provenance(cfg.seed), **rep})
+    _write_json(args.out / "optimum.json", {**_provenance(args.seed), **rep})
     print(genetic.render_table(rep))
     return 0
 
 
 def cmd_synth(args) -> int:
-    cfg = RunConfig.from_args(args)
-    ds = data.generate_synthetic(args.n, seed=cfg.seed, noise_sd=args.noise)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    path = cfg.out / "synthetic.csv"
+    ds = data.generate_synthetic(args.n, seed=args.seed, noise_sd=args.noise)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "synthetic.csv"
     data.write_csv(ds, path)
     print(f"wrote {ds.n_rows} rows to {path}")
     return 0
+
+
+def _resolved(text: str) -> Path:
+    return Path(text).resolve()
+
+
+def _at_least(least: int):
+    """An argparse ``type=`` for an integer of at least ``least``: a smaller one is a usage error naming the flag
+    and the value, and a non-integer keeps argparse's ``invalid int value``."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    convert.__name__ = "int"
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     reads = argparse.ArgumentParser(add_help=False)
-    reads.add_argument("--data", required=True, help="input CSV in the canonical 21-column schema")
+    reads.add_argument("--data", required=True, type=_resolved, help="input CSV in the canonical 21-column schema")
     writes = argparse.ArgumentParser(add_help=False)
-    writes.add_argument("--out", default=".", help="output directory (created if absent)")
-    writes.add_argument("--seed", type=int, default=42)
+    writes.add_argument("--out", default=".", type=_resolved, help="output directory (created if absent)")
+    writes.add_argument("--seed", type=_at_least(0), default=42)
 
     def command(name: str, run, summary: str, reads_data: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, parents=[reads, writes] if reads_data else [writes])
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("explain", cmd_explain, "Shapley artifacts for one target")
     p.add_argument("--model", choices=("dtr", "svr"), default="dtr")
     p.add_argument("--target", required=True, choices=data.TARGET_COLUMNS)
-    p.add_argument("--background", type=int, default=64, help="background rows for attribution")
+    p.add_argument("--background", type=_at_least(1), default=64, help="background rows for attribution")
     p = command("optimize", cmd_optimize, "GA search over the trained DTR surrogates")
     p.add_argument("--application", default="energy", help="energy | soil | adsorption, or a JSON direction-map file")
     p = command("synth", cmd_synth, "write a synthetic dataset", reads_data=False)
@@ -298,12 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
+    try:  # parsing resolves paths, so it fails through the same handlers as a command
         args = build_parser().parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:  # argparse printed --help, --version or a usage error
         return 0 if exc.code == 0 else 1
-    try:
-        return args.run(args)
     except (HydrocharError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -128,7 +128,7 @@ class GaConfig:
         for p in (self.crossover_prob, self.mutation_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        for name in ("generations", "stagnation_limit"):
+        for name in ("generations", "stagnation_limit", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0 <= self.elitism < self.population:

@@ -43,6 +43,8 @@ class Kernel:
             raise ValueError(f"kernel gamma must be finite, got {self.gamma!r}")
         if self.kind == "rbf" and not self.gamma > 0.0:
             raise ValueError("rbf gamma must be > 0")
+        if self.kind == "linear" and self.gamma != Kernel.gamma:  # one linear kernel: it reads no gamma
+            raise ValueError("kernel kind 'linear' does not read field 'gamma'")
 
     def __str__(self) -> str:
         return " ".join([self.kind] + [f"{k}={v!r}" for k, v in self.to_dict().items() if k != "kind"])

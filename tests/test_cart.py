@@ -610,3 +610,24 @@ def test_fit_whose_leaf_size_its_memo_was_not_made_for_is_refused():
     assert memo.root is None
     assert fit_tree(x, y, TreeParams(min_samples_leaf=3), memo).to_json_obj() == \
         fit_tree(x, y, TreeParams(min_samples_leaf=3)).to_json_obj()
+
+
+def _synthetic_xy(n, seed):
+    ds = data.generate_synthetic(n, seed, noise_sd=0.5)
+    return ds.feature_matrix(), ds.target_matrix()[:, 0]
+
+
+@pytest.mark.parametrize("n, params", [(60, TreeParams(max_depth=4)), (30, TreeParams())],
+                         ids=["same-size-table", "smaller-table"])
+def test_fit_through_a_memo_made_for_another_table_is_refused(monkeypatch, n, params):
+    """A memo's records hold row indices into its first fit's table, so other rows are refused, naming the memo.
+    Without the check the same-size table got a tree unlike a fresh fit's, and the smaller one an IndexError."""
+    x, y = _synthetic_xy(60, 1)
+    memo = SplitMemo((1,))
+    fit_tree(x, y, TreeParams(max_depth=4), memo)
+    with pytest.raises(ValueError, match="^the split memo was made for another x and y; "):
+        fit_tree(*_synthetic_xy(n, 2), params, memo)
+    fresh = fit_tree(x, y, params).to_json_obj()
+    assert fit_tree(x.copy(), y.copy(), params, memo).to_json_obj() == fresh  # equal rows are the same table
+    monkeypatch.setattr(cart.np, "array_equal", None)  # the table's own arrays are never compared
+    assert fit_tree(x, y, params, memo).to_json_obj() == fresh

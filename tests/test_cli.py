@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -137,6 +138,46 @@ def test_explain_refuses_model_both(workdir, capsys):
     assert run("explain", "--data", workdir / "data.csv", "--out", out, "--target", "hc_yield", "--model", "both") == 1
     assert "argument --model: invalid choice: 'both'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# What each command needs besides --out and --seed; no file named here is read before the parser refuses.
+_NEEDED = {c: ("--data", "never-read.csv") for c in ("validate", "stats", "train", "evaluate", "optimize")}
+_NEEDED.update(explain=("--data", "never-read.csv", "--target", "hc_yield"), synth=())
+
+
+@pytest.mark.parametrize("command", sorted(_NEEDED))
+def test_every_command_refuses_a_negative_seed_as_a_usage_error(workdir, capsys, monkeypatch, command):
+    monkeypatch.chdir(workdir)
+    assert run(command, *_NEEDED[command], "--out", "run", "--seed", -1) == 1
+    assert capsys.readouterr().err.endswith(f"{command}: error: argument --seed: must be at least 0, got -1\n")
+    assert run(command, *_NEEDED[command], "--out", "run", "--seed", "abc") == 1
+    assert capsys.readouterr().err.endswith("error: argument --seed: invalid int value: 'abc'\n")
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_NEEDED))
+def test_the_parser_resolves_data_and_out(workdir, monkeypatch, command):
+    """Commands read the parsed arguments; RunConfig.from_args hands them back until the benchmark stops calling it."""
+    monkeypatch.chdir(workdir)
+    for out, want in ((("--out", "run"), workdir.resolve() / "run"), ((), workdir.resolve())):
+        args = cli.build_parser().parse_args([command, *_NEEDED[command], *out])
+        assert args.out == want and args.out.is_absolute()
+        if command != "synth":
+            assert args.data == workdir.resolve() / "never-read.csv" and args.data.is_absolute()
+        assert cli.RunConfig.from_args(args) is args
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a symlink")
+@pytest.mark.parametrize("flag", ["--data", "--out"])
+def test_a_path_the_parser_cannot_resolve_leaves_main_through_its_handlers(workdir, capsys, flag):
+    """A symlink loop makes Path.resolve raise RuntimeError on some Pythons and not on others; either way main
+    returns a code and prints one line naming the path, with no traceback."""
+    loop = workdir / "loop"
+    loop.symlink_to(loop)
+    argv = ("validate", "--data", loop) if flag == "--data" else ("synth", "--out", loop / "run")
+    assert run(*argv) in (1, 2)
+    err = capsys.readouterr().err
+    assert err.startswith(("error: ", "internal error: ")) and str(loop) in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, code", [(("--help",), 0), (("--version",), 0), ((), 1), (("fit",), 1),
@@ -439,8 +480,8 @@ def test_explain_refuses_background_below_one(workdir, capsys, background):
     argv = ("explain", "--data", csv, "--out", out, "--seed", 4, "--target", "hc_s", "--background", background)
     assert run(*argv) == 1
     err = capsys.readouterr().err
-    assert err == f"error: --background must be at least 1 row, got {background}\n"
-    assert not out.exists()  # refused before anything is loaded or created
+    assert err.endswith(f"explain: error: argument --background: must be at least 1, got {background}\n")
+    assert not out.exists()  # refused by the parser, before anything is loaded or created
 
 
 # ---------------------------------------------------------------- optimize

@@ -161,9 +161,10 @@ def test_config_validation():
     ({"stagnation_limit": 3.0}, "stagnation_limit must be an integer, got 3.0"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"seed": "7"}, "seed must be an integer, got '7'"),
+    ({"seed": -1}, "seed must be >= 0"),
     ({"bounds": ()}, "bounds must hold at least one gene"),
 ], ids=["generations-bool", "population-fraction", "elitism-fraction", "stagnation-float", "seed-fraction",
-        "seed-string", "no-bounds"])
+        "seed-string", "seed-negative", "no-bounds"])
 def test_config_refuses_counts_that_are_not_integers_and_empty_bounds(fields, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         GaConfig(**{"bounds": unit_bounds(), **fields})

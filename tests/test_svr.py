@@ -42,6 +42,25 @@ def test_kernel_validation():
         Kernel(kind="sigmoid")
 
 
+@given(st.sampled_from(["linear", "rbf"]), st.just(0.1) | st.floats())
+@settings(max_examples=examples(200))
+def test_every_kernel_the_constructor_accepts_reads_back_equal(kind, gamma):
+    """A kernel has one representation: its JSON reads back equal to it, alone and in SvrParams. A linear kernel
+    reads no gamma, so one with a gamma other than the default is refused, in the words of the file reader."""
+    if kind == "linear" and math.isfinite(gamma) and gamma != 0.1:
+        with pytest.raises(ValueError, match="^kernel kind 'linear' does not read field 'gamma'$"):
+            Kernel(kind, gamma)
+        return
+    if not math.isfinite(gamma) or kind == "rbf" and not gamma > 0.0:
+        with pytest.raises(ValueError, match="gamma must be"):
+            Kernel(kind, gamma)
+        return
+    kernel = Kernel(kind, gamma)
+    assert Kernel.from_dict(json.loads(json.dumps(kernel.to_dict()))) == kernel
+    params = SvrParams(c=1.0, epsilon=0.1, kernel=kernel)
+    assert SvrParams.from_dict(json.loads(json.dumps(params.to_dict()))) == params
+
+
 def test_kernel_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         kernel_matrix(Kernel("linear"), [[1.0, 2.0]], [[1.0]])
